@@ -6,9 +6,9 @@ from .measures import (AtomicMeasure, Cluster, GridMeasure1D, detect_clusters,
                        moment, variance, wasserstein1_1d, wasserstein1_oracle)
 from .kernels import (BoundedConfidence, Constant, EnvAtom, EnvBump, EnvGrid,
                       EnvUniform, FiniteMixture, Gaussian, KernelSpec,
-                      env_moment, internal_weight, apply_update)
+                      env_moment)
 from .agent_sim import (InitAtoms, InitGrid, InitUniform, SimConfig, SimState,
-                        dispersion, run, step)
+                        dispersion, run)
 from .meanfield import SolverConfig, apply_F, integrate, sup_density
 from .moments import (MomentParams, MomentTrajectory, f_k, gamma_k,
                       integrate_moments, limit_moments)

@@ -130,6 +130,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 2:
             raise SimError("need at least two agents")
+        if not self.horizon >= 0:
+            raise SimError("horizon must be nonnegative")
         times = tuple(float(s) for s in self.snapshot_times)
         if any(s < 0 or s > self.horizon for s in times):
             raise SimError("snapshot times must lie in [0, horizon]")
@@ -151,44 +153,6 @@ def dispersion(s: SimState) -> float:
 
 # ---------------------------------------------------------------------------
 # dynamics
-
-
-def step(s: SimState, k: KernelSpec, symmetric: bool = False,
-         allow_self: bool = False, env_sampler=None) -> SimState:
-    """One jump of the process, in place: advance the clock by an
-    exponential increment of mean 1/n, pick the interacting pair, update.
-
-    Returns the same (mutated) state for chaining.
-    """
-    n = s.n
-    rng = s.rng
-    s.t += rng.exponential(1.0 / n)
-    a = int(rng.integers(n))
-    if allow_self:
-        b = int(rng.integers(n))
-    else:
-        b = int(rng.integers(n - 1))
-        if b >= a:
-            b += 1
-    x = s.opinions
-    if k.alpha >= 1.0 or rng.random() < k.alpha:
-        w = sample_weight(k.internal, abs(x[a] - x[b]), rng)
-        xa, xb = x[a], x[b]
-        x[a] = (1.0 - w) * xa + w * xb
-        if symmetric:
-            x[b] = (1.0 - w) * xb + w * xa
-    else:
-        if env_sampler is None:
-            env_sampler = make_env_sampler(k.environment)
-        e = env_sampler(rng)
-        u = sample_weight(k.external, abs(x[a] - e), rng)
-        x[a] = (1.0 - u) * x[a] + u * e
-        if symmetric:
-            # the symmetric variant concerns pairwise interactions only;
-            # environment updates touch a single agent
-            pass
-    s.update_count += 1
-    return s
 
 
 _CHUNK = 1 << 14

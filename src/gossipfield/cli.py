@@ -11,16 +11,17 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import agent_sim, experiments, meanfield, moments
 from .kernels import (BoundedConfidence, Constant, EnvAtom, EnvBump, EnvGrid,
-                      EnvUniform, FiniteMixture, Gaussian, KernelSpec,
-                      env_moment, env_support)
-from .measures import AtomicMeasure, GridMeasure1D, wasserstein1_1d
+                      EnvUniform, FiniteMixture, Gaussian, KernelError,
+                      KernelSpec, env_moment, env_support)
+from .measures import (AtomicMeasure, GridMeasure1D, MeasureError,
+                       wasserstein1_1d, write_measure_csv)
 
 
 class ConfigError(ValueError):
@@ -32,17 +33,60 @@ class ConfigError(ValueError):
 _TOP_KEYS = {"seed", "output_dir", "kernel", "initial", "simulate",
              "meanfield", "moments", "concentrate"}
 
-_DEFAULTS = {
-    "seed": 0,
-    "output_dir": ".",
-    "simulate": {"n": 1000, "horizon": 10.0, "snapshot_times": None,
-                 "symmetric": False, "allow_self": False},
-    "meanfield": {"lo": None, "hi": None, "m": 1000, "dt": 0.01,
-                  "horizon": 10.0, "snapshot_times": None, "scheme": "euler"},
-    "moments": {"K": 8, "T": 10.0, "dt": 0.005},
-    "concentrate": {"tau": 5.0, "n_list": [100, 300, 1000, 3000],
-                    "replicas": 100, "eps_list": [], "sample_times": []},
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# JSON types of the config fields. Ranges and domains are not checked here:
+# the objects built from the config check them (see _check_domain).
+_TYPES = {
+    "number": _is_number,
+    "integer": _is_integer,
+    "bool": lambda v: isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "number list": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "integer list": lambda v: isinstance(v, list) and all(map(_is_integer,
+                                                              v)),
+    "[x, w] list": lambda v: isinstance(v, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))
+        for p in v),
 }
+
+# section -> key -> (type, default); a default of None also admits null
+_SECTIONS = {
+    "simulate": {"n": ("integer", 1000), "horizon": ("number", 10.0),
+                 "snapshot_times": ("number list", None),
+                 "symmetric": ("bool", False), "allow_self": ("bool", False)},
+    "meanfield": {"lo": ("number", None), "hi": ("number", None),
+                  "m": ("integer", 1000), "dt": ("number", 0.01),
+                  "horizon": ("number", 10.0),
+                  "snapshot_times": ("number list", None),
+                  "scheme": ("string", "euler")},
+    "moments": {"K": ("integer", 8), "T": ("number", 10.0),
+                "dt": ("number", 0.005)},
+    "concentrate": {"tau": ("number", 5.0),
+                    "n_list": ("integer list", [100, 300, 1000, 3000]),
+                    "replicas": ("integer", 100),
+                    "eps_list": ("number list", []),
+                    "sample_times": ("number list", [])},
+}
+
+# {"type": ...} objects: type -> field -> JSON type; every field is required
+_LAWS = {"constant": {"omega": "number"},
+         "bounded_confidence": {"omega0": "number", "radius": "number"},
+         "gaussian": {"omega0": "number", "sigma": "number"},
+         "mixture": {"omegas": "number list", "probs": "number list"}}
+_GRID = {"lo": "number", "hi": "number", "cells": "number list"}
+_ENVIRONMENTS = {"atom": {"z": "number"},
+                 "uniform": {"a": "number", "b": "number"},
+                 "bump": {}, "grid": _GRID}
+_INITIALS = {"uniform": {"a": "number", "b": "number"},
+             "atoms": {"points": "[x, w] list"}, "grid": _GRID}
 
 
 @dataclass(frozen=True)
@@ -65,97 +109,40 @@ class RunConfig:
         return hashlib.sha256(serialize(self).encode()).hexdigest()[:16]
 
 
-def _check_range(errs, section, key, v, lo=None, hi=None, integer=False,
-                 positive=False):
-    name = f"{section}.{key}" if section else key
-    if integer and not isinstance(v, int):
-        errs.append(f"{name}: expected integer, got {v!r}")
-        return
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        errs.append(f"{name}: expected number, got {v!r}")
-        return
-    if positive and v <= 0:
-        errs.append(f"{name}: must be positive, got {v}")
-    if lo is not None and v < lo:
-        errs.append(f"{name}: must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        errs.append(f"{name}: must be <= {hi}, got {v}")
+def _check_type(errs, name, v, kind) -> bool:
+    if _TYPES[kind](v):
+        return True
+    errs.append(f"{name}: expected {kind}, got {v!r}")
+    return False
 
 
-def _validate_law(errs, name, law):
-    if not isinstance(law, dict) or "type" not in law:
+def _check_typed_object(errs, name, obj, kinds, what) -> bool:
+    """Check a {"type": ...} object: a known type, each of its fields
+    present with its JSON type, and no other keys."""
+    if not isinstance(obj, dict) or "type" not in obj:
         errs.append(f"{name}: expected object with 'type'")
-        return
-    t = law["type"]
-    known = {
-        "constant": {"omega"},
-        "bounded_confidence": {"omega0", "radius"},
-        "gaussian": {"omega0", "sigma"},
-        "mixture": {"omegas", "probs"},
-    }
-    if t not in known:
-        errs.append(f"{name}.type: unknown weight law {t!r}")
-        return
-    extra = set(law) - known[t] - {"type"}
+        return False
+    t = obj["type"]
+    if not isinstance(t, str) or t not in kinds:
+        errs.append(f"{name}.type: unknown {what} {t!r}")
+        return False
+    n = len(errs)
+    extra = set(obj) - set(kinds[t]) - {"type"}
     if extra:
         errs.append(f"{name}: unknown keys {sorted(extra)}")
-    if t == "constant":
-        _check_range(errs, name, "omega", law.get("omega", -1), 0.0, 1.0)
-    elif t == "bounded_confidence":
-        _check_range(errs, name, "omega0", law.get("omega0", -1), 0.0, 1.0)
-        _check_range(errs, name, "radius", law.get("radius", -1),
-                     positive=True)
-    elif t == "gaussian":
-        _check_range(errs, name, "omega0", law.get("omega0", -1), 0.0, 1.0)
-        _check_range(errs, name, "sigma", law.get("sigma", -1), positive=True)
-    elif t == "mixture":
-        om = law.get("omegas")
-        pr = law.get("probs")
-        if not isinstance(om, list) or not isinstance(pr, list) \
-                or len(om) != len(pr) or not om:
-            errs.append(f"{name}: omegas/probs must be equal-length "
-                        "nonempty lists")
+    for key, kind in kinds[t].items():
+        if key not in obj:
+            errs.append(f"{name}.{key}: required")
         else:
-            for i, w in enumerate(om):
-                _check_range(errs, name, f"omegas[{i}]", w, 0.0, 1.0)
-            for i, p in enumerate(pr):
-                _check_range(errs, name, f"probs[{i}]", p, 0.0, 1.0)
-            if abs(sum(pr) - 1.0) > 1e-12:
-                errs.append(f"{name}.probs: must sum to 1")
-
-
-def _validate_env(errs, env):
-    if env is None:
-        return
-    if not isinstance(env, dict) or "type" not in env:
-        errs.append("kernel.environment: expected object with 'type' or null")
-        return
-    t = env["type"]
-    known = {"atom": {"z"}, "uniform": {"a", "b"}, "bump": set(),
-             "grid": {"lo", "hi", "cells"}}
-    if t not in known:
-        errs.append(f"kernel.environment.type: unknown environment {t!r}")
-        return
-    extra = set(env) - known[t] - {"type"}
-    if extra:
-        errs.append(f"kernel.environment: unknown keys {sorted(extra)}")
-    if t == "atom" and not isinstance(env.get("z"), (int, float)):
-        errs.append("kernel.environment.z: expected number")
-    if t == "uniform":
-        a, b = env.get("a"), env.get("b")
-        if not (isinstance(a, (int, float)) and isinstance(b, (int, float))
-                and b > a):
-            errs.append("kernel.environment: needs numbers b > a")
-    if t == "grid":
-        cells = env.get("cells")
-        if not isinstance(cells, list) or len(cells) < 2 \
-                or any(not isinstance(c, (int, float)) or c < 0 for c in cells):
-            errs.append("kernel.environment.cells: expected list of "
-                        "nonnegative numbers, length >= 2")
+            _check_type(errs, f"{name}.{key}", obj[key], kind)
+    return len(errs) == n
 
 
 def parse_config(text) -> RunConfig:
-    """Parse and validate a JSON run-config, collecting all violations."""
+    """Parse and validate a JSON run-config, collecting all violations.
+
+    The JSON's shape is checked here: keys, types and defaults. Ranges and
+    domains are checked by building the objects the subcommands run."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
@@ -169,12 +156,13 @@ def parse_config(text) -> RunConfig:
     if unknown:
         errs.append(f"unknown top-level keys {sorted(unknown)}")
 
-    data = {"seed": raw.get("seed", _DEFAULTS["seed"]),
-            "output_dir": raw.get("output_dir", _DEFAULTS["output_dir"])}
+    data = {"seed": raw.get("seed", 0),
+            "output_dir": raw.get("output_dir", ".")}
     if not isinstance(data["seed"], int):
         errs.append("seed: expected integer")
     if not isinstance(data["output_dir"], str):
         errs.append("output_dir: expected string")
+    shape_ok = {}  # config path -> whether its JSON shape is sound
 
     kernel = raw.get("kernel")
     if not isinstance(kernel, dict):
@@ -184,77 +172,61 @@ def parse_config(text) -> RunConfig:
     if extra:
         errs.append(f"kernel: unknown keys {sorted(extra)}")
     alpha = kernel.get("alpha", 1.0)
-    _check_range(errs, "kernel", "alpha", alpha, 0.0, 1.0)
+    shape_ok["kernel"] = _check_type(errs, "kernel.alpha", alpha, "number")
+    for part, kinds, what in (("internal", _LAWS, "weight law"),
+                              ("external", _LAWS, "weight law"),
+                              ("environment", _ENVIRONMENTS, "environment")):
+        if kernel.get(part) is not None:
+            shape_ok[f"kernel.{part}"] = _check_typed_object(
+                errs, f"kernel.{part}", kernel[part], kinds, what)
     internal = kernel.get("internal")
-    if internal is None and (not isinstance(alpha, (int, float)) or alpha > 0):
-        errs.append("kernel.internal: required when alpha > 0")
-    if internal is not None:
-        _validate_law(errs, "kernel.internal", internal)
-    env = kernel.get("environment")
-    _validate_env(errs, env)
     external = kernel.get("external")
-    if external is not None:
-        _validate_law(errs, "kernel.external", external)
-    if isinstance(alpha, (int, float)) and alpha < 1.0:
-        if env is None:
-            errs.append("kernel.environment: environment required "
-                        "(alpha < 1)")
-        if external is None:
-            errs.append("kernel.external: required when alpha < 1")
+    if internal is None and (not shape_ok["kernel"] or alpha > 0):
+        errs.append("kernel.internal: required when alpha > 0")
+    if external is None and shape_ok["kernel"] and alpha < 1.0:
+        errs.append("kernel.external: required when alpha < 1")
     data["kernel"] = {
-        "alpha": float(alpha) if isinstance(alpha, (int, float)) else alpha,
+        "alpha": float(alpha) if shape_ok["kernel"] else alpha,
         "internal": internal if internal is not None
         else {"type": "constant", "omega": 0.5},
-        "external": external, "environment": env}
+        "external": external, "environment": kernel.get("environment")}
 
-    initial = raw.get("initial")
-    if not isinstance(initial, dict) or "type" not in initial:
-        errs.append("initial: required object with 'type'")
-        initial = {"type": "uniform", "a": 0.0, "b": 1.0}
-    t = initial.get("type")
-    known = {"uniform": {"a", "b"}, "atoms": {"points"},
-             "grid": {"lo", "hi", "cells"}}
-    if t not in known:
-        errs.append(f"initial.type: unknown initial law {t!r}")
-    else:
-        extra = set(initial) - known[t] - {"type"}
-        if extra:
-            errs.append(f"initial: unknown keys {sorted(extra)}")
-        if t == "uniform":
-            a, b = initial.get("a"), initial.get("b")
-            if not (isinstance(a, (int, float)) and isinstance(b, (int, float))
-                    and b > a):
-                errs.append("initial: needs numbers b > a")
-    data["initial"] = initial
+    data["initial"] = raw.get("initial")
+    shape_ok["initial"] = _check_typed_object(
+        errs, "initial", data["initial"], _INITIALS, "initial law")
 
-    for section in ("simulate", "meanfield", "moments", "concentrate"):
-        sec = dict(_DEFAULTS[section])
+    for section, fields in _SECTIONS.items():
+        n = len(errs)
         given = raw.get(section, {})
         if not isinstance(given, dict):
             errs.append(f"{section}: expected object")
             given = {}
-        extra = set(given) - set(sec)
+        extra = set(given) - set(fields)
         if extra:
             errs.append(f"{section}: unknown keys {sorted(extra)}")
-        sec.update({k: v for k, v in given.items() if k in sec})
+        sec = {key: default for key, (_, default) in fields.items()}
+        for key, v in given.items():
+            if key in fields:
+                kind, default = fields[key]
+                if v is not None or default is not None:
+                    _check_type(errs, f"{section}.{key}", v, kind)
+                sec[key] = v
+        shape_ok[section] = len(errs) == n
         data[section] = sec
 
-    _check_range(errs, "simulate", "n", data["simulate"]["n"], lo=2,
-                 integer=True)
-    _check_range(errs, "simulate", "horizon", data["simulate"]["horizon"],
-                 positive=True)
-    _check_range(errs, "meanfield", "dt", data["meanfield"]["dt"],
-                 positive=True, hi=0.1)
-    _check_range(errs, "meanfield", "m", data["meanfield"]["m"], lo=2,
-                 integer=True)
-    _check_range(errs, "moments", "K", data["moments"]["K"], lo=1,
-                 integer=True)
-    _check_range(errs, "concentrate", "replicas",
-                 data["concentrate"]["replicas"], lo=20, integer=True)
+    mf = data["meanfield"]
+    if (mf["lo"] is None) != (mf["hi"] is None):
+        errs.append("meanfield: give both lo and hi, or neither")
+        shape_ok["meanfield"] = False
+    # no config object is built for the moments section
+    if shape_ok["moments"] and data["moments"]["K"] < 1:
+        errs.append(f"moments.K: must be >= 1, got {data['moments']['K']}")
 
+    cfg = RunConfig(_normalize(data))
+    _check_domain(cfg, shape_ok, errs)
     if errs:
         raise ConfigError(errs)
-    return RunConfig(_normalize(data))
+    return cfg
 
 
 def _normalize(obj):
@@ -277,7 +249,9 @@ def serialize(cfg: RunConfig) -> str:
 # config -> domain objects
 
 
-def build_weight_law(law: dict):
+def build_weight_law(law):
+    if law is None:  # no external law: environment interactions move no one
+        return Constant(0.0)
     t = law["type"]
     if t == "constant":
         return Constant(law["omega"])
@@ -286,6 +260,11 @@ def build_weight_law(law: dict):
     if t == "gaussian":
         return Gaussian(law["omega0"], law["sigma"])
     return FiniteMixture(tuple(law["omegas"]), tuple(law["probs"]))
+
+
+def _grid(spec: dict) -> GridMeasure1D:
+    return GridMeasure1D(float(spec["lo"]), float(spec["hi"]),
+                         np.asarray(spec["cells"], dtype=float)).normalize()
 
 
 def build_environment(env):
@@ -298,19 +277,17 @@ def build_environment(env):
         return EnvUniform(float(env["a"]), float(env["b"]))
     if t == "bump":
         return EnvBump()
-    cells = np.asarray(env["cells"], dtype=float)
-    return EnvGrid(GridMeasure1D(float(env["lo"]), float(env["hi"]),
-                                 cells / cells.sum()))
+    return EnvGrid(_grid(env))
+
+
+_KERNEL_PARTS = (("internal", build_weight_law), ("external", build_weight_law),
+                 ("environment", build_environment))
 
 
 def build_kernel(cfg: RunConfig) -> KernelSpec:
     k = cfg.data["kernel"]
-    external = build_weight_law(k["external"]) if k["external"] else \
-        Constant(0.0)
-    return KernelSpec(alpha=float(k["alpha"]),
-                      internal=build_weight_law(k["internal"]),
-                      external=external,
-                      environment=build_environment(k["environment"]))
+    return KernelSpec(float(k["alpha"]),
+                      **{part: build(k[part]) for part, build in _KERNEL_PARTS})
 
 
 def build_initial(cfg: RunConfig):
@@ -319,17 +296,75 @@ def build_initial(cfg: RunConfig):
     if t == "uniform":
         return agent_sim.InitUniform(float(init["a"]), float(init["b"]))
     if t == "atoms":
-        return agent_sim.InitAtoms(
-            AtomicMeasure.from_points([(p, w) for p, w in init["points"]]))
-    cells = np.asarray(init["cells"], dtype=float)
-    return agent_sim.InitGrid(GridMeasure1D(float(init["lo"]),
-                                            float(init["hi"]),
-                                            cells / cells.sum()))
+        return agent_sim.InitAtoms(AtomicMeasure.from_points(init["points"]))
+    return agent_sim.InitGrid(_grid(init))
+
+
+def build_simulation(cfg: RunConfig, kernel, initial) -> agent_sim.SimConfig:
+    sec = cfg.data["simulate"]
+    return agent_sim.SimConfig(
+        n=sec["n"], kernel=kernel, initial=initial,
+        horizon=float(sec["horizon"]),
+        snapshot_times=_default_snaps(sec["snapshot_times"], sec["horizon"]),
+        seed=cfg.seed, symmetric=bool(sec["symmetric"]),
+        allow_self=bool(sec["allow_self"]))
+
+
+def build_solver(cfg: RunConfig, lo, hi) -> meanfield.SolverConfig:
+    sec = cfg.data["meanfield"]
+    return meanfield.SolverConfig(
+        lo, hi, m=sec["m"], dt=float(sec["dt"]), horizon=float(sec["horizon"]),
+        snapshot_times=_default_snaps(sec["snapshot_times"], sec["horizon"]),
+        scheme=sec["scheme"])
+
+
+def build_concentration(cfg: RunConfig, kernel,
+                        initial) -> experiments.ConcentrationConfig:
+    sec = cfg.data["concentrate"]
+    return experiments.ConcentrationConfig(
+        kernel=kernel, initial=initial, tau=float(sec["tau"]),
+        sample_times=tuple(sec["sample_times"]), n_list=tuple(sec["n_list"]),
+        replicas=sec["replicas"], eps_list=tuple(sec["eps_list"]),
+        base_seed=cfg.seed)
+
+
+_DOMAIN_ERRORS = (KernelError, MeasureError, agent_sim.SimError,
+                  meanfield.SolverError, experiments.ExperimentError)
+
+
+def _check_domain(cfg: RunConfig, shape_ok: dict, errs: list):
+    """Build every object the subcommands run, through the builders they
+    call, and record each constructor's error under its config path. A part
+    whose shape is unsound, or whose constructor failed, is passed on as
+    None: each constructor checks only its own fields."""
+
+    def build(path, make, *args):
+        if not shape_ok.get(path, True):
+            return None
+        try:
+            return make(*args)
+        except _DOMAIN_ERRORS as e:
+            errs.append(f"{path}: {e}")
+            return None
+
+    k = cfg.data["kernel"]
+    parts = {part: build(f"kernel.{part}", make, k[part])
+             for part, make in _KERNEL_PARTS}
+    kernel = build("kernel", lambda: KernelSpec(float(k["alpha"]), **parts))
+    initial = build("initial", build_initial, cfg)
+    build("simulate", build_simulation, cfg, kernel, initial)
+    # Without a configured lo/hi the solver spans the hull of the initial
+    # law and the environment, which this section does not set; the unit
+    # interval stands in for it so that the section's own fields are checked.
+    mf = cfg.data["meanfield"]
+    lo, hi = (mf["lo"], mf["hi"]) if mf["lo"] is not None else (0.0, 1.0)
+    build("meanfield", build_solver, cfg, lo, hi)
+    build("concentrate", build_concentration, cfg, kernel, initial)
 
 
 def _solver_domain(cfg: RunConfig) -> tuple[float, float]:
     mf = cfg.data["meanfield"]
-    if mf["lo"] is not None and mf["hi"] is not None:
+    if mf["lo"] is not None:
         return float(mf["lo"]), float(mf["hi"])
     initial = build_initial(cfg)
     lo, hi = agent_sim.initial_support(initial)
@@ -338,10 +373,6 @@ def _solver_domain(cfg: RunConfig) -> tuple[float, float]:
         elo, ehi = env_support(kernel.environment)
         lo, hi = min(lo, elo), max(hi, ehi)
     return lo, hi
-
-
-def _initial_grid(cfg: RunConfig, lo, hi, m) -> GridMeasure1D:
-    return experiments._initial_grid(build_initial(cfg), lo, hi, m)
 
 
 def _artifact(path: Path, cfg: RunConfig):
@@ -362,32 +393,17 @@ def _default_snaps(times, horizon):
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
-    sec = cfg.data["simulate"]
-    sim = agent_sim.SimConfig(
-        n=sec["n"], kernel=build_kernel(cfg), initial=build_initial(cfg),
-        horizon=float(sec["horizon"]),
-        snapshot_times=_default_snaps(sec["snapshot_times"], sec["horizon"]),
-        seed=cfg.seed, symmetric=bool(sec["symmetric"]),
-        allow_self=bool(sec["allow_self"]))
-    snaps = agent_sim.run(sim)
+    sim = build_simulation(cfg, build_kernel(cfg), build_initial(cfg))
     path = out_dir / "trajectory.csv"
     with _artifact(path, cfg) as fh:
-        fh.write("t,position,mass\n")
-        for t, m in snaps:
-            for x, w in zip(m.positions[:, 0], m.weights):
-                fh.write("%.17g,%.17g,%.17g\n" % (t, x, w))
+        write_measure_csv(fh, agent_sim.run(sim))
     return [path]
 
 
 def _run_meanfield(cfg: RunConfig):
-    sec = cfg.data["meanfield"]
     lo, hi = _solver_domain(cfg)
-    m = sec["m"]
-    g0 = _initial_grid(cfg, lo, hi, m)
-    solver = meanfield.SolverConfig(
-        lo, hi, m=m, dt=float(sec["dt"]), horizon=float(sec["horizon"]),
-        snapshot_times=_default_snaps(sec["snapshot_times"], sec["horizon"]),
-        scheme=sec["scheme"])
+    solver = build_solver(cfg, lo, hi)
+    g0 = experiments.initial_grid(build_initial(cfg), lo, hi, solver.m)
     return meanfield.integrate(g0, build_kernel(cfg), solver)
 
 
@@ -397,9 +413,7 @@ def cmd_meanfield(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
     for t, g in snaps:
         path = out_dir / f"meanfield_t{t:g}.csv"
         with _artifact(path, cfg) as fh:
-            fh.write("t,position,mass\n")
-            for x, w in zip(g.centers, g.cells):
-                fh.write("%.17g,%.17g,%.17g\n" % (t, x, w))
+            write_measure_csv(fh, [(t, g)])
         paths.append(path)
     return paths
 
@@ -415,7 +429,8 @@ def _moment_params(cfg: RunConfig) -> moments.MomentParams:
     if kernel.alpha < 1.0 and upsilon is None:
         raise ValueError("moments: external law must be constant-weight")
     lo, hi = _solver_domain(cfg)
-    g0 = _initial_grid(cfg, lo, hi, cfg.data["meanfield"]["m"])
+    g0 = experiments.initial_grid(build_initial(cfg), lo, hi,
+                                  cfg.data["meanfield"]["m"])
     init = [float(np.dot(g0.cells, g0.centers ** k))
             for k in range(1, K + 1)]
     env = [env_moment(kernel.environment, k) for k in range(1, K + 1)] \
@@ -454,12 +469,7 @@ def cmd_moments(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
 
 
 def cmd_concentrate(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
-    sec = cfg.data["concentrate"]
-    ccfg = experiments.ConcentrationConfig(
-        kernel=build_kernel(cfg), initial=build_initial(cfg),
-        tau=float(sec["tau"]), sample_times=tuple(sec["sample_times"]),
-        n_list=tuple(sec["n_list"]), replicas=sec["replicas"],
-        eps_list=tuple(sec["eps_list"]), base_seed=cfg.seed)
+    ccfg = build_concentration(cfg, build_kernel(cfg), build_initial(cfg))
     table = experiments.run_concentration(ccfg, threads=threads)
     dpath = out_dir / "deviations.csv"
     with _artifact(dpath, cfg) as fh:
@@ -491,13 +501,10 @@ def cmd_concentrate(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
 
 def cmd_compare(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
     mf_snaps = _run_meanfield(cfg)
-    sec = cfg.data["simulate"]
     times = tuple(t for t, _ in mf_snaps)
-    sim = agent_sim.SimConfig(
-        n=sec["n"], kernel=build_kernel(cfg), initial=build_initial(cfg),
-        horizon=max(times) if times else float(sec["horizon"]),
-        snapshot_times=times, seed=cfg.seed,
-        symmetric=bool(sec["symmetric"]), allow_self=bool(sec["allow_self"]))
+    sim = build_simulation(cfg, build_kernel(cfg), build_initial(cfg))
+    sim = replace(sim, horizon=max(times, default=sim.horizon),
+                  snapshot_times=times)
     sim_snaps = agent_sim.run(sim)
     path = out_dir / "compare.csv"
     with _artifact(path, cfg) as fh:

@@ -40,6 +40,12 @@ class ConcentrationConfig:
     ref_m: int = 2000
 
     def __post_init__(self):
+        if not self.tau >= 0:
+            raise ExperimentError("tau must be nonnegative")
+        if not self.n_list or min(self.n_list) < 2:
+            raise ExperimentError("n_list needs population sizes >= 2")
+        if any(not eps > 0 for eps in self.eps_list):
+            raise ExperimentError("every eps in eps_list must be positive")
         if self.replicas < 20:
             raise ExperimentError("need >= 20 replicas for tail estimation")
         times = tuple(float(s) for s in self.sample_times)
@@ -47,6 +53,8 @@ class ConcentrationConfig:
             times = tuple(np.linspace(0.0, self.tau, 20))
         if any(s < 0 or s > self.tau for s in times):
             raise ExperimentError("sample times must lie in [0, tau]")
+        if list(times) != sorted(times):
+            raise ExperimentError("sample times must be sorted")
         object.__setattr__(self, "sample_times", times)
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
 
@@ -81,14 +89,14 @@ def _domain(cfg: ConcentrationConfig) -> tuple[float, float]:
 
 def _reference(cfg: ConcentrationConfig, m: int, dt: float):
     lo, hi = _domain(cfg)
-    g0 = _initial_grid(cfg.initial, lo, hi, m)
+    g0 = initial_grid(cfg.initial, lo, hi, m)
     solver = SolverConfig(lo, hi, m=m, dt=dt, horizon=cfg.tau,
                           snapshot_times=cfg.sample_times, scheme="rk4")
     return integrate(g0, cfg.kernel, solver)
 
 
-def _initial_grid(initial: InitialLaw, lo: float, hi: float,
-                  m: int) -> GridMeasure1D:
+def initial_grid(initial: InitialLaw, lo: float, hi: float,
+                 m: int) -> GridMeasure1D:
     from .agent_sim import InitAtoms, InitGrid, InitUniform
 
     if isinstance(initial, InitUniform):

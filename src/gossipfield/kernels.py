@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .measures import GridMeasure1D, MeasureError
 
@@ -170,6 +169,8 @@ def _bump_unnormalized(x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _bump_norm() -> float:
+    from scipy.integrate import simpson
+
     x = np.linspace(2.0, 4.0, _BUMP_NODES + 1)
     return float(simpson(_bump_unnormalized(x), x=x))
 
@@ -202,6 +203,8 @@ def env_moment(e: EnvironmentSpec, k: int) -> float:
         cell_int = (edges[1:] ** (k + 1) - edges[:-1] ** (k + 1)) / ((k + 1) * g.h)
         return float(np.dot(g.cells, cell_int))
     if isinstance(e, EnvBump):
+        from scipy.integrate import simpson
+
         x = np.linspace(2.0, 4.0, _BUMP_NODES + 1)
         return float(simpson(_bump_unnormalized(x) * x ** k, x=x)) / _bump_norm()
     raise KernelError("no environment configured")
@@ -225,6 +228,8 @@ def env_atoms(e: EnvironmentSpec, m: int = 256) -> tuple[np.ndarray, np.ndarray]
 
 def env_bump_grid(m: int = 256) -> GridMeasure1D:
     """Bump density realized as a normalized histogram on (2,4)."""
+    from scipy.integrate import simpson
+
     h = 2.0 / m
     cells = np.empty(m)
     # per-cell mass by Simpson on each cell (smooth integrand)
@@ -279,39 +284,3 @@ class KernelSpec:
         if self.alpha < 1.0 and self.environment is None:
             raise KernelError("environment required")
 
-
-def internal_weight(k: KernelSpec, x: float, y: float,
-                    rng: np.random.Generator | None = None) -> float:
-    """Sample (or evaluate, for deterministic laws) the internal trust
-    weight for the pair (x, y)."""
-    dist = abs(x - y) if np.ndim(x) == 0 else float(np.linalg.norm(
-        np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
-    if isinstance(k.internal, FiniteMixture) and rng is None:
-        raise KernelError("mixture law needs an rng")
-    return sample_weight(k.internal, dist,
-                         rng if rng is not None else np.random.default_rng(0))
-
-
-def apply_update(k: KernelSpec, x, rng: np.random.Generator, y=None,
-                 env_sampler=None):
-    """Draw the activated agent's new opinion from kappa(.|x, y).
-
-    env_sampler may be supplied to reuse a prebuilt environment sampler in
-    hot loops; otherwise one is built on the fly.
-    """
-    if k.alpha > 0.0 and y is None:
-        raise KernelError("observed opinion y required when alpha > 0")
-    if k.alpha >= 1.0 or (k.alpha > 0.0 and rng.random() < k.alpha):
-        dist = abs(x - y) if np.ndim(x) == 0 else float(
-            np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
-        w = sample_weight(k.internal, dist, rng)
-        return (1.0 - w) * x + w * y
-    if k.environment is None:
-        raise KernelError("environment required")
-    if env_sampler is None:
-        env_sampler = make_env_sampler(k.environment)
-    e = env_sampler(rng)
-    dist = abs(x - e) if np.ndim(x) == 0 else float(
-        np.linalg.norm(np.asarray(x, float) - e))
-    u = sample_weight(k.external, dist, rng)
-    return (1.0 - u) * x + u * e

@@ -20,7 +20,6 @@ confidence boundary, which shifts where the clusters settle.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +45,10 @@ class SolverConfig:
     env_cells: int = 256
 
     def __post_init__(self):
+        if not self.hi > self.lo:
+            raise SolverError("hi must exceed lo")
+        if self.m < 2:
+            raise SolverError("m must be >= 2")
         if self.dt <= 0 or self.dt > 0.1:
             raise SolverError("dt must lie in (0, 0.1]")
         if self.scheme not in ("euler", "rk4"):
@@ -53,6 +56,8 @@ class SolverConfig:
         times = tuple(float(s) for s in self.snapshot_times)
         if any(s < 0 or s > self.horizon for s in times):
             raise SolverError("snapshot times must lie in [0, horizon]")
+        if list(times) != sorted(times):
+            raise SolverError("snapshot times must be sorted")
         object.__setattr__(self, "snapshot_times", times)
 
 
@@ -233,8 +238,8 @@ def sup_density(g: GridMeasure1D) -> float:
     return float(np.asarray(g.cells).max() / g.h)
 
 
-def integrate(g0: GridMeasure1D, k: KernelSpec, cfg: SolverConfig,
-              progress: bool = False) -> list[tuple[float, GridMeasure1D]]:
+def integrate(g0: GridMeasure1D, k: KernelSpec,
+              cfg: SolverConfig) -> list[tuple[float, GridMeasure1D]]:
     """Time-step d/dt mu = F(mu) - mu from g0, returning snapshots at the
     requested times. Steps are shortened where needed so every snapshot
     lands exactly on its requested time (no O(dt) sampling offset)."""
@@ -267,7 +272,7 @@ def integrate(g0: GridMeasure1D, k: KernelSpec, cfg: SolverConfig,
     if times.size:
         times = times[np.concatenate(([True], np.diff(times) > 1e-9))]
     t_prev = 0.0
-    for i, t in enumerate(times):
+    for t in times:
         step = t - t_prev
         if rk4:
             k1 = ev.apply_raw(cells) - cells
@@ -286,7 +291,5 @@ def integrate(g0: GridMeasure1D, k: KernelSpec, cfg: SolverConfig,
         cells /= cells.sum()
         t_prev = t
         emit(t)
-        if progress and (i + 1) % max(1, times.size // 20) == 0:
-            print(f"meanfield: t={t:.3f}/{cfg.horizon}", file=sys.stderr)
     emit(cfg.horizon + 1.0)  # flush any remaining (fp-edge) snapshots
     return out

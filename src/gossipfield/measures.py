@@ -126,7 +126,7 @@ class GridMeasure1D:
     def normalize(self) -> "GridMeasure1D":
         total = self.total_mass
         if total <= 0:
-            raise MeasureError("empty measure")
+            raise MeasureError("empty measure: the cells hold no mass")
         return GridMeasure1D(self.lo, self.hi, self.cells / total)
 
     def as_atoms(self) -> AtomicMeasure:

@@ -6,7 +6,7 @@ import pytest
 from gossipfield.agent_sim import (InitAtoms, InitGrid, InitUniform,
                                    SimConfig, SimError, SimState, dispersion,
                                    init_state, initial_support, run,
-                                   run_with_state, sample_initial, step)
+                                   run_with_state, sample_initial)
 from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
                                  FiniteMixture, Gaussian, KernelSpec)
 from gossipfield.measures import AtomicMeasure, GridMeasure1D
@@ -33,6 +33,8 @@ def test_config_validation():
         make_cfg(snapshot_times=(0.5, 2.0))
     with pytest.raises(SimError):
         make_cfg(snapshot_times=(1.0, 0.5))
+    with pytest.raises(SimError, match="horizon"):
+        make_cfg(horizon=-1.0, snapshot_times=())
 
 
 def test_initial_law_validation():
@@ -62,35 +64,36 @@ def test_sample_initial_atom_frequencies():
 
 
 # ---------------------------------------------------------------------------
-# single steps
+# single updates
+
+
+def run_from_start(**kw):
+    """Run to the horizon; return the opinions at t = 0 and the final state."""
+    snaps, state = run_with_state(make_cfg(snapshot_times=(0.0,), **kw))
+    return snaps[0][1].positions[:, 0], state
 
 
 def test_step_zero_weight_only_advances_clock():
-    s = SimState(np.array([0.1, 0.7, 0.9]), 0.0, np.random.default_rng(0))
     frozen = KernelSpec(alpha=1.0, internal=Constant(0.0))
-    before = s.opinions.copy()
-    step(s, frozen)
-    np.testing.assert_array_equal(s.opinions, before)
-    assert s.t > 0.0
-    assert s.update_count == 1
+    x0, s = run_from_start(n=3, kernel=frozen)
+    np.testing.assert_array_equal(s.opinions, x0)
+    assert s.t > 1.0
+    assert s.update_count > 0
 
 
 def test_step_full_weight_copies_opinion():
-    s = SimState(np.array([0.0, 1.0]), 0.0, np.random.default_rng(0))
     copy = KernelSpec(alpha=1.0, internal=Constant(1.0))
-    step(s, copy)
+    x0, s = run_from_start(n=2, horizon=5.0, kernel=copy)
+    assert s.update_count > 0
     # with n=2 the activated agent adopts the other's opinion exactly
     assert s.opinions[0] == s.opinions[1]
-    assert s.opinions[0] in (0.0, 1.0)
+    assert s.opinions[0] in x0
 
 
 def test_step_symmetric_preserves_pair_sum():
-    rng = np.random.default_rng(5)
-    s = SimState(rng.uniform(0, 1, 50), 0.0, rng)
-    total = s.opinions.sum()
-    for _ in range(200):
-        step(s, CONST_HALF, symmetric=True)
-    assert s.opinions.sum() == pytest.approx(total, abs=1e-9)
+    x0, s = run_from_start(n=50, horizon=4.0, symmetric=True, seed=5)
+    assert s.update_count > 100
+    assert s.opinions.sum() == pytest.approx(x0.sum(), abs=1e-9)
 
 
 def test_state_needs_two_agents():

@@ -194,6 +194,88 @@ def test_main_config_error_exit_code(tmp_path):
     assert main(["simulate", "--config", str(p)]) == 1
 
 
+BOUNDED_CONFIDENCE = {"type": "bounded_confidence", "radius": 1.0}
+ZERO_GRID = {"type": "grid", "lo": 0.0, "hi": 1.0, "cells": [0.0, 0.0]}
+
+# (command, {dotted config path: value}, the violation main must print)
+INVALID_CONFIGS = {
+    "bc_omega0_0": ("simulate",
+                    {"kernel.internal": dict(BOUNDED_CONFIDENCE, omega0=0.0)},
+                    "kernel.internal: bounded-confidence weight"),
+    "bc_omega0_1": ("simulate",
+                    {"kernel.internal": dict(BOUNDED_CONFIDENCE, omega0=1.0)},
+                    "kernel.internal: bounded-confidence weight"),
+    "grid_no_cells": ("simulate",
+                      {"initial": {"type": "grid", "lo": 0.0, "hi": 1.0}},
+                      "initial.cells: required"),
+    "grid_zero_cells": ("simulate", {"initial": ZERO_GRID},
+                        "initial: empty measure"),
+    "grid_hi_below_lo": ("simulate",
+                         {"initial": dict(ZERO_GRID, lo=1.0, hi=0.0,
+                                          cells=[1.0, 1.0])},
+                         "initial: grid needs hi > lo"),
+    "atoms_no_points": ("simulate", {"initial": {"type": "atoms"}},
+                        "initial.points: required"),
+    "atoms_mass_0.7": ("simulate",
+                       {"initial": {"type": "atoms",
+                                    "points": [[0.0, 0.3], [1.0, 0.4]]}},
+                       "initial: atomic initial law must be normalized"),
+    "environment_zero_cells": ("simulate",
+                               {"kernel": dict(ENV_STYLE["kernel"],
+                                               environment=ZERO_GRID)},
+                               "kernel.environment: empty measure"),
+    "meanfield_rk5": ("meanfield", {"meanfield.scheme": "rk5"},
+                      "meanfield: scheme"),
+    "meanfield_snapshot_past_horizon": (
+        "meanfield", {"meanfield.snapshot_times": [0.5, 2.0]},
+        "meanfield: snapshot times must lie in [0, horizon]"),
+    "meanfield_snapshots_unsorted": (
+        "meanfield", {"meanfield.snapshot_times": [1.0, 0.5]},
+        "meanfield: snapshot times must be sorted"),
+    "meanfield_lo_above_hi": ("meanfield",
+                              {"meanfield.lo": 2.0, "meanfield.hi": 1.0},
+                              "meanfield: hi must exceed lo"),
+    "meanfield_lo_only": ("meanfield", {"meanfield.lo": -1.0},
+                          "meanfield: give both lo and hi"),
+    "simulate_snapshots_unsorted": (
+        "simulate", {"simulate.snapshot_times": [1.0, 0.5]},
+        "simulate: snapshot times must be sorted"),
+    "simulate_snapshot_past_horizon": (
+        "simulate", {"simulate.snapshot_times": [0.5, 2.0]},
+        "simulate: snapshot times must lie in [0, horizon]"),
+    "concentrate_n_1": ("concentrate", {"concentrate.n_list": [1, 20]},
+                        "concentrate: n_list"),
+    "concentrate_tau_negative": ("concentrate", {"concentrate.tau": -1.0},
+                                 "concentrate: tau must be nonnegative"),
+    "concentrate_sample_past_tau": (
+        "concentrate", {"concentrate.sample_times": [0.2, 0.9]},
+        "concentrate: sample times must lie in [0, tau]"),
+    "concentrate_samples_unsorted": (
+        "concentrate", {"concentrate.sample_times": [0.4, 0.2]},
+        "concentrate: sample times must be sorted"),
+    "concentrate_eps_not_a_list": ("concentrate",
+                                   {"concentrate.eps_list": "a"},
+                                   "concentrate.eps_list: expected"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_CONFIGS))
+def test_invalid_config_exits_1_naming_field(name, tmp_path, capsys):
+    command, changes, message = INVALID_CONFIGS[name]
+    d = quick_sim_cfg()
+    d["concentrate"] = {"tau": 0.5, "n_list": [20, 40], "replicas": 20}
+    for path, value in changes.items():
+        *parents, key = path.split(".")
+        node = d
+        for p in parents:
+            node = node[p]
+        node[key] = value
+    p = write_cfg(tmp_path, d)
+    assert main([command, "--config", str(p), "--out",
+                 str(tmp_path / "out")]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_main_missing_file_exit_code(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 1
 

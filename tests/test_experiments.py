@@ -26,6 +26,14 @@ def test_config_validation():
         small_cfg(replicas=5)
     with pytest.raises(ExperimentError):
         small_cfg(sample_times=(0.5, 2.0))
+    with pytest.raises(ExperimentError, match="sorted"):
+        small_cfg(sample_times=(1.0, 0.5))
+    with pytest.raises(ExperimentError, match="tau"):
+        small_cfg(tau=-1.0)
+    with pytest.raises(ExperimentError, match="n_list"):
+        small_cfg(n_list=(1, 20))
+    with pytest.raises(ExperimentError, match="eps"):
+        small_cfg(eps_list=(0.1, 0.0))
 
 
 def test_default_sample_times():

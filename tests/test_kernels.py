@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossipfield.agent_sim import (InitAtoms, InitUniform, SimConfig,
+                                   run_with_state)
 from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
                                  EnvBump, EnvGrid, EnvUniform, FiniteMixture,
-                                 Gaussian, KernelError, KernelSpec,
-                                 apply_update, env_atoms, env_bump_grid,
-                                 env_moment, env_support, internal_weight,
-                                 make_env_sampler, sample_weight,
-                                 weight_branches, weight_value)
-from gossipfield.measures import GridMeasure1D
+                                 Gaussian, KernelError, KernelSpec, env_atoms,
+                                 env_moment, env_support, make_env_sampler,
+                                 sample_weight, weight_branches, weight_value)
+from gossipfield.measures import AtomicMeasure, GridMeasure1D
 
 
 # ---------------------------------------------------------------------------
@@ -165,46 +165,63 @@ def test_kernel_requires_environment_when_alpha_below_one():
                environment=EnvAtom(0.0))  # valid
 
 
+def run_from_start(kernel, n, initial=InitUniform(0.0, 1.0), seed=0,
+                   **kw):
+    """Simulate the kernel to t = 1; return the opinions at t = 0 and the
+    final state."""
+    cfg = SimConfig(n=n, kernel=kernel, initial=initial, horizon=1.0,
+                    snapshot_times=(0.0,), seed=seed, **kw)
+    snaps, state = run_with_state(cfg)
+    return snaps[0][1].positions[:, 0], state
+
+
 def test_internal_weight_evaluates_deterministic_laws():
     k = KernelSpec(alpha=1.0, internal=BoundedConfidence(0.5, 1.0))
-    assert internal_weight(k, 0.0, 0.5) == 0.5
-    assert internal_weight(k, 0.0, 2.0) == 0.0
+    # within the radius the weight is omega0: each update halves the gap
+    x0, s = run_from_start(k, 2, InitUniform(0.0, 0.9))
+    assert s.update_count > 0
+    assert abs(s.opinions[0] - s.opinions[1]) == pytest.approx(
+        abs(x0[0] - x0[1]) * 0.5 ** s.update_count)
+    # agents 0 or 2 apart: beyond the radius, or already equal
+    apart = InitAtoms(AtomicMeasure.from_points([(0.0, 0.5), (2.0, 0.5)]))
+    x0, s = run_from_start(k, 10, apart)
+    assert s.update_count > 0
+    np.testing.assert_array_equal(s.opinions, x0)
 
 
 def test_apply_update_midpoint():
+    # symmetric weight 1/2 with two agents: both land on the initial mean
     k = KernelSpec(alpha=1.0, internal=Constant(0.5))
-    rng = np.random.default_rng(0)
-    assert apply_update(k, 0.0, rng, y=2.0) == pytest.approx(1.0)
+    x0, s = run_from_start(k, 2, symmetric=True)
+    assert s.update_count > 0
+    np.testing.assert_allclose(s.opinions, [x0.mean(), x0.mean()])
 
 
 def test_apply_update_zero_weight_is_identity():
-    k = KernelSpec(alpha=1.0, internal=Constant(0.0))
-    rng = np.random.default_rng(0)
-    assert apply_update(k, 0.7, rng, y=5.0) == 0.7
+    k = KernelSpec(alpha=0.5, internal=Constant(0.0),
+                   external=Constant(0.0), environment=EnvAtom(5.0))
+    x0, s = run_from_start(k, 10)
+    assert s.update_count > 0
+    np.testing.assert_array_equal(s.opinions, x0)
 
 
 def test_apply_update_environment_midpoint():
+    # each environment update halves an agent's distance to the atom
     k = KernelSpec(alpha=0.0, internal=Constant(0.5),
                    external=Constant(0.5), environment=EnvAtom(4.0))
-    rng = np.random.default_rng(0)
-    assert apply_update(k, 0.0, rng) == pytest.approx(2.0)
-
-
-def test_apply_update_requires_y_when_internal_possible():
-    k = KernelSpec(alpha=1.0, internal=Constant(0.5))
-    with pytest.raises(KernelError):
-        apply_update(k, 0.0, np.random.default_rng(0))
+    x0, s = run_from_start(k, 5)
+    halvings = np.log2((4.0 - x0) / (4.0 - s.opinions))
+    np.testing.assert_allclose(halvings, np.round(halvings), atol=1e-9)
+    assert np.round(halvings).sum() == s.update_count > 0
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.floats(-5, 5), st.floats(-5, 5), st.integers(0, 2 ** 31))
-def test_apply_update_stays_in_hull(x, y, seed):
+@given(st.floats(-5, 5), st.floats(0.01, 5), st.integers(0, 2 ** 31))
+def test_apply_update_stays_in_hull(a, width, seed):
     k = KernelSpec(alpha=0.5, internal=Gaussian(0.8, 2.0),
                    external=Constant(0.5), environment=EnvUniform(2.0, 4.0))
-    rng = np.random.default_rng(seed)
-    sampler = make_env_sampler(k.environment)
-    lo = min(x, y, 2.0)
-    hi = max(x, y, 4.0)
-    for _ in range(5):
-        z = apply_update(k, x, rng, y=y, env_sampler=sampler)
-        assert lo - 1e-12 <= z <= hi + 1e-12
+    _, s = run_from_start(k, 10, InitUniform(a, a + width), seed)
+    lo = min(a, 2.0)
+    hi = max(a + width, 4.0)
+    assert s.opinions.min() >= lo - 1e-12
+    assert s.opinions.max() <= hi + 1e-12

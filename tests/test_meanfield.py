@@ -35,6 +35,12 @@ def test_solver_config_validation():
         SolverConfig(0, 10, scheme="heun")
     with pytest.raises(SolverError):
         SolverConfig(0, 10, horizon=1.0, snapshot_times=(2.0,))
+    with pytest.raises(SolverError, match="sorted"):
+        SolverConfig(0, 10, horizon=1.0, snapshot_times=(1.0, 0.5))
+    with pytest.raises(SolverError, match="hi must exceed lo"):
+        SolverConfig(10, 0)
+    with pytest.raises(SolverError, match="m must be"):
+        SolverConfig(0, 10, m=1)
 
 
 # ---------------------------------------------------------------------------
