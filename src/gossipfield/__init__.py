@@ -10,8 +10,8 @@ from .kernels import (BoundedConfidence, Constant, EnvAtom, EnvBump, EnvGrid,
 from .agent_sim import (InitAtoms, InitGrid, InitUniform, SimConfig, SimState,
                         dispersion, run)
 from .meanfield import SolverConfig, apply_F, integrate, sup_density
-from .moments import (MomentParams, MomentTrajectory, f_k, gamma_k,
-                      integrate_moments, limit_moments)
+from .moments import (MomentConfig, MomentParams, MomentTrajectory,
+                      gamma_k, integrate_moments, limit_moments)
 from .experiments import (ConcentrationConfig, DeviationTable,
                           run_concentration, tail_rates)
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (Constant, FiniteMixture, KernelSpec, env_support,
-                      make_env_sampler, sample_weight, weight_value)
+from .kernels import (Constant, FiniteMixture, KernelSpec, make_env_sampler,
+                      sample_weight, weight_value)
 from .measures import AtomicMeasure, GridMeasure1D
 
 

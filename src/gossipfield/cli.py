@@ -19,7 +19,8 @@ import numpy as np
 from . import agent_sim, experiments, meanfield, moments
 from .kernels import (BoundedConfidence, Constant, EnvAtom, EnvBump, EnvGrid,
                       EnvUniform, FiniteMixture, Gaussian, KernelError,
-                      KernelSpec, env_moment, env_support)
+                      KernelSpec, env_moment,
+                      env_support)  # noqa: F401 (bench/tracing.py wraps it)
 from .measures import (AtomicMeasure, GridMeasure1D, MeasureError,
                        wasserstein1_1d, write_measure_csv)
 
@@ -218,9 +219,6 @@ def parse_config(text) -> RunConfig:
     if (mf["lo"] is None) != (mf["hi"] is None):
         errs.append("meanfield: give both lo and hi, or neither")
         shape_ok["meanfield"] = False
-    # no config object is built for the moments section
-    if shape_ok["moments"] and data["moments"]["K"] < 1:
-        errs.append(f"moments.K: must be >= 1, got {data['moments']['K']}")
 
     cfg = RunConfig(_normalize(data))
     _check_domain(cfg, shape_ok, errs)
@@ -328,8 +326,14 @@ def build_concentration(cfg: RunConfig, kernel,
         base_seed=cfg.seed)
 
 
+def build_moments(cfg: RunConfig) -> moments.MomentConfig:
+    sec = cfg.data["moments"]
+    return moments.MomentConfig(sec["K"], float(sec["T"]), float(sec["dt"]))
+
+
 _DOMAIN_ERRORS = (KernelError, MeasureError, agent_sim.SimError,
-                  meanfield.SolverError, experiments.ExperimentError)
+                  meanfield.SolverError, moments.MomentError,
+                  experiments.ExperimentError)
 
 
 def _check_domain(cfg: RunConfig, shape_ok: dict, errs: list):
@@ -360,19 +364,16 @@ def _check_domain(cfg: RunConfig, shape_ok: dict, errs: list):
     lo, hi = (mf["lo"], mf["hi"]) if mf["lo"] is not None else (0.0, 1.0)
     build("meanfield", build_solver, cfg, lo, hi)
     build("concentrate", build_concentration, cfg, kernel, initial)
+    # The weight laws must be constant when `moments` runs, not here: every
+    # config has a moments section, and the other subcommands take any law.
+    build("moments", build_moments, cfg)
 
 
 def _solver_domain(cfg: RunConfig) -> tuple[float, float]:
     mf = cfg.data["meanfield"]
     if mf["lo"] is not None:
         return float(mf["lo"]), float(mf["hi"])
-    initial = build_initial(cfg)
-    lo, hi = agent_sim.initial_support(initial)
-    kernel = build_kernel(cfg)
-    if kernel.alpha < 1.0 and kernel.environment is not None:
-        elo, ehi = env_support(kernel.environment)
-        lo, hi = min(lo, elo), max(hi, ehi)
-    return lo, hi
+    return experiments.solver_domain(build_kernel(cfg), build_initial(cfg))
 
 
 def _artifact(path: Path, cfg: RunConfig):
@@ -418,16 +419,13 @@ def cmd_meanfield(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
     return paths
 
 
-def _moment_params(cfg: RunConfig) -> moments.MomentParams:
-    sec = cfg.data["moments"]
+def _moment_params(cfg: RunConfig, K: int) -> moments.MomentParams:
     kernel = build_kernel(cfg)
-    K = sec["K"]
-    if not isinstance(kernel.internal, Constant):
-        raise ValueError("moments: internal law must be constant-weight")
-    upsilon = kernel.external.omega if isinstance(kernel.external, Constant) \
-        else None
-    if kernel.alpha < 1.0 and upsilon is None:
-        raise ValueError("moments: external law must be constant-weight")
+    parts = ("internal", "external") if kernel.alpha < 1.0 else ("internal",)
+    bad = [f"kernel.{part}: moments needs a constant-weight law"
+           for part in parts if not isinstance(getattr(kernel, part), Constant)]
+    if bad:
+        raise ConfigError(bad)
     lo, hi = _solver_domain(cfg)
     g0 = experiments.initial_grid(build_initial(cfg), lo, hi,
                                   cfg.data["meanfield"]["m"])
@@ -437,16 +435,16 @@ def _moment_params(cfg: RunConfig) -> moments.MomentParams:
         if kernel.alpha < 1.0 else [0.0] * K
     return moments.MomentParams(alpha=kernel.alpha,
                                 omega=kernel.internal.omega,
-                                upsilon=upsilon if upsilon is not None else 0.0,
+                                upsilon=kernel.external.omega
+                                if kernel.alpha < 1.0 else 0.0,
                                 env_moments=tuple(env),
                                 initial_moments=tuple(init), K=K)
 
 
 def cmd_moments(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
-    sec = cfg.data["moments"]
-    params = _moment_params(cfg)
-    traj = moments.integrate_moments(params, float(sec["T"]),
-                                     float(sec["dt"]))
+    mcfg = build_moments(cfg)
+    params = _moment_params(cfg, mcfg.K)
+    traj = moments.integrate_moments(params, mcfg.T, mcfg.dt)
     paths = []
     path = out_dir / "moments.csv"
     with _artifact(path, cfg) as fh:
@@ -550,6 +548,14 @@ def main(argv=None) -> int:
             data = dict(cfg.data)
             data["seed"] = args.seed
             cfg = RunConfig(_normalize(data))
+        try:
+            paths = dispatch(cfg, args.command, args.out, args.threads)
+        except ConfigError:  # a subcommand's own demand on the config
+            raise
+        except Exception as e:
+            print(f"{args.command} error [{type(e).__module__}]: {e}",
+                  file=sys.stderr)
+            return 2
     except ConfigError as e:
         for v in e.violations:
             print(f"config error: {v}", file=sys.stderr)
@@ -557,12 +563,6 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    try:
-        paths = dispatch(cfg, args.command, args.out, args.threads)
-    except Exception as e:
-        print(f"{args.command} error [{type(e).__module__}]: {e}",
-              file=sys.stderr)
-        return 2
     for p in paths:
         print(p)
     return 0

@@ -79,16 +79,19 @@ class DeviationTable:
         return [(n, float(np.median(self.for_n(n)))) for n in ns]
 
 
-def _domain(cfg: ConcentrationConfig) -> tuple[float, float]:
-    lo, hi = initial_support(cfg.initial)
-    if cfg.kernel.alpha < 1.0 and cfg.kernel.environment is not None:
-        elo, ehi = env_support(cfg.kernel.environment)
+def solver_domain(kernel: KernelSpec,
+                  initial: InitialLaw) -> tuple[float, float]:
+    """The grid solver's default interval: the hull of the initial law's
+    support and, when alpha < 1, the environment's."""
+    lo, hi = initial_support(initial)
+    if kernel.alpha < 1.0 and kernel.environment is not None:
+        elo, ehi = env_support(kernel.environment)
         lo, hi = min(lo, elo), max(hi, ehi)
     return lo, hi
 
 
 def _reference(cfg: ConcentrationConfig, m: int, dt: float):
-    lo, hi = _domain(cfg)
+    lo, hi = solver_domain(cfg.kernel, cfg.initial)
     g0 = initial_grid(cfg.initial, lo, hi, m)
     solver = SolverConfig(lo, hi, m=m, dt=dt, horizon=cfg.tau,
                           snapshot_times=cfg.sample_times, scheme="rk4")

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measures import GridMeasure1D, MeasureError
+from .measures import GridMeasure1D
 
 
 class KernelError(ValueError):
@@ -100,13 +100,6 @@ def weight_value(law: WeightLaw, dist) -> float:
     if isinstance(law, Gaussian):
         return law.omega0 * np.exp(-np.square(dist) / law.sigma ** 2)
     raise KernelError("mixture law has no deterministic value")
-
-
-def weight_branches(law: WeightLaw, dist: float) -> list[tuple[float, float]]:
-    """Enumerate (weight, probability) branches at a given distance."""
-    if isinstance(law, FiniteMixture):
-        return list(zip(law.omegas, law.probs))
-    return [(float(weight_value(law, dist)), 1.0)]
 
 
 def sample_weight(law: WeightLaw, dist: float, rng: np.random.Generator) -> float:

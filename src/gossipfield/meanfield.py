@@ -238,6 +238,15 @@ def sup_density(g: GridMeasure1D) -> float:
     return float(np.asarray(g.cells).max() / g.h)
 
 
+def rk4_step(f, y, h):
+    """One classical RK4 step of length h for dy/dt = f(y)."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def integrate(g0: GridMeasure1D, k: KernelSpec,
               cfg: SolverConfig) -> list[tuple[float, GridMeasure1D]]:
     """Time-step d/dt mu = F(mu) - mu from g0, returning snapshots at the
@@ -275,14 +284,7 @@ def integrate(g0: GridMeasure1D, k: KernelSpec,
     for t in times:
         step = t - t_prev
         if rk4:
-            k1 = ev.apply_raw(cells) - cells
-            y2 = cells + 0.5 * step * k1
-            k2 = ev.apply_raw(y2) - y2
-            y3 = cells + 0.5 * step * k2
-            k3 = ev.apply_raw(y3) - y3
-            y4 = cells + step * k3
-            k4 = ev.apply_raw(y4) - y4
-            cells = cells + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            cells = rk4_step(lambda y: ev.apply_raw(y) - y, cells, step)
         else:
             cells = cells + step * (ev.apply_raw(cells) - cells)
         if cells.min() < -1e-12:

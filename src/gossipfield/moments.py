@@ -1,33 +1,52 @@
 """Directional moment system for the constant-weight gossip model with an
 influential environment.
 
-The moments m^(k)_t = int (x.z)^k dmu_t obey a lower-triangular ODE system:
+The moments m^(k)_t = int (x.z)^k dmu_t follow d/dt mu = F(mu) - mu read in
+moment coordinates, with x, y ~ mu and e ~ psi independent:
 
-    d/dt m^(1) = (1-alpha) upsilon (n^(1) - m^(1))
-    d/dt m^(k) = -gamma_k m^(k) + f_k(m^(1),...,m^(k-1))
-                 + (1-alpha) upsilon^k n^(k),   k >= 2
+    d/dt m^(k) = alpha E[((1-omega) x + omega y)^k]
+                 + (1-alpha) E[((1-upsilon) x + upsilon e)^k] - m^(k).
 
-with gamma_k = 1 - alpha ((1-omega)^k + omega^k) - (1-alpha)(1-upsilon)^k
-and f_k the bilinear coupling of lower moments with themselves and with the
-environment moments n^(k).
-
-For alpha < 1 the stationary moments follow recursively from the order-k
-stationary condition. Note the recursion's environment term carries
-upsilon^(k+1) at order k+1: this is what d/dt m^(k+1) = 0 forces, and it is
-confirmed here against long-horizon integration (and by the exact identity
-for a point-mass environment, where the limit moments must be c^k).
+Both expectations are binomial sums over the orders up to k, which meet
+m^(k) only in -gamma_k m^(k), with
+gamma_k = 1 - alpha ((1-omega)^k + omega^k) - (1-alpha)(1-upsilon)^k.
+So the system is lower-triangular, and for alpha < 1 its stationary moments
+follow order by order from d/dt m^(k) = 0 (checked against long-horizon
+integration, and against c^k for a point-mass environment at c).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import factorial
 
 import numpy as np
+
+from .meanfield import rk4_step
 
 
 class MomentError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class MomentConfig:
+    """Orders 1..K, horizon T and RK4 step dt of a moment-system run."""
+
+    K: int
+    T: float
+    dt: float
+
+    def __post_init__(self):
+        # the right-hand side scales order k by k!, which overflows past 170
+        if not 1 <= self.K <= 170:
+            raise MomentError("K must lie in [1, 170]")
+        if not self.T >= 0:
+            raise MomentError("T must be nonnegative")
+        # every gamma_k lies in [0, 1], so dt <= 0.01 bounds dt * gamma_k
+        # by 0.01 at every order
+        if not 0 < self.dt <= 0.01:
+            raise MomentError("dt must lie in (0, 0.01]")
 
 
 @dataclass(frozen=True)
@@ -89,39 +108,30 @@ def gamma_k(p: MomentParams, k: int) -> float:
     return 1.0 - a * ((1.0 - w) ** k + w ** k) - (1.0 - a) * (1.0 - u) ** k
 
 
-def f_k(p: MomentParams, k: int, m) -> float:
-    """Bilinear coupling of lower-order moments entering d/dt m^(k)."""
-    if k < 2:
-        raise MomentError("f_k undefined below order 2")
-    m = tuple(m)
-    if len(m) < k - 1:
-        raise MomentError(f"f_{k} needs moments 1..{k - 1}")
-    a, w, u = p.alpha, p.omega, p.upsilon
-    abar = 1.0 - a
-    wbar = 1.0 - w
-    ubar = 1.0 - u
-    total = 0.0
-    for j in range(1, k):
-        c = comb(k, j)
-        term = a * wbar ** j * w ** (k - j) * m[j - 1] * m[k - j - 1]
-        if abar > 0.0:
-            term += abar * ubar ** j * u ** (k - j) * m[j - 1] \
-                * p.env_moments[k - j - 1]
-        total += c * term
-    return total
+def moment_rhs(p: MomentParams):
+    """The right-hand side m -> d/dt m for m = (m^(1), ..., m^(K)). With
+    m^(0) = n^(0) = 1, each binomial sum is k! conv(c^j m^(j) / j!,
+    d^j m^(j) / j!)_k, with (c, d) = (1-omega, omega) against the opinions
+    and (1-upsilon, upsilon) against the environment moments n^(j)."""
+    K = p.K
+    fact = np.array([float(factorial(j)) for j in range(K + 1)])
 
+    def scaled(c):
+        return c ** np.arange(K + 1) / fact
 
-def _rhs(p: MomentParams, m: np.ndarray) -> np.ndarray:
-    a, u = p.alpha, p.upsilon
-    abar = 1.0 - a
-    out = np.empty_like(m)
-    n1 = p.env_moments[0] if abar > 0.0 else 0.0
-    out[0] = abar * u * (n1 - m[0])
-    for k in range(2, p.K + 1):
-        nk = p.env_moments[k - 1] if abar > 0.0 else 0.0
-        out[k - 1] = -gamma_k(p, k) * m[k - 1] + f_k(p, k, m) \
-            + abar * u ** k * nk
-    return out
+    keep, move = scaled(1.0 - p.omega), scaled(p.omega)
+    env_keep = scaled(1.0 - p.upsilon)
+    # with alpha = 1 the environment term vanishes and n^(j) may be absent
+    n = p.env_moments if p.alpha < 1.0 else np.zeros(K)
+    env = scaled(p.upsilon) * np.concatenate(([1.0], n))
+
+    def rhs(m):
+        mm = np.concatenate(([1.0], m))
+        f = p.alpha * np.convolve(mm * keep, mm * move) \
+            + (1.0 - p.alpha) * np.convolve(mm * env_keep, env)
+        return fact[1:] * f[1:K + 1] - m
+
+    return rhs
 
 
 def integrate_moments(p: MomentParams, T: float, dt: float = 0.005) -> MomentTrajectory:
@@ -130,9 +140,8 @@ def integrate_moments(p: MomentParams, T: float, dt: float = 0.005) -> MomentTra
     The lower-triangular structure means the first K' rows are identical
     whatever K >= K' is used.
     """
-    gmax = max(max(gamma_k(p, k) for k in range(1, p.K + 1)), 1.0)
-    if dt > 0.01 / gmax + 1e-15:
-        raise MomentError("dt too large for the stiffest moment rate")
+    MomentConfig(p.K, T, dt)
+    rhs = moment_rhs(p)
     n_steps = int(np.ceil(T / dt - 1e-9))
     guard = 10.0 * p.moment_scale() ** np.arange(1, p.K + 1)
     m = np.array(p.initial_moments, dtype=float)
@@ -141,11 +150,7 @@ def integrate_moments(p: MomentParams, T: float, dt: float = 0.005) -> MomentTra
     times[0] = 0.0
     values[:, 0] = m
     for i in range(n_steps):
-        k1 = _rhs(p, m)
-        k2 = _rhs(p, m + 0.5 * dt * k1)
-        k3 = _rhs(p, m + 0.5 * dt * k2)
-        k4 = _rhs(p, m + dt * k3)
-        m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        m = rk4_step(rhs, m, dt)
         if np.any(np.abs(m) > guard):
             raise MomentError("moment blow-up: check params")
         times[i + 1] = (i + 1) * dt
@@ -154,23 +159,17 @@ def integrate_moments(p: MomentParams, T: float, dt: float = 0.005) -> MomentTra
 
 
 def limit_moments(p: MomentParams) -> list[float]:
-    """Stationary moments for alpha < 1, by the triangular recursion
-    m^(1) = n^(1),
-    m^(k+1) = [f_{k+1}(m^(1..k)) + (1-alpha) upsilon^(k+1) n^(k+1)]
-              / gamma_{k+1}.
-
-    Independent of the initial moments by construction.
-    """
+    """Stationary moments for alpha < 1: m^(1) = n^(1), and order k solves
+    rhs(m)_k = 0 from the orders below it, m^(k) = rhs(m^(1..k-1), 0)_k /
+    gamma_k. Independent of the initial moments by construction."""
     if p.alpha >= 1.0:
         raise MomentError("limit recursion requires alpha < 1")
     for k in range(1, p.K + 1):
         if gamma_k(p, k) <= 0.0:
             raise MomentError(f"gamma_{k} must be positive for the recursion")
-    abar = 1.0 - p.alpha
-    u = p.upsilon
-    out = [p.env_moments[0]]
+    rhs = moment_rhs(p)
+    out = np.zeros(p.K)
+    out[0] = p.env_moments[0]
     for k in range(2, p.K + 1):
-        val = (f_k(p, k, out) + abar * u ** k * p.env_moments[k - 1]) \
-            / gamma_k(p, k)
-        out.append(val)
-    return out
+        out[k - 1] = rhs(out)[k - 1] / gamma_k(p, k)
+    return out.tolist()

@@ -1,9 +1,14 @@
 """Tests for the JSON config front end and its CSV artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gossipfield
 from gossipfield.cli import (ConfigError, RunConfig, build_initial,
                              build_kernel, dispatch, main, parse_config,
                              serialize)
@@ -196,6 +201,8 @@ def test_main_config_error_exit_code(tmp_path):
 
 BOUNDED_CONFIDENCE = {"type": "bounded_confidence", "radius": 1.0}
 ZERO_GRID = {"type": "grid", "lo": 0.0, "hi": 1.0, "cells": [0.0, 0.0]}
+GAUSSIAN = {"type": "gaussian", "omega0": 0.5, "sigma": 1.0}
+MIXTURE = {"type": "mixture", "omegas": [0.2, 0.8], "probs": [0.5, 0.5]}
 
 # (command, {dotted config path: value}, the violation main must print)
 INVALID_CONFIGS = {
@@ -256,7 +263,32 @@ INVALID_CONFIGS = {
     "concentrate_eps_not_a_list": ("concentrate",
                                    {"concentrate.eps_list": "a"},
                                    "concentrate.eps_list: expected"),
+    "moments_K_0": ("moments", {"moments.K": 0}, "moments: K must lie"),
+    "moments_K_171": ("moments", {"moments.K": 171}, "moments: K must lie"),
+    "moments_T_negative": ("moments", {"moments.T": -1},
+                           "moments: T must be nonnegative"),
+    **{f"moments_dt_{dt}": ("moments", {"moments.dt": dt},
+                            "moments: dt must lie in (0, 0.01]")
+       for dt in (5.0, 0.02, 0, -0.01)},
+    **{f"moments_internal_{law['type']}": (
+        "moments", {"kernel.internal": law},
+        "kernel.internal: moments needs a constant-weight law")
+       for law in (GAUSSIAN, dict(BOUNDED_CONFIDENCE, omega0=0.5), MIXTURE)},
+    "moments_external_gaussian": (
+        "moments", {"kernel": dict(ENV_STYLE["kernel"], external=GAUSSIAN)},
+        "kernel.external: moments needs a constant-weight law"),
 }
+
+
+def with_changes(d, changes):
+    """d with each {dotted config path: value} of changes set."""
+    for path, value in changes.items():
+        *parents, key = path.split(".")
+        node = d
+        for p in parents:
+            node = node[p]
+        node[key] = value
+    return d
 
 
 @pytest.mark.parametrize("name", sorted(INVALID_CONFIGS))
@@ -264,16 +296,38 @@ def test_invalid_config_exits_1_naming_field(name, tmp_path, capsys):
     command, changes, message = INVALID_CONFIGS[name]
     d = quick_sim_cfg()
     d["concentrate"] = {"tau": 0.5, "n_list": [20, 40], "replicas": 20}
-    for path, value in changes.items():
-        *parents, key = path.split(".")
-        node = d
-        for p in parents:
-            node = node[p]
-        node[key] = value
-    p = write_cfg(tmp_path, d)
+    p = write_cfg(tmp_path, with_changes(d, changes))
     assert main([command, "--config", str(p), "--out",
                  str(tmp_path / "out")]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, changes", [
+    # a bounded-confidence kernel under the default moments section
+    ("meanfield", {"kernel.internal": dict(BOUNDED_CONFIDENCE, omega0=0.5)}),
+    ("moments", {"moments.dt": 0.01}),
+])
+def test_moments_checks_pass_valid_runs(command, changes, tmp_path):
+    d = quick_sim_cfg()
+    d["moments"] = {}
+    p = write_cfg(tmp_path, with_changes(d, changes))
+    assert main([command, "--config", str(p), "--out",
+                 str(tmp_path / "out")]) == 0
+
+
+def test_parsing_a_bump_environment_leaves_scipy_unimported():
+    d = dict(ENV_STYLE, moments={"K": 8, "T": 100.0, "dt": 0.01},
+             simulate={"n": 50000},
+             meanfield={"m": 1000, "dt": 0.01, "scheme": "rk4",
+                        "horizon": 10.0, "snapshot_times": list(range(11))})
+    code = ("import sys, gossipfield.cli as c\n"
+            f"c.parse_config({json.dumps(d)!r})\n"
+            "print('scipy.integrate' in sys.modules)")
+    src = str(Path(gossipfield.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 def test_main_missing_file_exit_code(tmp_path):

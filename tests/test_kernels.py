@@ -11,7 +11,7 @@ from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
                                  EnvBump, EnvGrid, EnvUniform, FiniteMixture,
                                  Gaussian, KernelError, KernelSpec, env_atoms,
                                  env_moment, env_support, make_env_sampler,
-                                 sample_weight, weight_branches, weight_value)
+                                 sample_weight, weight_value)
 from gossipfield.measures import AtomicMeasure, GridMeasure1D
 
 
@@ -56,12 +56,6 @@ def test_weight_value_vectorized():
 def test_mixture_has_no_deterministic_value():
     with pytest.raises(KernelError):
         weight_value(FiniteMixture((0.2, 0.8), (0.5, 0.5)), 0.0)
-
-
-def test_weight_branches():
-    assert weight_branches(Constant(0.3), 1.0) == [(0.3, 1.0)]
-    mix = FiniteMixture((0.2, 0.8), (0.25, 0.75))
-    assert weight_branches(mix, 0.0) == [(0.2, 0.25), (0.8, 0.75)]
 
 
 def test_mixture_sampling_frequencies():

@@ -1,11 +1,14 @@
 """Tests for the triangular moment ODE system and its stationary limits."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
 from gossipfield.kernels import EnvBump, env_moment
-from gossipfield.moments import (MomentError, MomentParams, f_k, gamma_k,
-                                 integrate_moments, limit_moments)
+from gossipfield.moments import (MomentConfig, MomentError, MomentParams,
+                                 gamma_k, integrate_moments, limit_moments,
+                                 moment_rhs)
 
 
 def params(alpha=0.5, omega=0.5, upsilon=0.5, K=4, env=None, init=None):
@@ -31,8 +34,16 @@ def test_params_validation():
         MomentParams(1.0, 0.5, 0.5, (), (1.0,), K=0)
 
 
+def test_moment_config_validation():
+    MomentConfig(8, 0.0, 0.01)  # dt = 0.01 is allowed
+    for K, T, dt in ((0, 1.0, 0.005), (171, 1.0, 0.005), (8, -1.0, 0.005),
+                     (8, 1.0, 0.0), (8, 1.0, -0.01), (8, 1.0, 0.02)):
+        with pytest.raises(MomentError):
+            MomentConfig(K, T, dt)
+
+
 # ---------------------------------------------------------------------------
-# gamma_k and f_k
+# gamma_k and the right-hand side
 
 
 def test_gamma_examples():
@@ -43,21 +54,56 @@ def test_gamma_examples():
     assert gamma_k(params(alpha=0.0, upsilon=1.0), 5) == pytest.approx(1.0)
 
 
+# With m^(2) = 0 the order-2 right-hand side is f_2 plus the environment
+# source (1-alpha) upsilon^2 n^(2).
+
+
 def test_f2_internal_only():
     p = params(alpha=1.0, omega=0.5)
     a = 3.0
-    assert f_k(p, 2, [a]) == pytest.approx(a * a / 2.0)
+    rhs = moment_rhs(p)(np.array([a, 0.0, 0.0, 0.0]))
+    assert rhs[1] == pytest.approx(a * a / 2.0)
 
 
 def test_f2_external_only():
     p = params(alpha=0.0, upsilon=0.5, env=(2.0, 4.0, 8.0, 16.0))
     a = 3.0
-    assert f_k(p, 2, [a]) == pytest.approx(a * 2.0 / 2.0)
+    rhs = moment_rhs(p)(np.array([a, 0.0, 0.0, 0.0]))
+    assert rhs[1] == pytest.approx(a * 2.0 / 2.0 + 0.5 ** 2 * 4.0)
 
 
-def test_f_k_requires_order_two():
-    with pytest.raises(MomentError, match="below order 2"):
-        f_k(params(), 1, [])
+@pytest.mark.parametrize("alpha, omega, upsilon, x, z", [
+    (0.5, 0.5, 0.5, 5.0, 3.0), (0.3, 0.2, 0.7, -1.5, 2.5),
+    (0.0, 0.9, 0.1, 0.4, -0.8), (1.0, 0.3, 0.6, 2.0, 7.0)])
+def test_rhs_of_point_masses(alpha, omega, upsilon, x, z):
+    # mu = delta_x against environment delta_z: peer interactions leave
+    # delta_x in place, environment ones move it to (1-upsilon) x + upsilon z
+    K = 8
+    k = np.arange(1, K + 1)
+    env = z ** k if alpha < 1.0 else ()
+    p = params(alpha=alpha, omega=omega, upsilon=upsilon, K=K, env=env)
+    expect = (1.0 - alpha) * (((1.0 - upsilon) * x + upsilon * z) ** k
+                              - x ** k)
+    scale = max(abs(x), abs(z)) ** k
+    np.testing.assert_allclose(moment_rhs(p)(x ** k), expect,
+                               rtol=0, atol=1e-13 * scale.max())
+
+
+def test_rhs_matches_binomial_sums():
+    # reference: the binomial expansions written out order by order
+    rng = np.random.default_rng(3)
+    K, a, w, u = 7, 0.4, 0.3, 0.8
+    m = rng.normal(size=K) * 2.0 ** np.arange(1, K + 1)
+    n = rng.normal(size=K) * 3.0 ** np.arange(1, K + 1)
+    p = params(alpha=a, omega=w, upsilon=u, K=K, env=n)
+    mm, nn = np.concatenate(([1.0], m)), np.concatenate(([1.0], n))
+    expect = [sum(comb(k, j) * (a * (1 - w) ** j * w ** (k - j) * mm[k - j]
+                                + (1 - a) * (1 - u) ** j * u ** (k - j)
+                                * nn[k - j]) * mm[j]
+                  for j in range(k + 1)) - mm[k]
+              for k in range(1, K + 1)]
+    np.testing.assert_allclose(moment_rhs(p)(m), expect, rtol=1e-13,
+                               atol=1e-13 * np.abs(m).max())
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +161,7 @@ def test_a_priori_moment_bound():
 def test_dt_guard():
     with pytest.raises(MomentError, match="dt"):
         integrate_moments(params(), 1.0, dt=0.5)
+    assert integrate_moments(params(), 1.0, dt=0.01).times[-1] == 1.0
 
 
 def test_moment_scale_bound():
