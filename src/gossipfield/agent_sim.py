@@ -19,7 +19,7 @@ import numpy as np
 
 from .kernels import (Constant, FiniteMixture, KernelSpec, make_env_sampler,
                       sample_weight, weight_value)
-from .measures import AtomicMeasure, GridMeasure1D
+from .measures import AtomicMeasure, GridMeasure1D, checked_times
 
 
 class SimError(ValueError):
@@ -130,14 +130,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 2:
             raise SimError("need at least two agents")
-        if not self.horizon >= 0:
-            raise SimError("horizon must be nonnegative")
-        times = tuple(float(s) for s in self.snapshot_times)
-        if any(s < 0 or s > self.horizon for s in times):
-            raise SimError("snapshot times must lie in [0, horizon]")
-        if list(times) != sorted(times):
-            raise SimError("snapshot times must be sorted")
-        object.__setattr__(self, "snapshot_times", times)
+        object.__setattr__(self, "snapshot_times", checked_times(
+            self.snapshot_times, self.horizon, SimError))
 
 
 def init_state(cfg: SimConfig) -> SimState:

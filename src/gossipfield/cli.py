@@ -21,7 +21,7 @@ from .kernels import (BoundedConfidence, Constant, EnvAtom, EnvBump, EnvGrid,
                       EnvUniform, FiniteMixture, Gaussian, KernelError,
                       KernelSpec, env_moment,
                       env_support)  # noqa: F401 (bench/tracing.py wraps it)
-from .measures import (AtomicMeasure, GridMeasure1D, MeasureError,
+from .measures import (AtomicMeasure, GridMeasure1D, MeasureError, moment,
                        wasserstein1_1d, write_measure_csv)
 
 
@@ -429,8 +429,7 @@ def _moment_params(cfg: RunConfig, K: int) -> moments.MomentParams:
     lo, hi = _solver_domain(cfg)
     g0 = experiments.initial_grid(build_initial(cfg), lo, hi,
                                   cfg.data["meanfield"]["m"])
-    init = [float(np.dot(g0.cells, g0.centers ** k))
-            for k in range(1, K + 1)]
+    init = [moment(g0, k) for k in range(1, K + 1)]
     env = [env_moment(kernel.environment, k) for k in range(1, K + 1)] \
         if kernel.alpha < 1.0 else [0.0] * K
     return moments.MomentParams(alpha=kernel.alpha,
@@ -449,8 +448,9 @@ def cmd_moments(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
     path = out_dir / "moments.csv"
     with _artifact(path, cfg) as fh:
         fh.write("t,k,value\n")
+        last = traj.times.size - 1  # every stride-th row, and the last, at T
         stride = max(1, traj.times.size // 2000)
-        for i in range(0, traj.times.size, stride):
+        for i in [*range(0, last, stride), last]:
             for k in range(1, params.K + 1):
                 fh.write("%.17g,%d,%.17g\n"
                          % (traj.times[i], k, traj.values[k - 1, i]))

@@ -19,7 +19,7 @@ import numpy as np
 from .agent_sim import InitialLaw, SimConfig, initial_support, run
 from .kernels import BoundedConfidence, KernelSpec, env_support
 from .meanfield import SolverConfig, integrate
-from .measures import GridMeasure1D, wasserstein1_1d
+from .measures import GridMeasure1D, checked_times, wasserstein1_1d
 
 
 class ExperimentError(ValueError):
@@ -40,21 +40,15 @@ class ConcentrationConfig:
     ref_m: int = 2000
 
     def __post_init__(self):
-        if not self.tau >= 0:
-            raise ExperimentError("tau must be nonnegative")
+        times = checked_times(
+            tuple(self.sample_times) or np.linspace(0.0, self.tau, 20),
+            self.tau, ExperimentError, "sample times", "tau")
         if not self.n_list or min(self.n_list) < 2:
             raise ExperimentError("n_list needs population sizes >= 2")
         if any(not eps > 0 for eps in self.eps_list):
             raise ExperimentError("every eps in eps_list must be positive")
         if self.replicas < 20:
             raise ExperimentError("need >= 20 replicas for tail estimation")
-        times = tuple(float(s) for s in self.sample_times)
-        if not times:
-            times = tuple(np.linspace(0.0, self.tau, 20))
-        if any(s < 0 or s > self.tau for s in times):
-            raise ExperimentError("sample times must lie in [0, tau]")
-        if list(times) != sorted(times):
-            raise ExperimentError("sample times must be sorted")
         object.__setattr__(self, "sample_times", times)
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
 
@@ -105,20 +99,16 @@ def initial_grid(initial: InitialLaw, lo: float, hi: float,
     if isinstance(initial, InitUniform):
         return GridMeasure1D.uniform(lo, hi, m, support=(initial.a, initial.b))
     if isinstance(initial, InitGrid):
-        g = initial.grid
-        # rebin onto the solver grid by cell-center assignment
-        h = (hi - lo) / m
-        idx = np.clip(((g.centers - lo) / h).astype(int), 0, m - 1)
-        cells = np.bincount(idx, weights=g.cells, minlength=m)[:m]
-        return GridMeasure1D(lo, hi, cells / cells.sum())
-    if isinstance(initial, InitAtoms):
-        h = (hi - lo) / m
-        x = initial.measure.positions[:, 0]
-        idx = np.clip(((x - lo) / h).astype(int), 0, m - 1)
-        cells = np.bincount(idx, weights=initial.measure.weights,
-                            minlength=m)[:m]
-        return GridMeasure1D(lo, hi, cells / cells.sum())
-    raise ExperimentError(f"unknown initial law {initial!r}")
+        x, w = initial.grid.centers, initial.grid.cells
+    elif isinstance(initial, InitAtoms):
+        x, w = initial.measure.positions[:, 0], initial.measure.weights
+    else:
+        raise ExperimentError(f"unknown initial law {initial!r}")
+    # rebin onto the solver grid by position assignment
+    h = (hi - lo) / m
+    idx = np.clip(((x - lo) / h).astype(int), 0, m - 1)
+    cells = np.bincount(idx, weights=w, minlength=m)[:m]
+    return GridMeasure1D(lo, hi, cells / cells.sum())
 
 
 def _density_w1(a: GridMeasure1D, b: GridMeasure1D) -> float:

@@ -26,11 +26,15 @@ import numpy as np
 
 from .kernels import (BoundedConfidence, Constant, FiniteMixture, Gaussian,
                       KernelSpec, env_atoms, weight_value)
-from .measures import GridMeasure1D
+from .measures import GridMeasure1D, checked_times
 
 
 class SolverError(ValueError):
     pass
+
+
+# the environment law is read as this many atoms by the environment branch
+_ENV_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,6 @@ class SolverConfig:
     horizon: float = 10.0
     snapshot_times: tuple = ()
     scheme: str = "euler"
-    env_cells: int = 256
 
     def __post_init__(self):
         if not self.hi > self.lo:
@@ -53,12 +56,8 @@ class SolverConfig:
             raise SolverError("dt must lie in (0, 0.1]")
         if self.scheme not in ("euler", "rk4"):
             raise SolverError("scheme must be 'euler' or 'rk4'")
-        times = tuple(float(s) for s in self.snapshot_times)
-        if any(s < 0 or s > self.horizon for s in times):
-            raise SolverError("snapshot times must lie in [0, horizon]")
-        if list(times) != sorted(times):
-            raise SolverError("snapshot times must be sorted")
-        object.__setattr__(self, "snapshot_times", times)
+        object.__setattr__(self, "snapshot_times", checked_times(
+            self.snapshot_times, self.horizon, SolverError))
 
 
 def _deposit_conv_half(out: np.ndarray, cells: np.ndarray, coeff: float):
@@ -184,8 +183,7 @@ def _external_matrix(lo: float, h: float, law, coeff: float,
 class _FieldEvaluator:
     """Precomputed context for repeated apply_F evaluations on one grid."""
 
-    def __init__(self, template: GridMeasure1D, kernel: KernelSpec,
-                 env_cells: int = 256):
+    def __init__(self, template: GridMeasure1D, kernel: KernelSpec):
         self.lo = template.lo
         self.hi = template.hi
         self.m = template.m
@@ -193,7 +191,7 @@ class _FieldEvaluator:
         self.centers = template.centers
         self.kernel = kernel
         if kernel.alpha < 1.0:
-            pos, mass = env_atoms(kernel.environment, env_cells)
+            pos, mass = env_atoms(kernel.environment, _ENV_CELLS)
             c0 = self.centers[0]
             cm = self.centers[-1]
             if pos.min() < c0 - 1e-12 or pos.max() > cm + 1e-12:
@@ -222,11 +220,11 @@ class _FieldEvaluator:
         return out
 
 
-def apply_F(g: GridMeasure1D, k: KernelSpec, env_cells: int = 256) -> GridMeasure1D:
+def apply_F(g: GridMeasure1D, k: KernelSpec) -> GridMeasure1D:
     """One-interaction pushforward F(mu) of a normalized histogram."""
     if not g.normalized:
         raise SolverError("apply_F needs a normalized grid measure")
-    ev = _FieldEvaluator(g, k, env_cells)
+    ev = _FieldEvaluator(g, k)
     out = ev.apply_raw(np.asarray(g.cells))
     if abs(out.sum() - 1.0) > 1e-12:
         raise SolverError("mass conservation violated in apply_F")
@@ -247,21 +245,30 @@ def rk4_step(f, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def step_ends(horizon: float, dt: float, times=()) -> np.ndarray:
+    """Step ends from 0 to the horizon: the dt grid cut 1e-9 short of it,
+    every requested time in (0, horizon], and the horizon, where the last
+    step ends. An end within 1e-9 of the one before is dropped."""
+    n_steps = int(np.ceil(horizon / dt - 1e-9))
+    grid = dt * np.arange(1, n_steps + 1)
+    ends = np.union1d(grid[grid < horizon - 1e-9],
+                      [s for s in (*times, horizon) if 0.0 < s <= horizon])
+    return ends[np.diff(ends, prepend=0.0) > 1e-9]
+
+
 def integrate(g0: GridMeasure1D, k: KernelSpec,
               cfg: SolverConfig) -> list[tuple[float, GridMeasure1D]]:
     """Time-step d/dt mu = F(mu) - mu from g0, returning snapshots at the
-    requested times. Steps are shortened where needed so every snapshot
-    lands exactly on its requested time (no O(dt) sampling offset)."""
+    requested times. The steps end on step_ends, so every snapshot lands
+    exactly on its requested time (no O(dt) sampling offset)."""
     if not g0.normalized:
         raise SolverError("initial measure must be normalized")
     if abs(g0.lo - cfg.lo) > 1e-12 or abs(g0.hi - cfg.hi) > 1e-12 \
             or g0.m != cfg.m:
         raise SolverError("initial measure grid mismatch with solver config")
-    ev = _FieldEvaluator(g0, k, cfg.env_cells)
-    dt = cfg.dt
-    n_steps = int(np.ceil(cfg.horizon / dt - 1e-9))
+    ev = _FieldEvaluator(g0, k)
     cells = np.asarray(g0.cells).copy()
-    snaps = list(cfg.snapshot_times)
+    snaps = cfg.snapshot_times
     out: list[tuple[float, GridMeasure1D]] = []
     ptr = 0
 
@@ -274,14 +281,8 @@ def integrate(g0: GridMeasure1D, k: KernelSpec,
 
     emit(0.0)
     rk4 = cfg.scheme == "rk4"
-    # step boundaries: the nominal dt grid plus every snapshot time, with
-    # near-coincident boundaries merged so no zero-length step occurs
-    times = np.union1d(dt * np.arange(1, n_steps + 1),
-                       [s for s in snaps if s > 1e-9])
-    if times.size:
-        times = times[np.concatenate(([True], np.diff(times) > 1e-9))]
     t_prev = 0.0
-    for t in times:
+    for t in step_ends(cfg.horizon, cfg.dt, snaps):
         step = t - t_prev
         if rk4:
             cells = rk4_step(lambda y: ev.apply_raw(y) - y, cells, step)

@@ -312,11 +312,23 @@ def measure_to_csv_rows(t: float, m) -> list[tuple[float, float, float]]:
             for x, w in zip(m.positions[:, 0], m.weights)]
 
 
-def write_measure_csv(fh: io.TextIOBase, snapshots, header_comment: str = ""):
+def write_measure_csv(fh: io.TextIOBase, snapshots):
     """Write (t, measure) snapshots in long format: header t,position,mass."""
-    if header_comment:
-        fh.write(f"# {header_comment}\n")
     fh.write("t,position,mass\n")
     for t, m in snapshots:
         for row in measure_to_csv_rows(t, m):
             fh.write("%.17g,%.17g,%.17g\n" % row)
+
+
+def checked_times(times, horizon: float, error, what="snapshot times",
+                  bound="horizon") -> tuple:
+    """The sampling times of a run to `horizon` as floats. Raises `error`
+    unless horizon >= 0 and the times are sorted within [0, horizon]."""
+    if not horizon >= 0:
+        raise error(f"{bound} must be nonnegative")
+    times = tuple(float(s) for s in times)
+    if any(s < 0 or s > horizon for s in times):
+        raise error(f"{what} must lie in [0, {bound}]")
+    if list(times) != sorted(times):
+        raise error(f"{what} must be sorted")
+    return times

@@ -22,7 +22,7 @@ from math import factorial
 
 import numpy as np
 
-from .meanfield import rk4_step
+from .meanfield import rk4_step, step_ends
 
 
 class MomentError(ValueError):
@@ -116,17 +116,20 @@ def moment_rhs(p: MomentParams):
     K = p.K
     fact = np.array([float(factorial(j)) for j in range(K + 1)])
 
+    # with a trailing zero, np.convolve sums each order k <= K alike for any
+    # K (a partial overlap), so orders 1..K' do not depend on K, to the bit
     def scaled(c):
-        return c ** np.arange(K + 1) / fact
+        return np.append(c ** np.arange(K + 1) / fact, 0.0)
 
     keep, move = scaled(1.0 - p.omega), scaled(p.omega)
     env_keep = scaled(1.0 - p.upsilon)
     # with alpha = 1 the environment term vanishes and n^(j) may be absent
     n = p.env_moments if p.alpha < 1.0 else np.zeros(K)
-    env = scaled(p.upsilon) * np.concatenate(([1.0], n))
+    one, zero = np.ones(1), np.zeros(1)
+    env = scaled(p.upsilon) * np.concatenate((one, n, zero))
 
     def rhs(m):
-        mm = np.concatenate(([1.0], m))
+        mm = np.concatenate((one, m, zero))
         f = p.alpha * np.convolve(mm * keep, mm * move) \
             + (1.0 - p.alpha) * np.convolve(mm * env_keep, env)
         return fact[1:] * f[1:K + 1] - m
@@ -135,26 +138,25 @@ def moment_rhs(p: MomentParams):
 
 
 def integrate_moments(p: MomentParams, T: float, dt: float = 0.005) -> MomentTrajectory:
-    """Solve the triangular moment system by classical RK4.
+    """Solve the triangular moment system by classical RK4, with one row
+    at t = 0 and one at each end of meanfield.step_ends(T, dt), so the last
+    row is at T.
 
     The lower-triangular structure means the first K' rows are identical
     whatever K >= K' is used.
     """
     MomentConfig(p.K, T, dt)
     rhs = moment_rhs(p)
-    n_steps = int(np.ceil(T / dt - 1e-9))
     guard = 10.0 * p.moment_scale() ** np.arange(1, p.K + 1)
-    m = np.array(p.initial_moments, dtype=float)
-    times = np.empty(n_steps + 1)
-    values = np.empty((p.K, n_steps + 1))
-    times[0] = 0.0
+    times = np.concatenate(([0.0], step_ends(T, dt)))
+    values = np.empty((p.K, times.size))
+    m = np.array(p.initial_moments)
     values[:, 0] = m
-    for i in range(n_steps):
-        m = rk4_step(rhs, m, dt)
+    for i, h in enumerate(np.diff(times).tolist(), start=1):
+        m = rk4_step(rhs, m, h)
         if np.any(np.abs(m) > guard):
             raise MomentError("moment blow-up: check params")
-        times[i + 1] = (i + 1) * dt
-        values[:, i + 1] = m
+        values[:, i] = m
     return MomentTrajectory(times, values)
 
 

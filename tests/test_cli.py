@@ -169,6 +169,15 @@ def test_moments_artifacts(tmp_path):
     assert k1 == pytest.approx(3.0, abs=1e-8)
 
 
+def test_moments_csv_ends_at_T(tmp_path):
+    # 14287 rows at stride 7: the last row is not a multiple of the stride
+    d = quick_sim_cfg()
+    d["moments"] = {"K": 2, "T": 100.0, "dt": 0.007}
+    path = dispatch(cfg_of(d), "moments", out_dir=tmp_path)[0]
+    last = path.read_text().splitlines()[-1]
+    assert float(last.split(",")[0]) == 100.0
+
+
 def test_compare_artifact(tmp_path):
     cfg = cfg_of(quick_sim_cfg())
     paths = dispatch(cfg, "compare", out_dir=tmp_path)
@@ -239,6 +248,12 @@ INVALID_CONFIGS = {
     "meanfield_snapshots_unsorted": (
         "meanfield", {"meanfield.snapshot_times": [1.0, 0.5]},
         "meanfield: snapshot times must be sorted"),
+    "meanfield_horizon_negative": (
+        "meanfield", {"meanfield.horizon": -1, "meanfield.snapshot_times": []},
+        "meanfield: horizon must be nonnegative"),
+    "meanfield_horizon_negative_default_times": (
+        "meanfield", {"meanfield.horizon": -1, "meanfield.snapshot_times": None},
+        "meanfield: horizon must be nonnegative"),
     "meanfield_lo_above_hi": ("meanfield",
                               {"meanfield.lo": 2.0, "meanfield.hi": 1.0},
                               "meanfield: hi must exceed lo"),

@@ -5,8 +5,9 @@ import pytest
 
 from gossipfield.kernels import (BoundedConfidence, Constant, EnvBump,
                                  FiniteMixture, Gaussian, KernelSpec)
+from gossipfield import meanfield
 from gossipfield.meanfield import (SolverConfig, SolverError, apply_F,
-                                   integrate, sup_density)
+                                   integrate, step_ends, sup_density)
 from gossipfield.measures import (GridMeasure1D, moment, variance,
                                   wasserstein1_1d)
 
@@ -41,6 +42,8 @@ def test_solver_config_validation():
         SolverConfig(10, 0)
     with pytest.raises(SolverError, match="m must be"):
         SolverConfig(0, 10, m=1)
+    with pytest.raises(SolverError, match="horizon must be nonnegative"):
+        SolverConfig(0, 10, horizon=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +227,42 @@ def test_integrate_snapshots_normalized():
     assert [t for t, _ in snaps] == [0.0, 0.5, 1.0]
     for _, g in snaps:
         assert abs(g.total_mass - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("horizon, dt, times", [
+    (1.0, 0.03, ()),
+    (1.0, 0.03, (0.0, 0.3, 0.31, 0.5, 1.0)),
+    (0.1, 0.01, (0.0333, 0.0501)),
+    (1.0, 0.1, (0.3 + 5e-10, 0.7 - 5e-10)),
+    (2.0, 0.003, (1e-10, 1.0)),
+    (27.3714, 0.0098, ()),  # a grid end one ulp below the horizon
+    (0.0, 0.01, (0.0,)),
+])
+def test_step_ends_reach_every_time_and_stop_at_the_horizon(horizon, dt,
+                                                             times):
+    ends = step_ends(horizon, dt, times)
+    assert np.all(ends <= horizon)
+    assert np.all(np.diff(ends, prepend=0.0) > 1e-9)
+    for s in (*times, horizon):
+        assert s <= 1e-9 or np.min(np.abs(ends - s)) <= 1e-9
+    if horizon > 0:
+        assert ends[-1] == horizon
+    else:
+        assert ends.size == 0
+
+
+def test_euler_steps_stop_at_the_horizon(monkeypatch):
+    # dt = 0.03 does not divide 1: 33 full steps and one of 0.01
+    calls = []
+    apply_raw = meanfield._FieldEvaluator.apply_raw
+    monkeypatch.setattr(meanfield._FieldEvaluator, "apply_raw",
+                        lambda ev, cells: calls.append(1) or apply_raw(
+                            ev, cells))
+    cfg = SolverConfig(0, 1, m=20, dt=0.03, horizon=1.0,
+                       snapshot_times=(1.0,))
+    (t, _), = integrate(GridMeasure1D.uniform(0.0, 1.0, 20), CONST_HALF, cfg)
+    assert t == 1.0
+    assert len(calls) == 34
 
 
 def test_integrate_grid_mismatch_rejected():

@@ -275,9 +275,8 @@ def test_cluster_centers_respect_gap(spikes, gap_cells):
 def test_measure_csv_layout():
     buf = io.StringIO()
     snaps = [(0.0, atoms([0.25, 0.75], [0.5, 0.5]))]
-    write_measure_csv(buf, snaps, header_comment="meta")
+    write_measure_csv(buf, snaps)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == "# meta"
-    assert lines[1] == "t,position,mass"
-    assert lines[2] == "0,0.25,0.5"
-    assert len(lines) == 4
+    assert lines[0] == "t,position,mass"
+    assert lines[1] == "0,0.25,0.5"
+    assert len(lines) == 3

@@ -162,6 +162,8 @@ def test_dt_guard():
     with pytest.raises(MomentError, match="dt"):
         integrate_moments(params(), 1.0, dt=0.5)
     assert integrate_moments(params(), 1.0, dt=0.01).times[-1] == 1.0
+    # dt = 0.003 does not divide 1: the last step is shortened to land on T
+    assert integrate_moments(params(), 1.0, dt=0.003).times[-1] == 1.0
 
 
 def test_moment_scale_bound():
