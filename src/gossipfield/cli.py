@@ -537,7 +537,8 @@ def main(argv=None) -> int:
                         help="override the config seed")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="parallel workers (concentrate only)")
+                        help="parallel workers (concentrate only), capped at "
+                             "the core count")
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -5,13 +5,15 @@ For each population size and replica we record
 D = max over sample times of W1(empirical measure, mean-field reference),
 then estimate tail probabilities P(D >= eps) and the slope of log P versus
 n. The mean-field reference is computed once (RK4, fine grid) and its own
-discretization error is estimated by grid/step refinement; the harness
-aborts if that error is not small against the measured deviations.
+discretization error is estimated by refining the grid and, apart, the
+step; the harness aborts if that error is not small against the measured
+deviations.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,8 @@ import numpy as np
 from .agent_sim import InitialLaw, SimConfig, initial_support, run
 from .kernels import BoundedConfidence, KernelSpec, env_support
 from .meanfield import SolverConfig, integrate
-from .measures import GridMeasure1D, checked_times, wasserstein1_1d
+from .measures import (GridMeasure1D, checked_times, sorted_cdf,
+                       wasserstein1_1d)
 
 
 class ExperimentError(ValueError):
@@ -36,7 +39,7 @@ class ConcentrationConfig:
     replicas: int = 100
     eps_list: tuple = ()
     base_seed: int = 0
-    ref_dt: float = 0.005
+    ref_dt: float = 0.05
     ref_m: int = 2000
 
     def __post_init__(self):
@@ -128,7 +131,7 @@ def _density_w1(a: GridMeasure1D, b: GridMeasure1D) -> float:
     denom = np.maximum(np.abs(d0) + np.abs(d1), 1e-300)
     seg = np.where(d0 * d1 >= 0, 0.5 * (np.abs(d0) + np.abs(d1)),
                    0.5 * (d0 * d0 + d1 * d1) / denom)
-    return float(np.dot(np.diff(edges), seg))
+    return float((np.diff(edges) * seg).sum())
 
 
 def _replica_seed(base_seed: int, n: int, replica: int) -> int:
@@ -137,44 +140,67 @@ def _replica_seed(base_seed: int, n: int, replica: int) -> int:
     return int(state[0]) << 64 | int(state[1])
 
 
+# what every replica job of the current run shares: the config and the
+# reference snapshots in their sorted_cdf form. Set once per process by
+# _init_replicas, so each job carries only (n, replica).
+_shared = {}
+
+
+def _init_replicas(cfg: ConcentrationConfig, reference: tuple) -> None:
+    _shared["cfg"], _shared["reference"] = cfg, reference
+
+
 def _one_replica(args) -> tuple[int, int, float]:
-    cfg, reference, n, replica = args
+    n, replica = args
+    cfg, reference = _shared["cfg"], _shared["reference"]
     sim = SimConfig(n=n, kernel=cfg.kernel, initial=cfg.initial,
                     horizon=cfg.tau, snapshot_times=cfg.sample_times,
                     seed=_replica_seed(cfg.base_seed, n, replica),
                     allow_self=True)
     snaps = run(sim)
     d = max(wasserstein1_1d(emp, ref)
-            for (_, emp), (_, ref) in zip(snaps, reference))
+            for (_, emp), ref in zip(snaps, reference))
     return (n, replica, float(d))
+
+
+def _max_density_w1(a, b) -> float:
+    return max(_density_w1(ga, gb) for (_, ga), (_, gb) in zip(a, b))
 
 
 def run_concentration(cfg: ConcentrationConfig, threads: int = 1,
                       skip_refinement_check: bool = False) -> DeviationTable:
     """Compute the deviation table. Deterministic given base_seed; replicas
     use allow_self=True to match the independent-sampling structure of the
-    mean-field operator."""
+    mean-field operator. `threads` is capped at the core count."""
     reference = _reference(cfg, cfg.ref_m, cfg.ref_dt)
-    jobs = [(cfg, reference, n, r)
-            for n in cfg.n_list for r in range(cfg.replicas)]
+    shared = (cfg, tuple(sorted_cdf(g) for _, g in reference))
+    jobs = [(n, r) for n in cfg.n_list for r in range(cfg.replicas)]
+    threads = min(threads, os.cpu_count() or 1)
     if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as ex:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=threads, initializer=_init_replicas,
+                initargs=shared) as ex:
             results = list(ex.map(_one_replica, jobs,
                                   chunksize=max(1, len(jobs) // (4 * threads))))
     else:
+        _init_replicas(*shared)
         results = [_one_replica(j) for j in jobs]
     results.sort(key=lambda r: (r[0], r[1]))
     table = DeviationTable(tuple(results))
     if not skip_refinement_check:
-        coarse = _reference(cfg, cfg.ref_m // 2, cfg.ref_dt * 2)
-        disc_err = max(_density_w1(a, b)
-                       for (_, a), (_, b) in zip(reference, coarse))
+        # space: halve m at the same step; time: step doubling at m/2
+        coarse = _reference(cfg, cfg.ref_m // 2, cfg.ref_dt)
+        space_err = _max_density_w1(reference, coarse)
+        fine_step = _reference(cfg, cfg.ref_m // 2, cfg.ref_dt / 2)
+        time_err = _max_density_w1(coarse, fine_step)
+        disc_err = space_err + time_err
         d_min = min(d for (_, _, d) in table.rows)
         if disc_err >= 0.1 * d_min:
             raise ExperimentError(
-                f"mean-field discretization error {disc_err:.3g} is not "
-                f"small against the smallest deviation {d_min:.3g}; refine "
-                "the reference solver")
+                f"mean-field discretization error {disc_err:.3g} (space "
+                f"{space_err:.3g}, time {time_err:.3g}) is not small "
+                f"against the smallest deviation {d_min:.3g}; refine the "
+                "reference solver")
     return table
 
 

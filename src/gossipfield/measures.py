@@ -190,32 +190,67 @@ def variance(m) -> float:
     return moment(m, 2) - m1 * m1
 
 
-def _to_sorted_atoms(m) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class SortedCDF:
+    """A normalized 1-D measure prepared for W1: its atom positions in
+    ascending order and the CDF after each, with a leading 0. Preparing a
+    measure once saves the sort and cumsum when it enters many W1 calls."""
+
+    x: np.ndarray
+    cdf: np.ndarray
+
+
+def sorted_cdf(m) -> SortedCDF:
+    """The prepared form of an atomic or grid measure (returned as is when
+    already prepared)."""
+    if isinstance(m, SortedCDF):
+        return m
+    if not m.normalized:
+        raise MeasureError("W1 requires normalized measures")
     if isinstance(m, GridMeasure1D):
         m = m.as_atoms()
     if m.dim != 1:
         raise MeasureError("exact W1 only in d=1")
-    x = m.positions[:, 0]
-    order = np.argsort(x, kind="stable")
-    return x[order], m.weights[order]
+    x, w = m.positions[:, 0], m.weights
+    if np.all(w == w[:1]):
+        # equal weights (every empirical measure): their order does not
+        # matter, so a plain sort gives the stable sort's arrays
+        x = np.sort(x)
+    else:
+        order = np.argsort(x, kind="stable")
+        x, w = x[order], w[order]
+    return SortedCDF(x, np.concatenate(([0.0], np.cumsum(w))))
+
+
+def _merge(x1: np.ndarray, x2: np.ndarray):
+    """Merge two sorted position arrays by one stable sort, linear on two
+    sorted runs. Returns the gap after each merged position but the last,
+    and whether each of those positions came from x1."""
+    z = np.concatenate((x1, x2))
+    order = np.argsort(z, kind="stable")
+    return np.diff(z[order]), order[:-1] < x1.size
 
 
 def wasserstein1_1d(mu, nu) -> float:
     """Exact order-1 Wasserstein distance in d = 1 via the CDF formula:
-    the integral of |F_mu - F_nu| over the merged support."""
-    for m in (mu, nu):
-        if not m.normalized:
-            raise MeasureError("W1 requires normalized measures")
-    x1, w1 = _to_sorted_atoms(mu)
-    x2, w2 = _to_sorted_atoms(nu)
-    xs = np.union1d(x1, x2)
-    # evaluate each CDF separately at the union points; equal measures then
-    # cancel exactly instead of leaving interleaved-cumsum rounding residue
-    c1 = np.concatenate(([0.0], np.cumsum(w1)))
-    c2 = np.concatenate(([0.0], np.cumsum(w2)))
-    f1 = c1[np.searchsorted(x1, xs, side="right")]
-    f2 = c2[np.searchsorted(x2, xs, side="right")]
-    return float(np.dot(np.abs(f1[:-1] - f2[:-1]), np.diff(xs)))
+    the integral of |F_mu - F_nu| over the merged support. Either argument
+    may be a measure or its `sorted_cdf` form."""
+    a, b = sorted_cdf(mu), sorted_cdf(nu)
+    gaps, from_a = _merge(a.x, b.x)
+    # after the k-th merged atom, the count of each measure's atoms so far
+    # indexes its CDF; tied atoms bound gaps of length 0. Each CDF is read
+    # separately, so equal measures cancel exactly instead of leaving
+    # interleaved-cumsum rounding residue.
+    count = np.cumsum(from_a)
+    diff = a.cdf[count]
+    np.subtract(np.arange(1, count.size + 1), count, out=count)
+    diff -= b.cdf[count]
+    # in place, since the live temporaries set the peak memory of a run at
+    # 5e4 atoms; and not np.dot, whose BLAS call would start a thread of its
+    # own for long vectors
+    np.abs(diff, out=diff)
+    diff *= gaps
+    return float(diff.sum())
 
 
 def wasserstein1_oracle(mu: AtomicMeasure, nu: AtomicMeasure) -> float:

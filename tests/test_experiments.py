@@ -1,5 +1,9 @@
 """Tests for the concentration harness."""
 
+import concurrent.futures
+import dataclasses
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -83,6 +87,38 @@ def test_threads_do_not_change_results():
     a = run_concentration(cfg, threads=1, skip_refinement_check=True)
     b = run_concentration(cfg, threads=4, skip_refinement_check=True)
     assert a.rows == b.rows
+
+
+def _fresh_run(cfg):
+    """run_concentration in a new interpreter, free of any state an earlier
+    run left in this one."""
+    ctx = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(1, mp_context=ctx) as ex:
+        return ex.submit(run_concentration, cfg,
+                         skip_refinement_check=True).result()
+
+
+def test_serial_runs_share_no_state():
+    first = small_cfg(n_list=(40,), replicas=20,
+                      kernel=KernelSpec(alpha=1.0, internal=Constant(0.5)))
+    second = small_cfg(n_list=(60,), replicas=20, tau=0.5,
+                       sample_times=(0.25, 0.5), base_seed=3, ref_dt=0.05)
+    a = run_concentration(first, skip_refinement_check=True)
+    b = run_concentration(second, skip_refinement_check=True)
+    assert a.rows == _fresh_run(first).rows
+    assert b.rows == _fresh_run(second).rows
+
+
+def test_coarse_reference_fails_the_refinement_gate():
+    with pytest.raises(ExperimentError, match=r"space [^,]+, time "):
+        run_concentration(small_cfg(ref_m=16))
+
+
+def test_default_reference_passes_the_refinement_gate():
+    fields = {f.name: f.default
+              for f in dataclasses.fields(ConcentrationConfig)}
+    cfg = small_cfg(ref_m=fields["ref_m"], ref_dt=fields["ref_dt"])
+    assert len(run_concentration(cfg).rows) == 2 * 20
 
 
 def test_tail_fit_recovers_planted_rate():

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipfield.measures import (AtomicMeasure, GridMeasure1D, MeasureError,
-                                  detect_clusters, moment, variance,
-                                  wasserstein1_1d, wasserstein1_oracle,
-                                  write_measure_csv)
+                                  detect_clusters, moment, sorted_cdf,
+                                  variance, wasserstein1_1d,
+                                  wasserstein1_oracle, write_measure_csv)
 
 
 def atoms(positions, weights):
@@ -198,6 +198,48 @@ def test_w1_translation_equivariance(mu, nu, c):
 def test_w1_grid_vs_its_own_atoms():
     g = GridMeasure1D.uniform(0.0, 1.0, 16)
     assert wasserstein1_1d(g, g.as_atoms()) == 0.0
+
+
+def _prepared_cases():
+    rng = np.random.default_rng(11)
+    grid = GridMeasure1D(0.0, 10.0, rng.uniform(0.1, 1.0, 300)).normalize()
+    empirical = AtomicMeasure.empirical(rng.uniform(0.0, 10.0, 500))
+    # weighted atoms with tied positions, unsorted
+    tied = atoms([3.0, 1.0, 3.0, 7.5, 1.0, 3.0],
+                 [0.1, 0.3, 0.05, 0.2, 0.15, 0.2]).normalize()
+    return {"grid": grid, "empirical": empirical, "tied": tied}
+
+
+@pytest.mark.parametrize("name", ["grid", "empirical", "tied"])
+def test_w1_against_prepared_form_is_bit_identical(name):
+    cases = _prepared_cases()
+    ref = cases[name]
+    prepared = sorted_cdf(ref)
+    assert sorted_cdf(prepared) is prepared
+    for other in cases.values():
+        assert wasserstein1_1d(other, prepared) == wasserstein1_1d(other, ref)
+        assert wasserstein1_1d(prepared, other) == wasserstein1_1d(ref, other)
+    assert wasserstein1_1d(prepared, ref) == 0.0
+
+
+def test_sorted_cdf_equal_weights_match_stable_sort():
+    # a plain sort of equal-weight atoms gives the stable argsort's arrays
+    x = np.array([2.0, -1.0, 2.0, 0.5, -1.0, 2.0])
+    prepared = sorted_cdf(AtomicMeasure.empirical(x))
+    order = np.argsort(x, kind="stable")
+    w = np.full(x.size, 1.0 / x.size)[order]
+    assert np.array_equal(prepared.x, x[order])
+    assert np.array_equal(prepared.cdf, np.concatenate(([0.0], np.cumsum(w))))
+
+
+def test_w1_with_ties_matches_transport_lp():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        mu = atoms(rng.integers(0, 5, 8), rng.uniform(0.1, 1.0, 8))
+        nu = atoms(rng.integers(0, 5, 6), rng.uniform(0.1, 1.0, 6))
+        mu, nu = mu.normalize(), nu.normalize()
+        assert wasserstein1_1d(mu, nu) == pytest.approx(
+            wasserstein1_oracle(mu, nu), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
