@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (Constant, FiniteMixture, KernelSpec, make_env_sampler,
-                      sample_weight, weight_value)
+from .kernels import (KernelSpec, draw_mixture, make_env_sampler,
+                      scalar_weight)
 from .measures import AtomicMeasure, GridMeasure1D, checked_times
 
 
@@ -162,7 +162,18 @@ def run(cfg: SimConfig) -> list[tuple[float, AtomicMeasure]]:
 
 
 def run_with_state(cfg: SimConfig) -> tuple[list, SimState]:
-    """As run(), additionally returning the terminal SimState."""
+    """As run(), additionally returning the terminal SimState.
+
+    Every random quantity is drawn per chunk of _CHUNK jumps, in this
+    order: the waiting times, the activated agents, the observed agents;
+    then, when alpha < 1, the branch coins and the environment signals;
+    then the weights of each finite-mixture law in use (internal, then
+    external). A run with alpha = 1 and a distance law draws only the
+    first three. The jump clocks are the running sum of the waiting times,
+    accumulated in order from the previous clock, so the snapshots and the
+    stop at the horizon cut each chunk into segments before any jump is
+    applied; the per-jump loop only reads the draws, as Python lists, and
+    applies distance-dependent laws through kernels.scalar_weight."""
     state = init_state(cfg)
     k = cfg.kernel
     rng = state.rng
@@ -172,60 +183,70 @@ def run_with_state(cfg: SimConfig) -> tuple[list, SimState]:
     symmetric = cfg.symmetric
     allow_self = cfg.allow_self
     alpha = k.alpha
-    env_sampler = (make_env_sampler(k.environment)
-                   if alpha < 1.0 and k.environment is not None else None)
-    internal = k.internal
-    external = k.external
-    mixture = isinstance(internal, FiniteMixture)
-    const_w = internal.omega if isinstance(internal, Constant) else None
+    mixed = alpha < 1.0
+    env_sampler = make_env_sampler(k.environment) if mixed else None
+    internal, external = k.internal, k.external
+    w_int = scalar_weight(internal)
+    w_ext = scalar_weight(external)
+    coins = signals = int_draws = ext_draws = None
 
     out: list[tuple[float, AtomicMeasure]] = []
     ptr = 0
-    x = state.opinions
+    x = state.opinions.tolist()
     t = 0.0
     count = 0
     scale = 1.0 / n
     done = False
     while not done:
         dts = rng.exponential(scale, _CHUNK)
+        clock = np.cumsum(np.concatenate(([t], dts)))[1:]
+        # the chunk's jumps at or before the horizon, and, for each pending
+        # snapshot that a later jump of this chunk passes, those at or
+        # before it (a snapshot holds the state after them)
+        end = int(np.searchsorted(clock, tau, side="right"))
+        cuts = np.searchsorted(clock, snaps[ptr:], side="right")
+        cuts = cuts[cuts < _CHUNK].tolist()
+        done = end < _CHUNK
+        # the clock after the chunk: the first jump past the horizon, or
+        # the chunk's last jump
+        t = float(clock[min(end, _CHUNK - 1)])
         aa = rng.integers(0, n, _CHUNK)
         if allow_self:
             bb = rng.integers(0, n, _CHUNK)
         else:
             bb = rng.integers(0, n - 1, _CHUNK)
             bb += bb >= aa
-        for i in range(_CHUNK):
-            t_next = t + dts[i]
-            while ptr < len(snaps) and snaps[ptr] < t_next:
-                out.append((snaps[ptr], AtomicMeasure.empirical(x.copy())))
-                ptr += 1
-            if t_next > tau:
-                t = t_next
-                done = True
-                break
-            t = t_next
-            a = aa[i]
-            b = bb[i]
-            if alpha >= 1.0 or rng.random() < alpha:
+        aa, bb = aa[:end].tolist(), bb[:end].tolist()
+        if mixed:
+            coins = (rng.random(_CHUNK)[:end] < alpha).tolist()
+            signals = env_sampler(rng, _CHUNK)[:end].tolist()
+        if w_int is None:
+            int_draws = draw_mixture(internal, rng, _CHUNK)[:end].tolist()
+        if mixed and w_ext is None:
+            ext_draws = draw_mixture(external, rng, _CHUNK)[:end].tolist()
+        lo = 0
+        for j, hi in enumerate(cuts + [end]):
+            for i in range(lo, hi):
+                a = aa[i]
                 xa = x[a]
-                xb = x[b]
-                if const_w is not None:
-                    w = const_w
-                elif mixture:
-                    w = sample_weight(internal, 0.0, rng)
+                if not mixed or coins[i]:
+                    b = bb[i]
+                    xb = x[b]
+                    w = int_draws[i] if w_int is None else w_int(abs(xa - xb))
+                    x[a] = (1.0 - w) * xa + w * xb
+                    if symmetric:
+                        x[b] = (1.0 - w) * xb + w * xa
                 else:
-                    w = weight_value(internal, abs(xa - xb))
-                x[a] = (1.0 - w) * xa + w * xb
-                if symmetric:
-                    x[b] = (1.0 - w) * xb + w * xa
-            else:
-                e = env_sampler(rng)
-                u = sample_weight(external, abs(x[a] - e), rng)
-                x[a] = (1.0 - u) * x[a] + u * e
-            count += 1
-    while ptr < len(snaps):
-        out.append((snaps[ptr], AtomicMeasure.empirical(x.copy())))
-        ptr += 1
+                    e = signals[i]
+                    u = ext_draws[i] if w_ext is None else w_ext(abs(xa - e))
+                    x[a] = (1.0 - u) * xa + u * e
+            count += hi - lo
+            lo = hi
+            if j < len(cuts):
+                out.append((snaps[ptr + j],
+                            AtomicMeasure.empirical(np.array(x))))
+        ptr += len(cuts)
+    state.opinions = np.array(x)
     state.t = t
     state.update_count = count
     return out, state

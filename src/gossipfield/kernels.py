@@ -89,29 +89,41 @@ class FiniteMixture:
 WeightLaw = Constant | BoundedConfidence | Gaussian | FiniteMixture
 
 
-def weight_value(law: WeightLaw, dist) -> float:
-    """Deterministic weight at distance `dist` (not defined for mixtures)."""
+def weight_value(law: WeightLaw, dist) -> np.ndarray:
+    """Deterministic weights at the distances `dist`, elementwise (not
+    defined for mixtures); scalar_weight is the per-jump form."""
     if isinstance(law, Constant):
-        return np.broadcast_to(law.omega, np.shape(dist)) if np.ndim(dist) \
-            else law.omega
+        return np.broadcast_to(law.omega, np.shape(dist))
     if isinstance(law, BoundedConfidence):
-        return np.where(np.asarray(dist) <= law.radius, law.omega0, 0.0) \
-            if np.ndim(dist) else (law.omega0 if dist <= law.radius else 0.0)
+        return np.where(np.asarray(dist) <= law.radius, law.omega0, 0.0)
     if isinstance(law, Gaussian):
         return law.omega0 * np.exp(-np.square(dist) / law.sigma ** 2)
     raise KernelError("mixture law has no deterministic value")
 
 
-def sample_weight(law: WeightLaw, dist: float, rng: np.random.Generator) -> float:
-    if isinstance(law, FiniteMixture):
-        u = rng.random()
-        acc = 0.0
-        for w, p in zip(law.omegas, law.probs):
-            acc += p
-            if u < acc:
-                return w
-        return law.omegas[-1]
-    return float(weight_value(law, dist))
+def scalar_weight(law: WeightLaw):
+    """The law as a function of one float distance, for a per-jump loop;
+    None for a mixture, whose weights are drawn per batch by draw_mixture.
+    Each returns what weight_value returns at that distance, to the bit."""
+    if isinstance(law, Constant):
+        w = law.omega
+        return lambda d: w
+    if isinstance(law, BoundedConfidence):
+        w0, r = law.omega0, law.radius
+        return lambda d: w0 if d <= r else 0.0
+    if isinstance(law, Gaussian):
+        w0, s2 = law.omega0, law.sigma ** 2
+        return lambda d: w0 * np.exp(-np.square(d) / s2)
+    return None
+
+
+def draw_mixture(law: FiniteMixture, rng: np.random.Generator,
+                 size: int) -> np.ndarray:
+    """`size` independent weights of a finite mixture: omegas[j] with
+    probability probs[j], by inverse CDF on one uniform each."""
+    cdf = np.cumsum(law.probs)
+    j = np.searchsorted(cdf, rng.random(size), side="right")
+    return np.asarray(law.omegas, dtype=float)[np.minimum(j, cdf.size - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +161,15 @@ class EnvBump:
 
 EnvironmentSpec = EnvAtom | EnvUniform | EnvGrid | EnvBump | None
 
-_BUMP_NODES = 1 << 13  # Simpson node count; the bump is C-infinity
+_BUMP_NODES = 1 << 13  # Simpson intervals; the bump is C-infinity
+
+
+def _simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Composite Simpson rule along the last axis of y, sampled at an odd
+    number of equally spaced nodes h apart."""
+    return h / 3.0 * (y[..., 0] + y[..., -1]
+                      + 4.0 * y[..., 1:-1:2].sum(axis=-1)
+                      + 2.0 * y[..., 2:-1:2].sum(axis=-1))
 
 
 def _bump_unnormalized(x: np.ndarray) -> np.ndarray:
@@ -160,12 +180,14 @@ def _bump_unnormalized(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bump_nodes() -> np.ndarray:
+    return np.linspace(2.0, 4.0, _BUMP_NODES + 1)
+
+
 @lru_cache(maxsize=1)
 def _bump_norm() -> float:
-    from scipy.integrate import simpson
-
-    x = np.linspace(2.0, 4.0, _BUMP_NODES + 1)
-    return float(simpson(_bump_unnormalized(x), x=x))
+    return float(_simpson(_bump_unnormalized(_bump_nodes()),
+                          2.0 / _BUMP_NODES))
 
 
 def env_support(e: EnvironmentSpec) -> tuple[float, float]:
@@ -181,8 +203,8 @@ def env_support(e: EnvironmentSpec) -> tuple[float, float]:
 
 
 def env_moment(e: EnvironmentSpec, k: int) -> float:
-    """k-th moment of the environment distribution; exact for atoms and
-    intervals, composite Simpson for densities."""
+    """k-th moment of the environment distribution; exact for atoms,
+    intervals and grids, composite Simpson on 2^13 intervals for the bump."""
     if k < 1:
         raise KernelError("moment order must be >= 1")
     if isinstance(e, EnvAtom):
@@ -196,10 +218,9 @@ def env_moment(e: EnvironmentSpec, k: int) -> float:
         cell_int = (edges[1:] ** (k + 1) - edges[:-1] ** (k + 1)) / ((k + 1) * g.h)
         return float(np.dot(g.cells, cell_int))
     if isinstance(e, EnvBump):
-        from scipy.integrate import simpson
-
-        x = np.linspace(2.0, 4.0, _BUMP_NODES + 1)
-        return float(simpson(_bump_unnormalized(x) * x ** k, x=x)) / _bump_norm()
+        x = _bump_nodes()
+        return float(_simpson(_bump_unnormalized(x) * x ** k,
+                              2.0 / _BUMP_NODES)) / _bump_norm()
     raise KernelError("no environment configured")
 
 
@@ -220,38 +241,37 @@ def env_atoms(e: EnvironmentSpec, m: int = 256) -> tuple[np.ndarray, np.ndarray]
 
 
 def env_bump_grid(m: int = 256) -> GridMeasure1D:
-    """Bump density realized as a normalized histogram on (2,4)."""
-    from scipy.integrate import simpson
-
+    """Bump density realized as a normalized histogram on (2,4), each
+    cell's mass by Simpson on 9 nodes (smooth integrand)."""
     h = 2.0 / m
-    cells = np.empty(m)
-    # per-cell mass by Simpson on each cell (smooth integrand)
-    for i in range(m):
-        x = np.linspace(2.0 + i * h, 2.0 + (i + 1) * h, 9)
-        cells[i] = simpson(_bump_unnormalized(x), x=x)
+    i = np.arange(m)
+    x = np.linspace(2.0 + i * h, 2.0 + (i + 1) * h, 9, axis=-1)
+    cells = _simpson(_bump_unnormalized(x), h / 8.0)
     cells /= cells.sum()
     return GridMeasure1D(2.0, 4.0, cells)
 
 
 def make_env_sampler(e: EnvironmentSpec, m: int = 1024):
-    """Return sampler(rng) -> float. Densities use inverse-CDF sampling on a
-    grid with uniform jitter within the selected cell."""
+    """Return sampler(rng, size) -> ndarray of `size` independent signals.
+    Densities use inverse-CDF sampling on a grid (the bump on m cells): one
+    uniform per draw picks a cell, then one more per draw places it
+    uniformly within the cell."""
     if isinstance(e, EnvAtom):
         z = e.z
-        return lambda rng: z
+        return lambda rng, size: np.full(size, z)
     if isinstance(e, EnvUniform):
         a, b = e.a, e.b
-        return lambda rng: rng.uniform(a, b)
+        return lambda rng, size: rng.uniform(a, b, size)
     if isinstance(e, (EnvGrid, EnvBump)):
         grid = e.grid if isinstance(e, EnvGrid) else env_bump_grid(m)
         cdf = np.cumsum(grid.cells)
         cdf /= cdf[-1]
         lo, h = grid.lo, grid.h
 
-        def sampler(rng):
-            i = int(np.searchsorted(cdf, rng.random(), side="right"))
-            i = min(i, grid.m - 1)
-            return lo + (i + rng.random()) * h
+        def sampler(rng, size):
+            i = np.searchsorted(cdf, rng.random(size), side="right")
+            i = np.minimum(i, grid.m - 1)
+            return lo + (i + rng.random(size)) * h
 
         return sampler
     raise KernelError("no environment configured")

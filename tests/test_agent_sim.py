@@ -1,5 +1,8 @@
 """Tests for the event-driven stochastic simulator."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from gossipfield.agent_sim import (InitAtoms, InitGrid, InitUniform,
                                    init_state, initial_support, run,
                                    run_with_state, sample_initial)
 from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
-                                 FiniteMixture, Gaussian, KernelSpec)
+                                 EnvBump, FiniteMixture, Gaussian, KernelSpec)
 from gossipfield.measures import AtomicMeasure, GridMeasure1D
 
 
@@ -165,6 +168,76 @@ def test_run_kernel_fast_paths_stay_in_hull():
         assert got.shape == (20,)
         assert got.min() >= -1e-12
         assert got.max() <= 1.0 + 1e-12
+
+
+# Digests of alpha = 1 runs with distance-only weight laws, recorded before
+# the per-jump draws moved into per-chunk batches. These runs draw only the
+# waiting times and the two agent indices, so their streams must not move;
+# the digests are the bit-identity oracle for any rewrite of the jump loop.
+# Each run crosses one chunk boundary (18009 jumps).
+STREAM_PINS = [
+    (Constant(0.5), False,
+     "59f09ea65d63fdbb9c73acb3876a2301266e1456a09f035e91e66e61b2ef144e"),
+    (Constant(0.3), False,
+     "cd535a689267222dd3b680e17b9331ba74330e3c037bb8ffb8bf6e7009a7b6ae"),
+    (BoundedConfidence(0.5, 0.3), False,
+     "dca97650ad9b35d89640975d6272d78c0b3e0cca586659241ba35fc9bef12530"),
+    (Gaussian(0.6, 0.4), False,
+     "c27c5671805be9ce2b4ed4468f69215d80e01beb70b453e06b1116630201ee35"),
+    (Constant(0.5), True,
+     "0ad9211fbcfb6d4ee22858d526ee78a7ecd5f8fc9e86b970d70f9be2434af297"),
+]
+
+
+@pytest.mark.parametrize("law, symmetric, expected", STREAM_PINS, ids=[
+    "constant_half", "constant_0.3", "bounded_confidence", "gaussian",
+    "symmetric_constant"])
+def test_alpha_one_streams_are_pinned(law, symmetric, expected):
+    cfg = make_cfg(n=60, kernel=KernelSpec(alpha=1.0, internal=law),
+                   horizon=300.0, snapshot_times=(0.0, 0.5, 150.0, 300.0),
+                   seed=2024, symmetric=symmetric)
+    snaps, state = run_with_state(cfg)
+    h = hashlib.sha256()
+    for t, m in snaps:
+        h.update(struct.pack("<d", t))
+        h.update(np.ascontiguousarray(m.positions[:, 0], "<f8").tobytes())
+    h.update(np.ascontiguousarray(state.opinions, "<f8").tobytes())
+    h.update(struct.pack("<dq", state.t, state.update_count))
+    assert state.update_count == 18009
+    assert h.hexdigest() == expected
+
+
+def test_environment_branch_mean_follows_closed_form():
+    # alpha = 1/2, weights 1/2, bump environment (mean 3), uniform start on
+    # (0, 10): d/dt m1 = (1-alpha) upsilon (3 - m1), so the mean is
+    # 3 + 2 exp(-t/4) (criterion 03). The empirical mean's standard error
+    # is taken across independent replicas, because the agents of one run
+    # are not independent.
+    kernel = KernelSpec(alpha=0.5, internal=Constant(0.5),
+                        external=Constant(0.5), environment=EnvBump())
+    times = tuple(float(t) for t in range(9))
+    means = np.array([
+        [m.positions[:, 0].mean() for _, m in run(make_cfg(
+            n=20_000, kernel=kernel, initial=InitUniform(0.0, 10.0),
+            horizon=8.0, snapshot_times=times, seed=seed))]
+        for seed in range(20)])
+    expect = 3.0 + 2.0 * np.exp(-np.array(times) / 4.0)
+    se = means.std(axis=0, ddof=1) / np.sqrt(len(means))
+    assert np.all(np.abs(means.mean(axis=0) - expect) <= 4.0 * se)
+
+
+def test_mixture_dispersion_decays_at_moment_system_rate():
+    # with alpha = 1 the second-order moment equation gives
+    # d/dt Var = -E[2 W (1-W)] Var; for W = 0.1 w.p. 1/4 and 0.5 w.p. 3/4
+    # that rate is 0.42 (0.18 or 0.5 if one atom were always drawn)
+    law = FiniteMixture((0.1, 0.5), (0.25, 0.75))
+    snaps, state = run_with_state(make_cfg(
+        n=20_000, kernel=KernelSpec(alpha=1.0, internal=law),
+        initial=InitUniform(0.0, 10.0), horizon=5.0, snapshot_times=(0.0,),
+        seed=4))
+    v0 = np.var(snaps[0][1].positions[:, 0])
+    rate = -np.log(dispersion(state) / v0) / 5.0
+    assert rate == pytest.approx(0.42, abs=0.02)
 
 
 def test_dispersion_examples():

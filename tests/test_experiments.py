@@ -20,7 +20,7 @@ GAUSS = KernelSpec(alpha=1.0, internal=Gaussian(0.5, 20.0))
 def small_cfg(**kw):
     base = dict(kernel=GAUSS, initial=InitUniform(0.0, 10.0), tau=1.0,
                 sample_times=(0.5, 1.0), n_list=(50, 200), replicas=20,
-                base_seed=7, ref_m=400, ref_dt=0.01)
+                base_seed=7, ref_m=400)
     base.update(kw)
     return ConcentrationConfig(**base)
 
@@ -102,7 +102,7 @@ def test_serial_runs_share_no_state():
     first = small_cfg(n_list=(40,), replicas=20,
                       kernel=KernelSpec(alpha=1.0, internal=Constant(0.5)))
     second = small_cfg(n_list=(60,), replicas=20, tau=0.5,
-                       sample_times=(0.25, 0.5), base_seed=3, ref_dt=0.05)
+                       sample_times=(0.25, 0.5), base_seed=3)
     a = run_concentration(first, skip_refinement_check=True)
     b = run_concentration(second, skip_refinement_check=True)
     assert a.rows == _fresh_run(first).rows

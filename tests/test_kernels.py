@@ -9,9 +9,10 @@ from gossipfield.agent_sim import (InitAtoms, InitUniform, SimConfig,
                                    run_with_state)
 from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
                                  EnvBump, EnvGrid, EnvUniform, FiniteMixture,
-                                 Gaussian, KernelError, KernelSpec, env_atoms,
+                                 Gaussian, KernelError, KernelSpec,
+                                 draw_mixture, env_atoms, env_bump_grid,
                                  env_moment, env_support, make_env_sampler,
-                                 sample_weight, weight_value)
+                                 scalar_weight, weight_value)
 from gossipfield.measures import AtomicMeasure, GridMeasure1D
 
 
@@ -60,8 +61,9 @@ def test_mixture_has_no_deterministic_value():
 
 def test_mixture_sampling_frequencies():
     mix = FiniteMixture((0.0, 1.0), (0.25, 0.75))
-    rng = np.random.default_rng(7)
-    draws = [sample_weight(mix, 0.0, rng) for _ in range(4000)]
+    draws = draw_mixture(mix, np.random.default_rng(7), 4000)
+    assert draws.shape == (4000,)
+    assert set(np.unique(draws)) <= {0.0, 1.0}
     assert np.mean(draws) == pytest.approx(0.75, abs=0.03)
 
 
@@ -73,6 +75,8 @@ def test_deterministic_laws_symmetric_and_repeatable(x, y):
         b = weight_value(law, abs(y - x))
         assert a == b
         assert weight_value(law, abs(x - y)) == a
+        # the simulator's per-jump form agrees to the bit
+        assert scalar_weight(law)(abs(x - y)) == a
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +110,31 @@ def test_env_bump_moments_match_adaptive_quadrature():
             oracle / norm, abs=1e-8 * max(1.0, oracle / norm))
 
 
+def test_bump_quadrature_matches_scipy_simpson():
+    from scipy.integrate import simpson
+
+    def density(x):
+        u = 1.0 - (x - 3.0) ** 2
+        out = np.zeros_like(x)
+        out[u > 0] = np.exp(-1.0 / u[u > 0])
+        return out
+
+    x = np.linspace(2.0, 4.0, (1 << 13) + 1)
+    f = density(x)
+    norm = simpson(f, x=x)
+    for k in range(1, 9):
+        assert env_moment(EnvBump(), k) == pytest.approx(
+            simpson(f * x ** k, x=x) / norm, rel=1e-14)
+    for m in (256, 1024):
+        h = 2.0 / m
+        cells = np.array([
+            simpson(density(xc), x=xc)
+            for xc in (np.linspace(2.0 + i * h, 2.0 + (i + 1) * h, 9)
+                       for i in range(m))])
+        np.testing.assert_allclose(env_bump_grid(m).cells,
+                                   cells / cells.sum(), rtol=1e-14, atol=0)
+
+
 def test_env_grid_moment_exact_for_uniform_cells():
     g = GridMeasure1D.uniform(0.0, 1.0, 64)
     assert env_moment(EnvGrid(g), 2) == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -134,17 +163,16 @@ def test_env_atoms_total_mass():
 
 def test_env_sampler_within_support():
     rng = np.random.default_rng(3)
-    for env in (EnvUniform(2.0, 5.0), EnvBump()):
-        sampler = make_env_sampler(env)
-        xs = np.array([sampler(rng) for _ in range(500)])
+    for env in (EnvAtom(1.5), EnvUniform(2.0, 5.0),
+                EnvGrid(GridMeasure1D.uniform(-1.0, 1.0, 8)), EnvBump()):
+        xs = make_env_sampler(env)(rng, 500)
         lo, hi = env_support(env)
+        assert xs.shape == (500,)
         assert xs.min() >= lo and xs.max() <= hi
 
 
 def test_env_sampler_bump_mean():
-    rng = np.random.default_rng(11)
-    sampler = make_env_sampler(EnvBump())
-    xs = np.array([sampler(rng) for _ in range(20000)])
+    xs = make_env_sampler(EnvBump())(np.random.default_rng(11), 20000)
     assert xs.mean() == pytest.approx(3.0, abs=0.01)
 
 
