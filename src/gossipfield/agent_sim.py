@@ -116,13 +116,13 @@ class SimState:
         return self.opinions.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimConfig:
-    n: int
+    n: int = 1000
     kernel: KernelSpec
     initial: InitialLaw
-    horizon: float
-    snapshot_times: tuple
+    horizon: float = 10.0
+    snapshot_times: tuple[float, ...] = None  # None: 11 in [0, horizon]
     seed: int = 0
     symmetric: bool = False
     allow_self: bool = False

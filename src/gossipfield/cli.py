@@ -11,12 +11,13 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import agent_sim, experiments, meanfield, moments
+from .agent_sim import InitAtoms, InitGrid, InitUniform
 from .kernels import (BoundedConfidence, Constant, EnvAtom, EnvBump, EnvGrid,
                       EnvUniform, FiniteMixture, Gaussian, KernelError,
                       KernelSpec, env_moment,
@@ -48,6 +49,7 @@ def _is_integer(v) -> bool:
 _TYPES = {
     "number": _is_number,
     "integer": _is_integer,
+    "integer >= 0": lambda v: _is_integer(v) and v >= 0,
     "bool": lambda v: isinstance(v, bool),
     "string": lambda v: isinstance(v, str),
     "number list": lambda v: isinstance(v, list) and all(map(_is_number, v)),
@@ -58,36 +60,58 @@ _TYPES = {
         for p in v),
 }
 
-# section -> key -> (type, default); a default of None also admits null
-_SECTIONS = {
-    "simulate": {"n": ("integer", 1000), "horizon": ("number", 10.0),
-                 "snapshot_times": ("number list", None),
-                 "symmetric": ("bool", False), "allow_self": ("bool", False)},
-    "meanfield": {"lo": ("number", None), "hi": ("number", None),
-                  "m": ("integer", 1000), "dt": ("number", 0.01),
-                  "horizon": ("number", 10.0),
-                  "snapshot_times": ("number list", None),
-                  "scheme": ("string", "euler")},
-    "moments": {"K": ("integer", 8), "T": ("number", 10.0),
-                "dt": ("number", 0.005)},
-    "concentrate": {"tau": ("number", 5.0),
-                    "n_list": ("integer list", [100, 300, 1000, 3000]),
-                    "replicas": ("integer", 100),
-                    "eps_list": ("number list", []),
-                    "sample_times": ("number list", [])},
+# field annotation -> (JSON type, cast from the JSON value)
+_ANNOTATIONS = {
+    "int": ("integer", int), "float": ("number", float),
+    "bool": ("bool", bool), "str": ("string", str),
+    "tuple[float, ...]": ("number list", lambda v: tuple(map(float, v))),
+    "tuple[int, ...]": ("integer list", tuple),
 }
 
-# {"type": ...} objects: type -> field -> JSON type; every field is required
-_LAWS = {"constant": {"omega": "number"},
-         "bounded_confidence": {"omega0": "number", "radius": "number"},
-         "gaussian": {"omega0": "number", "sigma": "number"},
-         "mixture": {"omegas": "number list", "probs": "number list"}}
+# Each section configures one dataclass. Its JSON keys are the class's
+# fields except these, which come from the rest of the config.
+_SECTIONS = {"simulate": agent_sim.SimConfig,
+             "meanfield": meanfield.SolverConfig,
+             "moments": moments.MomentConfig,
+             "concentrate": experiments.ConcentrationConfig}
+_CONTEXT = {"kernel", "initial", "seed", "base_seed", "ref_dt", "ref_m"}
+
+# {"type": ...} objects: type -> class; every field is required
+_LAWS = {"constant": Constant, "bounded_confidence": BoundedConfidence,
+         "gaussian": Gaussian, "mixture": FiniteMixture}
+_ENVIRONMENTS = {"atom": EnvAtom, "uniform": EnvUniform, "bump": EnvBump,
+                 "grid": EnvGrid}
+_INITIALS = {"uniform": InitUniform, "atoms": InitAtoms, "grid": InitGrid}
+# kernel part -> (its types, what they name); a null part (no external law,
+# no environment) takes KernelSpec's default
+_KERNEL_PARTS = {"internal": (_LAWS, "weight law"),
+                 "external": (_LAWS, "weight law"),
+                 "environment": (_ENVIRONMENTS, "environment")}
+
+
+def _grid(spec: dict) -> GridMeasure1D:
+    return GridMeasure1D(float(spec["lo"]), float(spec["hi"]),
+                         np.asarray(spec["cells"], dtype=float)).normalize()
+
+
+# The two JSON forms that are not their class's fields: a grid is written
+# flat, as lo, hi and cells, and atoms as [x, w] points.
+# class -> (key -> JSON type, builder)
 _GRID = {"lo": "number", "hi": "number", "cells": "number list"}
-_ENVIRONMENTS = {"atom": {"z": "number"},
-                 "uniform": {"a": "number", "b": "number"},
-                 "bump": {}, "grid": _GRID}
-_INITIALS = {"uniform": {"a": "number", "b": "number"},
-             "atoms": {"points": "[x, w] list"}, "grid": _GRID}
+_FORMS = {
+    EnvGrid: (_GRID, lambda spec: EnvGrid(_grid(spec))),
+    InitGrid: (_GRID, lambda spec: InitGrid(_grid(spec))),
+    InitAtoms: ({"points": "[x, w] list"}, lambda spec: InitAtoms(
+        AtomicMeasure.from_points(spec["points"]))),
+}
+
+
+def _json_fields(cls) -> dict:
+    """The fields of cls that the JSON sets: name -> (annotation, default).
+    A field without a default reads as JSON null, and a default of None
+    also admits null."""
+    return {f.name: (f.type, None if f.default is MISSING else f.default)
+            for f in fields(cls) if f.name not in _CONTEXT}
 
 
 @dataclass(frozen=True)
@@ -117,21 +141,25 @@ def _check_type(errs, name, v, kind) -> bool:
     return False
 
 
-def _check_typed_object(errs, name, obj, kinds, what) -> bool:
+def _check_typed_object(errs, name, obj, classes, what) -> bool:
     """Check a {"type": ...} object: a known type, each of its fields
     present with its JSON type, and no other keys."""
     if not isinstance(obj, dict) or "type" not in obj:
         errs.append(f"{name}: expected object with 'type'")
         return False
     t = obj["type"]
-    if not isinstance(t, str) or t not in kinds:
+    if not isinstance(t, str) or t not in classes:
         errs.append(f"{name}.type: unknown {what} {t!r}")
         return False
     n = len(errs)
-    extra = set(obj) - set(kinds[t]) - {"type"}
+    cls = classes[t]
+    kinds = _FORMS[cls][0] if cls in _FORMS else {
+        key: _ANNOTATIONS[ann][0]
+        for key, (ann, _) in _json_fields(cls).items()}
+    extra = set(obj) - set(kinds) - {"type"}
     if extra:
         errs.append(f"{name}: unknown keys {sorted(extra)}")
-    for key, kind in kinds[t].items():
+    for key, kind in kinds.items():
         if key not in obj:
             errs.append(f"{name}.{key}: required")
         else:
@@ -159,8 +187,7 @@ def parse_config(text) -> RunConfig:
 
     data = {"seed": raw.get("seed", 0),
             "output_dir": raw.get("output_dir", ".")}
-    if not isinstance(data["seed"], int):
-        errs.append("seed: expected integer")
+    _check_type(errs, "seed", data["seed"], "integer >= 0")
     if not isinstance(data["output_dir"], str):
         errs.append("output_dir: expected string")
     shape_ok = {}  # config path -> whether its JSON shape is sound
@@ -169,17 +196,15 @@ def parse_config(text) -> RunConfig:
     if not isinstance(kernel, dict):
         errs.append("kernel: required object")
         kernel = {}
-    extra = set(kernel) - {"alpha", "internal", "external", "environment"}
+    extra = set(kernel) - {f.name for f in fields(KernelSpec)}
     if extra:
         errs.append(f"kernel: unknown keys {sorted(extra)}")
     alpha = kernel.get("alpha", 1.0)
     shape_ok["kernel"] = _check_type(errs, "kernel.alpha", alpha, "number")
-    for part, kinds, what in (("internal", _LAWS, "weight law"),
-                              ("external", _LAWS, "weight law"),
-                              ("environment", _ENVIRONMENTS, "environment")):
+    for part, (classes, what) in _KERNEL_PARTS.items():
         if kernel.get(part) is not None:
             shape_ok[f"kernel.{part}"] = _check_typed_object(
-                errs, f"kernel.{part}", kernel[part], kinds, what)
+                errs, f"kernel.{part}", kernel[part], classes, what)
     internal = kernel.get("internal")
     external = kernel.get("external")
     if internal is None and (not shape_ok["kernel"] or alpha > 0):
@@ -196,21 +221,24 @@ def parse_config(text) -> RunConfig:
     shape_ok["initial"] = _check_typed_object(
         errs, "initial", data["initial"], _INITIALS, "initial law")
 
-    for section, fields in _SECTIONS.items():
+    for section, cls in _SECTIONS.items():
         n = len(errs)
         given = raw.get(section, {})
         if not isinstance(given, dict):
             errs.append(f"{section}: expected object")
             given = {}
-        extra = set(given) - set(fields)
+        schema = _json_fields(cls)
+        extra = set(given) - set(schema)
         if extra:
             errs.append(f"{section}: unknown keys {sorted(extra)}")
-        sec = {key: default for key, (_, default) in fields.items()}
+        sec = {key: list(default) if isinstance(default, tuple) else default
+               for key, (_, default) in schema.items()}
         for key, v in given.items():
-            if key in fields:
-                kind, default = fields[key]
+            if key in schema:
+                ann, default = schema[key]
                 if v is not None or default is not None:
-                    _check_type(errs, f"{section}.{key}", v, kind)
+                    _check_type(errs, f"{section}.{key}", v,
+                                _ANNOTATIONS[ann][0])
                 sec[key] = v
         shape_ok[section] = len(errs) == n
         data[section] = sec
@@ -247,88 +275,40 @@ def serialize(cfg: RunConfig) -> str:
 # config -> domain objects
 
 
-def build_weight_law(law):
-    if law is None:  # no external law: environment interactions move no one
-        return Constant(0.0)
-    t = law["type"]
-    if t == "constant":
-        return Constant(law["omega"])
-    if t == "bounded_confidence":
-        return BoundedConfidence(law["omega0"], law["radius"])
-    if t == "gaussian":
-        return Gaussian(law["omega0"], law["sigma"])
-    return FiniteMixture(tuple(law["omegas"]), tuple(law["probs"]))
+def _cast_fields(cls, values: dict) -> dict:
+    """The JSON fields of cls from `values`, each cast by its annotation."""
+    out = {}
+    for key, (ann, _) in _json_fields(cls).items():
+        v = values[key]
+        out[key] = v if v is None else _ANNOTATIONS[ann][1](v)
+    return out
 
 
-def _grid(spec: dict) -> GridMeasure1D:
-    return GridMeasure1D(float(spec["lo"]), float(spec["hi"]),
-                         np.asarray(spec["cells"], dtype=float)).normalize()
-
-
-def build_environment(env):
-    if env is None:
-        return None
-    t = env["type"]
-    if t == "atom":
-        return EnvAtom(float(env["z"]))
-    if t == "uniform":
-        return EnvUniform(float(env["a"]), float(env["b"]))
-    if t == "bump":
-        return EnvBump()
-    return EnvGrid(_grid(env))
-
-
-_KERNEL_PARTS = (("internal", build_weight_law), ("external", build_weight_law),
-                 ("environment", build_environment))
+def _build_object(spec: dict, classes: dict):
+    cls = classes[spec["type"]]
+    if cls in _FORMS:
+        return _FORMS[cls][1](spec)
+    return cls(**_cast_fields(cls, spec))
 
 
 def build_kernel(cfg: RunConfig) -> KernelSpec:
     k = cfg.data["kernel"]
-    return KernelSpec(float(k["alpha"]),
-                      **{part: build(k[part]) for part, build in _KERNEL_PARTS})
+    return KernelSpec(float(k["alpha"]), **{
+        part: _build_object(k[part], classes)
+        for part, (classes, _) in _KERNEL_PARTS.items()
+        if k[part] is not None})
 
 
 def build_initial(cfg: RunConfig):
-    init = cfg.data["initial"]
-    t = init["type"]
-    if t == "uniform":
-        return agent_sim.InitUniform(float(init["a"]), float(init["b"]))
-    if t == "atoms":
-        return agent_sim.InitAtoms(AtomicMeasure.from_points(init["points"]))
-    return agent_sim.InitGrid(_grid(init))
+    return _build_object(cfg.data["initial"], _INITIALS)
 
 
-def build_simulation(cfg: RunConfig, kernel, initial) -> agent_sim.SimConfig:
-    sec = cfg.data["simulate"]
-    return agent_sim.SimConfig(
-        n=sec["n"], kernel=kernel, initial=initial,
-        horizon=float(sec["horizon"]),
-        snapshot_times=_default_snaps(sec["snapshot_times"], sec["horizon"]),
-        seed=cfg.seed, symmetric=bool(sec["symmetric"]),
-        allow_self=bool(sec["allow_self"]))
-
-
-def build_solver(cfg: RunConfig, lo, hi) -> meanfield.SolverConfig:
-    sec = cfg.data["meanfield"]
-    return meanfield.SolverConfig(
-        lo, hi, m=sec["m"], dt=float(sec["dt"]), horizon=float(sec["horizon"]),
-        snapshot_times=_default_snaps(sec["snapshot_times"], sec["horizon"]),
-        scheme=sec["scheme"])
-
-
-def build_concentration(cfg: RunConfig, kernel,
-                        initial) -> experiments.ConcentrationConfig:
-    sec = cfg.data["concentrate"]
-    return experiments.ConcentrationConfig(
-        kernel=kernel, initial=initial, tau=float(sec["tau"]),
-        sample_times=tuple(sec["sample_times"]), n_list=tuple(sec["n_list"]),
-        replicas=sec["replicas"], eps_list=tuple(sec["eps_list"]),
-        base_seed=cfg.seed)
-
-
-def build_moments(cfg: RunConfig) -> moments.MomentConfig:
-    sec = cfg.data["moments"]
-    return moments.MomentConfig(sec["K"], float(sec["T"]), float(sec["dt"]))
+def build_section(cfg: RunConfig, section: str, **context):
+    """The dataclass of a config section: its JSON fields, cast by
+    annotation, and `context` for the fields the JSON does not set (and for
+    a null lo and hi)."""
+    cls = _SECTIONS[section]
+    return cls(**{**_cast_fields(cls, cfg.data[section]), **context})
 
 
 _DOMAIN_ERRORS = (KernelError, MeasureError, agent_sim.SimError,
@@ -342,31 +322,35 @@ def _check_domain(cfg: RunConfig, shape_ok: dict, errs: list):
     whose shape is unsound, or whose constructor failed, is passed on as
     None: each constructor checks only its own fields."""
 
-    def build(path, make, *args):
+    def build(path, make, *args, **kwargs):
         if not shape_ok.get(path, True):
             return None
         try:
-            return make(*args)
+            return make(*args, **kwargs)
         except _DOMAIN_ERRORS as e:
             errs.append(f"{path}: {e}")
             return None
 
+    def section(name, **context):
+        return build(name, build_section, cfg, name, **context)
+
     k = cfg.data["kernel"]
-    parts = {part: build(f"kernel.{part}", make, k[part])
-             for part, make in _KERNEL_PARTS}
+    parts = {part: build(f"kernel.{part}", _build_object, k[part], classes)
+             for part, (classes, _) in _KERNEL_PARTS.items()
+             if k[part] is not None}
     kernel = build("kernel", lambda: KernelSpec(float(k["alpha"]), **parts))
     initial = build("initial", build_initial, cfg)
-    build("simulate", build_simulation, cfg, kernel, initial)
+    section("simulate", kernel=kernel, initial=initial, seed=cfg.seed)
     # Without a configured lo/hi the solver spans the hull of the initial
     # law and the environment, which this section does not set; the unit
     # interval stands in for it so that the section's own fields are checked.
     mf = cfg.data["meanfield"]
     lo, hi = (mf["lo"], mf["hi"]) if mf["lo"] is not None else (0.0, 1.0)
-    build("meanfield", build_solver, cfg, lo, hi)
-    build("concentrate", build_concentration, cfg, kernel, initial)
+    section("meanfield", lo=lo, hi=hi)
+    section("concentrate", kernel=kernel, initial=initial, base_seed=cfg.seed)
     # The weight laws must be constant when `moments` runs, not here: every
     # config has a moments section, and the other subcommands take any law.
-    build("moments", build_moments, cfg)
+    section("moments")
 
 
 def _solver_domain(cfg: RunConfig) -> tuple[float, float]:
@@ -383,18 +367,13 @@ def _artifact(path: Path, cfg: RunConfig):
     return fh
 
 
-def _default_snaps(times, horizon):
-    if times is None:
-        return tuple(np.linspace(0.0, horizon, 11))
-    return tuple(float(t) for t in times)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
-    sim = build_simulation(cfg, build_kernel(cfg), build_initial(cfg))
+    sim = build_section(cfg, "simulate", kernel=build_kernel(cfg),
+                        initial=build_initial(cfg), seed=cfg.seed)
     path = out_dir / "trajectory.csv"
     with _artifact(path, cfg) as fh:
         write_measure_csv(fh, agent_sim.run(sim))
@@ -403,7 +382,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
 
 def _run_meanfield(cfg: RunConfig):
     lo, hi = _solver_domain(cfg)
-    solver = build_solver(cfg, lo, hi)
+    solver = build_section(cfg, "meanfield", lo=lo, hi=hi)
     g0 = experiments.initial_grid(build_initial(cfg), lo, hi, solver.m)
     return meanfield.integrate(g0, build_kernel(cfg), solver)
 
@@ -441,7 +420,7 @@ def _moment_params(cfg: RunConfig, K: int) -> moments.MomentParams:
 
 
 def cmd_moments(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
-    mcfg = build_moments(cfg)
+    mcfg = build_section(cfg, "moments")
     params = _moment_params(cfg, mcfg.K)
     traj = moments.integrate_moments(params, mcfg.T, mcfg.dt)
     paths = []
@@ -467,7 +446,8 @@ def cmd_moments(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
 
 
 def cmd_concentrate(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
-    ccfg = build_concentration(cfg, build_kernel(cfg), build_initial(cfg))
+    ccfg = build_section(cfg, "concentrate", kernel=build_kernel(cfg),
+                         initial=build_initial(cfg), base_seed=cfg.seed)
     table = experiments.run_concentration(ccfg, threads=threads)
     dpath = out_dir / "deviations.csv"
     with _artifact(dpath, cfg) as fh:
@@ -500,7 +480,8 @@ def cmd_concentrate(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
 def cmd_compare(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
     mf_snaps = _run_meanfield(cfg)
     times = tuple(t for t, _ in mf_snaps)
-    sim = build_simulation(cfg, build_kernel(cfg), build_initial(cfg))
+    sim = build_section(cfg, "simulate", kernel=build_kernel(cfg),
+                        initial=build_initial(cfg), seed=cfg.seed)
     sim = replace(sim, horizon=max(times, default=sim.horizon),
                   snapshot_times=times)
     sim_snaps = agent_sim.run(sim)
@@ -545,10 +526,11 @@ def main(argv=None) -> int:
         return 1 if e.code else 0
     try:
         cfg = parse_config(Path(args.config).read_bytes())
-        if args.seed is not None:
-            data = dict(cfg.data)
-            data["seed"] = args.seed
-            cfg = RunConfig(_normalize(data))
+        if args.seed is not None:  # checked as the config's own seed is
+            errs = []
+            if not _check_type(errs, "seed", args.seed, "integer >= 0"):
+                raise ConfigError(errs)
+            cfg = RunConfig(_normalize({**cfg.data, "seed": args.seed}))
         try:
             paths = dispatch(cfg, args.command, args.out, args.threads)
         except ConfigError:  # a subcommand's own demand on the config

@@ -34,10 +34,10 @@ class ConcentrationConfig:
     kernel: KernelSpec
     initial: InitialLaw
     tau: float = 5.0
-    sample_times: tuple = ()
-    n_list: tuple = (100, 300, 1000, 3000)
+    sample_times: tuple[float, ...] = ()
+    n_list: tuple[int, ...] = (100, 300, 1000, 3000)
     replicas: int = 100
-    eps_list: tuple = ()
+    eps_list: tuple[float, ...] = ()
     base_seed: int = 0
     ref_dt: float = 0.05
     ref_m: int = 2000

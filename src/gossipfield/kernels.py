@@ -72,8 +72,8 @@ class Gaussian:
 class FiniteMixture:
     """State-independent random weight: value omegas[j] with prob probs[j]."""
 
-    omegas: tuple
-    probs: tuple
+    omegas: tuple[float, ...]
+    probs: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.omegas) != len(self.probs) or not self.omegas:
@@ -113,7 +113,7 @@ def scalar_weight(law: WeightLaw):
         return lambda d: w0 if d <= r else 0.0
     if isinstance(law, Gaussian):
         w0, s2 = law.omega0, law.sigma ** 2
-        return lambda d: w0 * np.exp(-np.square(d) / s2)
+        return lambda d: w0 * np.exp(-(d * d) / s2)
     return None
 
 

@@ -44,7 +44,7 @@ class SolverConfig:
     m: int = 1000
     dt: float = 0.01
     horizon: float = 10.0
-    snapshot_times: tuple = ()
+    snapshot_times: tuple[float, ...] = None  # None: 11 in [0, horizon]
     scheme: str = "euler"
 
     def __post_init__(self):

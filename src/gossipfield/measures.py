@@ -61,14 +61,6 @@ class AtomicMeasure:
             raise MeasureError("empty measure")
         return AtomicMeasure(self.positions, self.weights / total)
 
-    def shifted(self, c: float) -> "AtomicMeasure":
-        return AtomicMeasure(self.positions + c, self.weights)
-
-    @staticmethod
-    def dirac(x, weight: float = 1.0) -> "AtomicMeasure":
-        pos = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-        return AtomicMeasure(pos, np.array([weight]))
-
     @staticmethod
     def from_points(points) -> "AtomicMeasure":
         """Build from a list of (position, weight) pairs."""
@@ -357,10 +349,13 @@ def write_measure_csv(fh: io.TextIOBase, snapshots):
 
 def checked_times(times, horizon: float, error, what="snapshot times",
                   bound="horizon") -> tuple:
-    """The sampling times of a run to `horizon` as floats. Raises `error`
-    unless horizon >= 0 and the times are sorted within [0, horizon]."""
+    """The sampling times of a run to `horizon` as floats; None stands for
+    11 equispaced times in [0, horizon]. Raises `error` unless horizon >= 0
+    and the times are sorted within [0, horizon]."""
     if not horizon >= 0:
         raise error(f"{bound} must be nonnegative")
+    if times is None:
+        times = np.linspace(0.0, horizon, 11)
     times = tuple(float(s) for s in times)
     if any(s < 0 or s > horizon for s in times):
         raise error(f"{what} must lie in [0, {bound}]")

@@ -33,9 +33,9 @@ class MomentError(ValueError):
 class MomentConfig:
     """Orders 1..K, horizon T and RK4 step dt of a moment-system run."""
 
-    K: int
-    T: float
-    dt: float
+    K: int = 8
+    T: float = 10.0
+    dt: float = 0.005
 
     def __post_init__(self):
         # the right-hand side scales order k by k!, which overflows past 170
@@ -137,7 +137,8 @@ def moment_rhs(p: MomentParams):
     return rhs
 
 
-def integrate_moments(p: MomentParams, T: float, dt: float = 0.005) -> MomentTrajectory:
+def integrate_moments(p: MomentParams, T: float,
+                      dt: float = MomentConfig.dt) -> MomentTrajectory:
     """Solve the triangular moment system by classical RK4, with one row
     at t = 0 and one at each end of meanfield.step_ends(T, dt), so the last
     row is at T.

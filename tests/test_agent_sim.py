@@ -44,7 +44,7 @@ def test_initial_law_validation():
     with pytest.raises(SimError):
         InitUniform(1.0, 1.0)
     with pytest.raises(SimError):
-        InitAtoms(AtomicMeasure.dirac(0.0, weight=0.5))
+        InitAtoms(AtomicMeasure([0.0], [0.5]))
     with pytest.raises(SimError):
         InitGrid(GridMeasure1D(0, 1, np.array([0.2, 0.2])))
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gossipfield
+from gossipfield import cli
 from gossipfield.cli import (ConfigError, RunConfig, build_initial,
                              build_kernel, dispatch, main, parse_config,
                              serialize)
@@ -91,6 +93,46 @@ def test_round_trip():
     for d in (MINIMAL, ENV_STYLE):
         cfg = cfg_of(d)
         assert parse_config(serialize(cfg)) == cfg
+
+
+# The default-filled config, pinned across versions: a changed default
+# changes these. MINIMAL and ENV_STYLE differ only in kernel and initial.
+PINNED = (
+    '{"concentrate":{"eps_list":[],"n_list":[100,300,1000,3000],'
+    '"replicas":100,"sample_times":[],"tau":5},%s,"meanfield":{"dt":0.01,'
+    '"hi":null,"horizon":10,"lo":null,"m":1000,"scheme":"euler",'
+    '"snapshot_times":null},"moments":{"K":8,"T":10,"dt":0.005},'
+    '"output_dir":".","seed":0,"simulate":{"allow_self":false,"horizon":10,'
+    '"n":1000,"snapshot_times":null,"symmetric":false}}')
+
+
+@pytest.mark.parametrize("d, kernel_and_initial, digest", [
+    (MINIMAL, '"initial":{"a":0,"b":1,"type":"uniform"},"kernel":{"alpha":1,'
+     '"environment":null,"external":null,'
+     '"internal":{"omega":0.5,"type":"constant"}}', "ab51c96ca03f8175"),
+    (ENV_STYLE, '"initial":{"a":0,"b":10,"type":"uniform"},'
+     '"kernel":{"alpha":0.5,"environment":{"type":"bump"},'
+     '"external":{"omega":0.5,"type":"constant"},'
+     '"internal":{"omega":0.5,"type":"constant"}}', "b66b9fa9d1141199"),
+], ids=["MINIMAL", "ENV_STYLE"])
+def test_default_filled_config_is_pinned(d, kernel_and_initial, digest):
+    cfg = cfg_of(d)
+    assert serialize(cfg) == PINNED % kernel_and_initial
+    assert cfg.config_hash() == digest
+
+
+def test_readme_section_table_matches_the_dataclasses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| ([a-z ]+) \| `(.+)` \|$",
+                      readme.read_text(), re.MULTILINE)
+    table = {}
+    for section, key, kind, default in rows:
+        table.setdefault(section, {})[key] = (kind, json.loads(default))
+    schema = {section: {key: (cli._ANNOTATIONS[ann][0],
+                              list(d) if isinstance(d, tuple) else d)
+                        for key, (ann, d) in cli._json_fields(cls).items()}
+              for section, cls in cli._SECTIONS.items()}
+    assert table == schema
 
 
 def test_config_hash_stable_under_key_order():
@@ -240,6 +282,8 @@ INVALID_CONFIGS = {
                                {"kernel": dict(ENV_STYLE["kernel"],
                                                environment=ZERO_GRID)},
                                "kernel.environment: empty measure"),
+    "seed_true": ("simulate", {"seed": True}, "seed: expected integer >= 0"),
+    "seed_-1": ("simulate", {"seed": -1}, "seed: expected integer >= 0"),
     "meanfield_rk5": ("meanfield", {"meanfield.scheme": "rk5"},
                       "meanfield: scheme"),
     "meanfield_snapshot_past_horizon": (
@@ -366,3 +410,11 @@ def test_main_success_and_seed_override(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "trajectory.csv" in captured.out
     assert "seed=5" in (out / "trajectory.csv").read_text().splitlines()[0]
+
+
+def test_main_seed_override_is_checked(tmp_path, capsys):
+    p = write_cfg(tmp_path, quick_sim_cfg())
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path),
+                 "--seed", "-3"]) == 1
+    assert "config error: seed: expected integer >= 0, got -3" \
+        in capsys.readouterr().err
