@@ -9,7 +9,7 @@ from .kernels import (BoundedConfidence, Constant, EnvAtom, EnvBump, EnvGrid,
                       env_moment)
 from .agent_sim import (InitAtoms, InitGrid, InitUniform, SimConfig, SimState,
                         dispersion, run)
-from .meanfield import SolverConfig, apply_F, integrate, sup_density
+from .meanfield import SolverConfig, apply_F, integrate
 from .moments import (MomentConfig, MomentParams, MomentTrajectory,
                       gamma_k, integrate_moments, limit_moments)
 from .experiments import (ConcentrationConfig, DeviationTable,

@@ -10,7 +10,12 @@ Because every supported weight law depends on the opinions only through
 |x - y|, the pair double-sum decomposes by cell lag: for a fixed lag the
 deposit offset is constant, so each lag costs one vectorized multiply and
 two slice additions. Constant weight 1/2 lands on the half-step grid and is
-evaluated as an exact discrete self-convolution instead.
+evaluated as an exact discrete self-convolution instead, computed by FFT.
+
+The environment branch is linear in the cell masses. Its map is built once
+per grid and kept as row blocks, each trimmed to its nonzero column range:
+a column's deposits cover only the rows its environment band reaches, so
+most of the dense map is zero.
 
 Bounded confidence reads each cell as a uniform density: a cell pair
 interacts with the exact fraction of its point pairs that lie within the
@@ -35,6 +40,9 @@ class SolverError(ValueError):
 
 # the environment law is read as this many atoms by the environment branch
 _ENV_CELLS = 256
+# rows per block of the environment map: a block's columns span the band
+# of its rows, so short blocks keep little of the map's zero part
+_ENV_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -62,8 +70,13 @@ class SolverConfig:
 
 def _deposit_conv_half(out: np.ndarray, cells: np.ndarray, coeff: float):
     """Internal branch for constant weight 1/2: the pushforward lives on the
-    half-step grid (c_i + c_j)/2 and is the discrete self-convolution."""
-    conv = np.convolve(cells, cells)
+    half-step grid (c_i + c_j)/2 and is the discrete self-convolution
+    cells * cells, computed as the inverse FFT of the squared transform,
+    zero-padded to a power of two >= 2m - 1 (no wrap-around)."""
+    n_conv = 2 * cells.size - 1
+    n_fft = 1 << (n_conv - 1).bit_length()
+    spec = np.fft.rfft(cells, n_fft)
+    conv = np.fft.irfft(spec * spec, n_fft)[:n_conv]
     even = conv[0::2]
     odd = conv[1::2]
     out += coeff * even
@@ -180,6 +193,21 @@ def _external_matrix(lo: float, h: float, law, coeff: float,
     return T
 
 
+def _row_blocks(T: np.ndarray) -> list[tuple[int, int, int, int, np.ndarray]]:
+    """T as (r0, r1, c0, c1, T[r0:r1, c0:c1]) blocks of _ENV_BLOCK_ROWS rows
+    over its nonzero rows, each cut to its nonzero column range, so that
+    T @ x is the sum of block @ x[c0:c1] placed at rows r0:r1."""
+    rows = np.flatnonzero(T.any(axis=1))
+    blocks = []
+    for r0 in range(int(rows[0]), int(rows[-1]) + 1, _ENV_BLOCK_ROWS):
+        r1 = min(r0 + _ENV_BLOCK_ROWS, int(rows[-1]) + 1)
+        cols = np.flatnonzero(T[r0:r1].any(axis=0))
+        if cols.size:  # an all-zero stretch between two bands
+            c0, c1 = int(cols[0]), int(cols[-1]) + 1
+            blocks.append((r0, r1, c0, c1, T[r0:r1, c0:c1].copy()))
+    return blocks
+
+
 class _FieldEvaluator:
     """Precomputed context for repeated apply_F evaluations on one grid."""
 
@@ -196,12 +224,11 @@ class _FieldEvaluator:
             cm = self.centers[-1]
             if pos.min() < c0 - 1e-12 or pos.max() > cm + 1e-12:
                 raise SolverError("grid does not cover hull")
-            self.ext_matrix = _external_matrix(self.lo, self.h,
-                                               kernel.external,
-                                               1.0 - kernel.alpha, pos, mass,
-                                               self.centers)
+            self.ext_blocks = _row_blocks(_external_matrix(
+                self.lo, self.h, kernel.external, 1.0 - kernel.alpha, pos,
+                mass, self.centers))
         else:
-            self.ext_matrix = None
+            self.ext_blocks = []
 
     def apply_raw(self, cells: np.ndarray) -> np.ndarray:
         k = self.kernel
@@ -215,8 +242,8 @@ class _FieldEvaluator:
             else:
                 _internal_branch(out, cells, self.h, k.internal, k.alpha,
                                  total)
-        if k.alpha < 1.0:
-            out += self.ext_matrix @ cells
+        for r0, r1, c0, c1, block in self.ext_blocks:
+            out[r0:r1] += block @ cells[c0:c1]
         return out
 
 
@@ -229,11 +256,6 @@ def apply_F(g: GridMeasure1D, k: KernelSpec) -> GridMeasure1D:
     if abs(out.sum() - 1.0) > 1e-12:
         raise SolverError("mass conservation violated in apply_F")
     return GridMeasure1D(g.lo, g.hi, np.maximum(out, 0.0))
-
-
-def sup_density(g: GridMeasure1D) -> float:
-    """Max cell mass divided by cell width: the histogram's density sup."""
-    return float(np.asarray(g.cells).max() / g.h)
 
 
 def rk4_step(f, y, h):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from gossipfield.kernels import (BoundedConfidence, Constant, EnvBump,
-                                 FiniteMixture, Gaussian, KernelSpec)
+from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
+                                 EnvBump, EnvUniform, FiniteMixture, Gaussian,
+                                 KernelSpec, env_atoms)
 from gossipfield import meanfield
 from gossipfield.meanfield import (SolverConfig, SolverError, apply_F,
-                                   integrate, step_ends, sup_density)
+                                   integrate, step_ends)
 from gossipfield.measures import (GridMeasure1D, moment, variance,
                                   wasserstein1_1d)
 
@@ -133,31 +134,84 @@ def test_apply_F_mass_and_mean_conservation():
         assert moment(out, 1) == pytest.approx(moment(g, 1), abs=1e-12)
 
 
-def test_apply_F_matches_direct_double_sum():
-    """Independent O(m^2) oracle: enumerate every ordered cell pair and
-    splat the deposit by hand."""
-    rng = np.random.default_rng(1)
-    m = 40
-    cells = rng.random(m)
-    cells /= cells.sum()
-    g = GridMeasure1D(0.0, 4.0, cells)
-    law = Gaussian(0.6, 1.3)
+def _splat(expect, g, z, mass):
+    pos = (z - g.lo) / g.h - 0.5
+    a = int(np.floor(pos))
+    f = pos - a
+    expect[a] += mass * (1 - f)
+    if f > 0:
+        expect[a + 1] += mass * f
+
+
+def _oracle_weight(law, d):
+    if isinstance(law, Constant):
+        return law.omega
+    if isinstance(law, BoundedConfidence):
+        return law.omega0 if d <= law.radius else 0.0
+    return law.omega0 * np.exp(-d ** 2 / law.sigma ** 2)
+
+
+def _oracle_F(g, k):
+    """F by hand: every ordered cell pair and every (cell, environment atom)
+    pair moves as the cell centers do. That excludes an internal bounded
+    confidence law, whose cells are read as uniform densities."""
+    cells = np.asarray(g.cells)
     centers = g.centers
-    h = g.h
-    expect = np.zeros(m)
-    for i in range(m):
-        for j in range(m):
-            w = 0.6 * np.exp(-abs(centers[i] - centers[j]) ** 2 / 1.3 ** 2)
-            z = (1 - w) * centers[i] + w * centers[j]
-            pos = (z - g.lo) / h - 0.5
-            a = int(np.floor(pos))
-            f = pos - a
-            mass = cells[i] * cells[j]
-            expect[a] += mass * (1 - f)
-            if f > 0:
-                expect[a + 1] += mass * f
-    out = apply_F(g, KernelSpec(alpha=1.0, internal=law))
-    np.testing.assert_allclose(out.cells, expect, atol=1e-13)
+    expect = np.zeros(g.m)
+    if k.alpha > 0:
+        for i in range(g.m):
+            for j in range(g.m):
+                w = _oracle_weight(k.internal, abs(centers[i] - centers[j]))
+                _splat(expect, g, (1 - w) * centers[i] + w * centers[j],
+                       k.alpha * cells[i] * cells[j])
+    if k.alpha < 1:
+        law = k.external
+        branches = (zip(law.omegas, law.probs)
+                    if isinstance(law, FiniteMixture) else [(None, 1.0)])
+        env_pos, env_mass = env_atoms(k.environment, meanfield._ENV_CELLS)
+        for upsilon, p in branches:
+            for e, q in zip(env_pos, env_mass):
+                for i in range(g.m):
+                    u = (_oracle_weight(law, abs(centers[i] - e))
+                         if upsilon is None else upsilon)
+                    _splat(expect, g, (1 - u) * centers[i] + u * e,
+                           (1 - k.alpha) * p * q * cells[i])
+    return expect
+
+
+def _random_grid(seed, lo, hi, m):
+    cells = np.random.default_rng(seed).random(m)
+    return GridMeasure1D(lo, hi, cells / cells.sum())
+
+
+def test_apply_F_matches_direct_double_sum():
+    """Independent oracle: enumerate every ordered cell pair and every
+    (cell, environment atom) pair and splat the deposit by hand. Constant
+    1/2 is the FFT convolution; the environment cases cover a one-row band
+    (atom), the bench's bump, and uniform environments over the whole hull,
+    where the map's row blocks go dense."""
+    g40 = _random_grid(1, 0.0, 4.0, 40)
+    g150 = _random_grid(2, 0.0, 6.0, 150)
+    c0, cm = g150.centers[0], g150.centers[-1]
+    cases = [
+        (g40, KernelSpec(alpha=1.0, internal=Gaussian(0.6, 1.3))),
+        (g150, CONST_HALF),
+        (g150, KernelSpec(alpha=0.4, internal=Constant(0.5),
+                          external=Constant(0.3), environment=EnvAtom(1.7))),
+        (g150, KernelSpec(alpha=0.5, internal=Constant(0.5),
+                          external=BoundedConfidence(0.6, 1.5),
+                          environment=EnvBump())),
+        (g150, KernelSpec(alpha=0.0, internal=Constant(0.5),
+                          external=Gaussian(0.8, 2.0),
+                          environment=EnvUniform(c0, cm))),
+        (g150, KernelSpec(alpha=0.3, internal=Constant(0.5),
+                          external=FiniteMixture((0.2, 1.0), (0.4, 0.6)),
+                          environment=EnvUniform(c0, cm))),
+    ]
+    for g, k in cases:
+        out = apply_F(g, k)
+        np.testing.assert_allclose(out.cells, _oracle_F(g, k), atol=1e-13,
+                                   err_msg=repr(k))
 
 
 def test_apply_F_requires_normalized():
@@ -184,17 +238,7 @@ def test_external_branch_pulls_toward_environment():
 
 
 # ---------------------------------------------------------------------------
-# sup_density
-
-
-def test_sup_density_uniform():
-    g = GridMeasure1D.uniform(0.0, 10.0, 1000)
-    assert sup_density(g) == pytest.approx(0.1, abs=1e-12)
-
-
-def test_sup_density_spike():
-    g = spike(250, 10, 0.0, 5.0)
-    assert sup_density(g) == pytest.approx(50.0)
+# density growth
 
 
 def test_sup_density_growth_is_at_most_exponential():
@@ -202,7 +246,8 @@ def test_sup_density_growth_is_at_most_exponential():
     k = KernelSpec(alpha=1.0, internal=BoundedConfidence(0.5, 1.0))
     cfg = SolverConfig(0, 10, m=400, dt=0.01, horizon=5.0,
                        snapshot_times=(0.5, 1.0, 2.0, 3.0, 4.0, 5.0))
-    rates = [np.log(sup_density(g) * 10.0) / t
+    # the density sup is the largest cell mass over the cell width
+    rates = [np.log(np.max(g.cells) / g.h * 10.0) / t
              for t, g in integrate(g0, k, cfg)]
     assert max(rates) < 10.0  # a finite exponential rate bound
 
