@@ -15,7 +15,8 @@ evaluated as an exact discrete self-convolution instead, computed by FFT.
 The environment branch is linear in the cell masses. Its map is built once
 per grid and kept as row blocks, each trimmed to its nonzero column range:
 a column's deposits cover only the rows its environment band reaches, so
-most of the dense map is zero.
+most of the dense map is zero. The blocks are cut from those per-column
+bands, and the dense map is never formed.
 
 Bounded confidence reads each cell as a uniform density: a cell pair
 interacts with the exact fraction of its point pairs that lie within the
@@ -160,21 +161,29 @@ def _internal_branch(out: np.ndarray, cells: np.ndarray, h: float,
     raise SolverError(f"unsupported internal law {law!r}")
 
 
-def _external_matrix(lo: float, h: float, law, coeff: float,
+def _external_blocks(lo: float, h: float, law, coeff: float,
                      env_pos: np.ndarray, env_mass: np.ndarray,
-                     centers: np.ndarray) -> np.ndarray:
-    """The environment branch is linear in the cell masses: build the dense
-    map T with (T @ cells)[p] = coeff * sum_l q_l * splat_p((1-u) c_i + u e_l).
-    """
+                     centers: np.ndarray) -> list[tuple]:
+    """The environment branch is linear in the cell masses: its map T has
+    (T @ cells)[p] = coeff * sum_l q_l * splat_p((1-u) c_i + u e_l). Return
+    T as (r0, r1, c0, c1, T[r0:r1, c0:c1]) blocks of _ENV_BLOCK_ROWS rows
+    over its nonzero rows, each cut to its nonzero column range, so that
+    T @ x is the sum of block @ x[c0:c1] placed at rows r0:r1.
+
+    T itself is never formed. Column c's deposits are summed into a band
+    of the rows from the lowest it reaches, one deposit at a time in the
+    order of branches, atoms and the two sides of each splat, and the
+    blocks are cut from the bands. The deposits are nonnegative, so an
+    entry is nonzero exactly when one of its deposits is."""
     m = centers.size
     if isinstance(law, FiniteMixture):
         branches = list(zip(law.omegas, law.probs))
     else:
         branches = [(None, 1.0)]
-    c0 = centers[0]
-    cm = centers[-1]
-    T = np.zeros((m, m))
-    cols = np.arange(m)
+    hull_lo, hull_hi = centers[0], centers[-1]
+    splats = []
+    low = np.full(m, m - 1)
+    high = np.zeros(m, dtype=np.int64)
     for upsilon, p in branches:
         for e, q in zip(env_pos, env_mass):
             if upsilon is None:
@@ -182,29 +191,43 @@ def _external_matrix(lo: float, h: float, law, coeff: float,
             else:
                 u = upsilon
             z = (1.0 - u) * centers + u * e
-            if z.min() < c0 - 1e-9 * h or z.max() > cm + 1e-9 * h:
+            if z.min() < hull_lo - 1e-9 * h or z.max() > hull_hi + 1e-9 * h:
                 raise SolverError("grid does not cover hull")
             pos = np.clip((z - lo) / h - 0.5, 0.0, m - 1.0)
             idx = np.floor(pos).astype(np.int64)
-            frac = pos - idx
-            scale = coeff * p * q
-            np.add.at(T, (idx, cols), scale * (1.0 - frac))
-            np.add.at(T, (np.minimum(idx + 1, m - 1), cols), scale * frac)
-    return T
-
-
-def _row_blocks(T: np.ndarray) -> list[tuple[int, int, int, int, np.ndarray]]:
-    """T as (r0, r1, c0, c1, T[r0:r1, c0:c1]) blocks of _ENV_BLOCK_ROWS rows
-    over its nonzero rows, each cut to its nonzero column range, so that
-    T @ x is the sum of block @ x[c0:c1] placed at rows r0:r1."""
-    rows = np.flatnonzero(T.any(axis=1))
+            splats.append((idx, pos - idx, coeff * p * q))
+            np.minimum(low, idx, out=low)
+            np.maximum(high, idx, out=high)
+    # band[c, i] is T[low[c] + i, c]; one side of one splat hits each
+    # column once, so += adds the deposits one at a time, in order
+    width = int((np.minimum(high + 1, m - 1) - low).max()) + 1
+    cols = np.arange(m)
+    band = np.zeros(m * width)
+    base = width * cols - low
+    for idx, frac, scale in splats:
+        band[base + idx] += scale * (1.0 - frac)
+        band[base + np.minimum(idx + 1, m - 1)] += scale * frac
+    band = band.reshape(m, width)
+    live = band != 0.0
+    # below[c, i]: nonzeros of column c above band offset i
+    below = np.zeros((m, width + 1), dtype=np.int64)
+    np.cumsum(live, axis=1, out=below[:, 1:])
+    has = below[:, -1] > 0
+    first = int((low + live.argmax(axis=1))[has].min())
+    last = int((low + width - 1 - live[:, ::-1].argmax(axis=1))[has].max())
     blocks = []
-    for r0 in range(int(rows[0]), int(rows[-1]) + 1, _ENV_BLOCK_ROWS):
-        r1 = min(r0 + _ENV_BLOCK_ROWS, int(rows[-1]) + 1)
-        cols = np.flatnonzero(T[r0:r1].any(axis=0))
-        if cols.size:  # an all-zero stretch between two bands
-            c0, c1 = int(cols[0]), int(cols[-1]) + 1
-            blocks.append((r0, r1, c0, c1, T[r0:r1, c0:c1].copy()))
+    for r0 in range(first, last + 1, _ENV_BLOCK_ROWS):
+        r1 = min(r0 + _ENV_BLOCK_ROWS, last + 1)
+        i0 = np.clip(r0 - low, 0, width)
+        i1 = np.clip(r1 - low, 0, width)
+        nz = np.flatnonzero(below[cols, i1] > below[cols, i0])
+        if nz.size:  # an all-zero stretch between two bands has none
+            c0, c1 = int(nz[0]), int(nz[-1]) + 1
+            i = np.arange(r0, r1)[:, None] - low[c0:c1]
+            inside = (i >= 0) & (i < width)
+            block = np.where(inside, band[cols[c0:c1],
+                                          np.clip(i, 0, width - 1)], 0.0)
+            blocks.append((r0, r1, c0, c1, block))
     return blocks
 
 
@@ -224,9 +247,9 @@ class _FieldEvaluator:
             cm = self.centers[-1]
             if pos.min() < c0 - 1e-12 or pos.max() > cm + 1e-12:
                 raise SolverError("grid does not cover hull")
-            self.ext_blocks = _row_blocks(_external_matrix(
+            self.ext_blocks = _external_blocks(
                 self.lo, self.h, kernel.external, 1.0 - kernel.alpha, pos,
-                mass, self.centers))
+                mass, self.centers)
         else:
             self.ext_blocks = []
 

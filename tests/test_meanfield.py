@@ -184,16 +184,15 @@ def _random_grid(seed, lo, hi, m):
     return GridMeasure1D(lo, hi, cells / cells.sum())
 
 
-def test_apply_F_matches_direct_double_sum():
-    """Independent oracle: enumerate every ordered cell pair and every
-    (cell, environment atom) pair and splat the deposit by hand. Constant
-    1/2 is the FFT convolution; the environment cases cover a one-row band
-    (atom), the bench's bump, and uniform environments over the whole hull,
-    where the map's row blocks go dense."""
+def _oracle_cases():
+    """Grids and kernels for the oracles: constant 1/2 is the FFT
+    convolution; the environment cases cover a one-row band (atom), the
+    bench's bump, and uniform environments over the whole hull, where the
+    map's row blocks go dense."""
     g40 = _random_grid(1, 0.0, 4.0, 40)
     g150 = _random_grid(2, 0.0, 6.0, 150)
     c0, cm = g150.centers[0], g150.centers[-1]
-    cases = [
+    return [
         (g40, KernelSpec(alpha=1.0, internal=Gaussian(0.6, 1.3))),
         (g150, CONST_HALF),
         (g150, KernelSpec(alpha=0.4, internal=Constant(0.5),
@@ -208,10 +207,61 @@ def test_apply_F_matches_direct_double_sum():
                           external=FiniteMixture((0.2, 1.0), (0.4, 0.6)),
                           environment=EnvUniform(c0, cm))),
     ]
-    for g, k in cases:
+
+
+def test_apply_F_matches_direct_double_sum():
+    """Independent oracle: enumerate every ordered cell pair and every
+    (cell, environment atom) pair and splat the deposit by hand."""
+    for g, k in _oracle_cases():
         out = apply_F(g, k)
         np.testing.assert_allclose(out.cells, _oracle_F(g, k), atol=1e-13,
                                    err_msg=repr(k))
+
+
+def _dense_blocks(g, k):
+    """The environment map's row blocks cut from the dense m x m map T,
+    built by np.add.at in the order of branches, atoms and the two sides
+    of each splat: 64-row blocks over T's nonzero rows, each trimmed to its
+    nonzero columns."""
+    law, m, centers = k.external, g.m, g.centers
+    branches = (list(zip(law.omegas, law.probs))
+                if isinstance(law, FiniteMixture) else [(None, 1.0)])
+    env_pos, env_mass = env_atoms(k.environment, meanfield._ENV_CELLS)
+    T = np.zeros((m, m))
+    cols = np.arange(m)
+    for upsilon, p in branches:
+        for e, q in zip(env_pos, env_mass):
+            u = (meanfield.weight_value(law, np.abs(centers - e))
+                 if upsilon is None else upsilon)
+            z = (1.0 - u) * centers + u * e
+            pos = np.clip((z - g.lo) / g.h - 0.5, 0.0, m - 1.0)
+            idx = np.floor(pos).astype(np.int64)
+            frac = pos - idx
+            scale = (1.0 - k.alpha) * p * q
+            np.add.at(T, (idx, cols), scale * (1.0 - frac))
+            np.add.at(T, (np.minimum(idx + 1, m - 1), cols), scale * frac)
+    rows = np.flatnonzero(T.any(axis=1))
+    blocks = []
+    for r0 in range(rows[0], rows[-1] + 1, 64):
+        r1 = min(r0 + 64, rows[-1] + 1)
+        nz = np.flatnonzero(T[r0:r1].any(axis=0))
+        if nz.size:
+            c0, c1 = nz[0], nz[-1] + 1
+            blocks.append((r0, r1, c0, c1, T[r0:r1, c0:c1]))
+    return blocks
+
+
+def test_environment_blocks_match_dense_map():
+    """The row blocks are filled without forming the dense map, and equal
+    the blocks cut from it bit for bit, extents and shapes included."""
+    cases = [(g, k) for g, k in _oracle_cases() if k.alpha < 1.0]
+    cases.append((GridMeasure1D.uniform(0.0, 10.0, 1000), ENV_KERNEL))
+    for g, k in cases:
+        got = meanfield._FieldEvaluator(g, k).ext_blocks
+        want = _dense_blocks(g, k)
+        assert [b[:4] for b in got] == [b[:4] for b in want], repr(k)
+        for b, w in zip(got, want):
+            np.testing.assert_array_equal(b[4], w[4], strict=True)
 
 
 def test_apply_F_requires_normalized():

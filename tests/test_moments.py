@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from gossipfield.kernels import EnvBump, env_moment
+from gossipfield.meanfield import rk4_step, step_ends
 from gossipfield.moments import (MomentConfig, MomentError, MomentParams,
-                                 gamma_k, integrate_moments, limit_moments,
-                                 moment_rhs)
+                                 forcing, gamma_k, integrate_moments,
+                                 limit_moments)
 
 
 def params(alpha=0.5, omega=0.5, upsilon=0.5, K=4, env=None, init=None):
@@ -46,6 +47,13 @@ def test_moment_config_validation():
 # gamma_k and the right-hand side
 
 
+def moment_rhs(p, m):
+    """d/dt m from the shared binomial sum: g_k - gamma_k m^(k)."""
+    mm = np.concatenate(([1.0], m))
+    return np.array([forcing(p, k, mm) - gamma_k(p, k) * mm[k]
+                     for k in range(1, p.K + 1)])
+
+
 def test_gamma_examples():
     assert gamma_k(params(alpha=1.0), 2) == pytest.approx(0.5)
     p = params(alpha=0.3, omega=0.2, upsilon=0.7)
@@ -61,14 +69,14 @@ def test_gamma_examples():
 def test_f2_internal_only():
     p = params(alpha=1.0, omega=0.5)
     a = 3.0
-    rhs = moment_rhs(p)(np.array([a, 0.0, 0.0, 0.0]))
+    rhs = moment_rhs(p, np.array([a, 0.0, 0.0, 0.0]))
     assert rhs[1] == pytest.approx(a * a / 2.0)
 
 
 def test_f2_external_only():
     p = params(alpha=0.0, upsilon=0.5, env=(2.0, 4.0, 8.0, 16.0))
     a = 3.0
-    rhs = moment_rhs(p)(np.array([a, 0.0, 0.0, 0.0]))
+    rhs = moment_rhs(p, np.array([a, 0.0, 0.0, 0.0]))
     assert rhs[1] == pytest.approx(a * 2.0 / 2.0 + 0.5 ** 2 * 4.0)
 
 
@@ -85,7 +93,7 @@ def test_rhs_of_point_masses(alpha, omega, upsilon, x, z):
     expect = (1.0 - alpha) * (((1.0 - upsilon) * x + upsilon * z) ** k
                               - x ** k)
     scale = max(abs(x), abs(z)) ** k
-    np.testing.assert_allclose(moment_rhs(p)(x ** k), expect,
+    np.testing.assert_allclose(moment_rhs(p, x ** k), expect,
                                rtol=0, atol=1e-13 * scale.max())
 
 
@@ -102,7 +110,7 @@ def test_rhs_matches_binomial_sums():
                                 * nn[k - j]) * mm[j]
                   for j in range(k + 1)) - mm[k]
               for k in range(1, K + 1)]
-    np.testing.assert_allclose(moment_rhs(p)(m), expect, rtol=1e-13,
+    np.testing.assert_allclose(moment_rhs(p, m), expect, rtol=1e-13,
                                atol=1e-13 * np.abs(m).max())
 
 
@@ -139,7 +147,8 @@ def test_second_moment_closed_form_pure_averaging():
 
 def test_jensen_invariant_along_trajectory():
     traj = integrate_moments(params(K=4), 10.0)
-    assert traj.jensen_violation() <= 1e-10
+    # (m^(1))^2 <= m^(2) for a probability measure
+    assert np.max(traj.row(1) ** 2 - traj.row(2)) <= 1e-10
 
 
 def test_triangularity():
@@ -148,6 +157,52 @@ def test_triangularity():
     t_full = integrate_moments(p_full, 3.0)
     t_head = integrate_moments(p_head, 3.0)
     np.testing.assert_array_equal(t_full.values[:3], t_head.values)
+
+
+def binomial_rhs(p):
+    """The full right-hand side, m^(k) terms included, written out from the
+    binomial expansions: sum_j C(k,j) m^(j) [alpha (1-w)^j w^(k-j) m^(k-j)
+    + (1-alpha) (1-u)^j u^(k-j) n^(k-j)] - m^(k), with m^(0) = n^(0) = 1."""
+    K, a, w, u = p.K, p.alpha, p.omega, p.upsilon
+    n = np.concatenate(([1.0], p.env_moments if a < 1.0 else np.zeros(K)))
+    peer, env = np.zeros((K + 1, K + 1)), np.zeros((K + 1, K + 1))
+    for k in range(1, K + 1):
+        for j in range(k + 1):
+            peer[k, j] = a * comb(k, j) * (1 - w) ** j * w ** (k - j)
+            env[k, j] = (1 - a) * comb(k, j) * (1 - u) ** j * u ** (k - j) \
+                * n[k - j]
+    lag = np.maximum(np.arange(K + 1)[:, None] - np.arange(K + 1), 0)
+
+    def rhs(m):
+        mm = np.concatenate(([1.0], m))
+        return ((peer * mm[lag] + env) * mm).sum(axis=1)[1:] - m
+
+    return rhs
+
+
+@pytest.mark.parametrize("alpha, omega, K, T, dt", [
+    (0.5, 0.5, 8, 100.0, 0.01),   # the benchmark's moment config
+    (1.0, 0.3, 2, 10.0, 0.005),   # no environment
+    (1.0, 0.0, 4, 10.0, 0.005),   # every gamma_k = 0
+    (0.5, 0.5, 4, 1.0, 0.003),    # the last step is short
+    (0.3, 0.2, 1, 10.0, 0.01),    # a single order
+])
+def test_integrate_matches_rk4_of_the_coupled_system(alpha, omega, K, T, dt):
+    # oracle: meanfield.rk4_step over the whole vector, one step at a time
+    p = params(alpha=alpha, omega=omega, K=K,
+               init=tuple(5.0 ** k / (k + 1) for k in range(1, K + 1)))
+    traj = integrate_moments(p, T, dt)
+    np.testing.assert_array_equal(traj.times,
+                                  np.concatenate(([0.0], step_ends(T, dt))))
+    np.testing.assert_array_equal(traj.values[:, 0], p.initial_moments)
+    rhs = binomial_rhs(p)
+    m = np.array(p.initial_moments)
+    expect = [m]
+    for h in np.diff(traj.times):
+        m = rk4_step(rhs, m, h)
+        expect.append(m)
+    np.testing.assert_allclose(traj.values, np.transpose(expect), rtol=1e-12,
+                               atol=0)
 
 
 def test_a_priori_moment_bound():
