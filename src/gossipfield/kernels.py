@@ -91,30 +91,15 @@ WeightLaw = Constant | BoundedConfidence | Gaussian | FiniteMixture
 
 def weight_value(law: WeightLaw, dist) -> np.ndarray:
     """Deterministic weights at the distances `dist`, elementwise (not
-    defined for mixtures); scalar_weight is the per-jump form."""
+    defined for mixtures). The simulator applies it to the distances of
+    each conflict-free run of jumps, the grid solver to cell distances."""
     if isinstance(law, Constant):
         return np.broadcast_to(law.omega, np.shape(dist))
     if isinstance(law, BoundedConfidence):
-        return np.where(np.asarray(dist) <= law.radius, law.omega0, 0.0)
+        return (np.asarray(dist) <= law.radius) * law.omega0
     if isinstance(law, Gaussian):
-        return law.omega0 * np.exp(-np.square(dist) / law.sigma ** 2)
+        return law.omega0 * np.exp(np.square(dist) / -law.sigma ** 2)
     raise KernelError("mixture law has no deterministic value")
-
-
-def scalar_weight(law: WeightLaw):
-    """The law as a function of one float distance, for a per-jump loop;
-    None for a mixture, whose weights are drawn per batch by draw_mixture.
-    Each returns what weight_value returns at that distance, to the bit."""
-    if isinstance(law, Constant):
-        w = law.omega
-        return lambda d: w
-    if isinstance(law, BoundedConfidence):
-        w0, r = law.omega0, law.radius
-        return lambda d: w0 if d <= r else 0.0
-    if isinstance(law, Gaussian):
-        w0, s2 = law.omega0, law.sigma ** 2
-        return lambda d: w0 * np.exp(-(d * d) / s2)
-    return None
 
 
 def draw_mixture(law: FiniteMixture, rng: np.random.Generator,

@@ -1,17 +1,20 @@
 """Tests for the event-driven stochastic simulator."""
 
 import hashlib
+import itertools
 import struct
 
 import numpy as np
 import pytest
 
-from gossipfield.agent_sim import (InitAtoms, InitGrid, InitUniform,
-                                   SimConfig, SimError, SimState, dispersion,
-                                   init_state, initial_support, run,
-                                   run_with_state, sample_initial)
+from gossipfield.agent_sim import (_BLOCK, _CHUNK, InitAtoms, InitGrid,
+                                   InitUniform, SimConfig, SimError, SimState,
+                                   dispersion, init_state, initial_support,
+                                   run, run_ends, run_with_state,
+                                   sample_initial)
 from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
-                                 EnvBump, FiniteMixture, Gaussian, KernelSpec)
+                                 EnvBump, EnvUniform, FiniteMixture, Gaussian,
+                                 KernelSpec, draw_mixture, make_env_sampler)
 from gossipfield.measures import AtomicMeasure, GridMeasure1D
 
 
@@ -189,13 +192,12 @@ STREAM_PINS = [
 ]
 
 
-@pytest.mark.parametrize("law, symmetric, expected", STREAM_PINS, ids=[
-    "constant_half", "constant_0.3", "bounded_confidence", "gaussian",
-    "symmetric_constant"])
-def test_alpha_one_streams_are_pinned(law, symmetric, expected):
-    cfg = make_cfg(n=60, kernel=KernelSpec(alpha=1.0, internal=law),
-                   horizon=300.0, snapshot_times=(0.0, 0.5, 150.0, 300.0),
-                   seed=2024, symmetric=symmetric)
+def stream_digest(kernel, symmetric=False):
+    """Jump count and sha256 of a run of 60 agents to t = 300: its
+    snapshots, final opinions, clock and jump count."""
+    cfg = make_cfg(n=60, kernel=kernel, horizon=300.0,
+                   snapshot_times=(0.0, 0.5, 150.0, 300.0), seed=2024,
+                   symmetric=symmetric)
     snaps, state = run_with_state(cfg)
     h = hashlib.sha256()
     for t, m in snaps:
@@ -203,8 +205,194 @@ def test_alpha_one_streams_are_pinned(law, symmetric, expected):
         h.update(np.ascontiguousarray(m.positions[:, 0], "<f8").tobytes())
     h.update(np.ascontiguousarray(state.opinions, "<f8").tobytes())
     h.update(struct.pack("<dq", state.t, state.update_count))
-    assert state.update_count == 18009
-    assert h.hexdigest() == expected
+    return state.update_count, h.hexdigest()
+
+
+@pytest.mark.parametrize("law, symmetric, expected", STREAM_PINS, ids=[
+    "constant_half", "constant_0.3", "bounded_confidence", "gaussian",
+    "symmetric_constant"])
+def test_alpha_one_streams_are_pinned(law, symmetric, expected):
+    count, digest = stream_digest(KernelSpec(alpha=1.0, internal=law),
+                                  symmetric)
+    assert count == 18009
+    assert digest == expected
+
+
+# Digests of runs with an environment or a mixture law, recorded from the
+# jump-by-jump loop before the jumps were applied in conflict-free runs.
+# Each crosses one chunk boundary.
+MIXED_PINS = [
+    (KernelSpec(alpha=0.5, internal=Constant(0.5), external=Constant(0.5),
+                environment=EnvBump()), 17960,
+     "3f3fa7163b55b2871904dbfd983b632c1a5cece4facb4949c361788aea3ae61b"),
+    (KernelSpec(alpha=0.3, internal=BoundedConfidence(0.5, 0.3),
+                external=FiniteMixture((0.2, 0.7), (0.4, 0.6)),
+                environment=EnvUniform(0.2, 0.9)), 17960,
+     "18bcfbce5a0dc18833caa3a4c3252df717d2d052a48c2ead593788053b10d3cd"),
+    (KernelSpec(alpha=1.0,
+                internal=FiniteMixture((0.1, 0.5, 0.9), (0.3, 0.3, 0.4))),
+     17904,
+     "8ca7f7524d7d05f465c087eada2ae1b036a8b457a68da9173cb684970b0f322c"),
+]
+
+
+@pytest.mark.parametrize("kernel, count, expected", MIXED_PINS, ids=[
+    "bump_environment", "confidence_mixture_uniform", "mixture"])
+def test_mixed_streams_are_pinned(kernel, count, expected):
+    assert stream_digest(kernel) == (count, expected)
+
+
+# ---------------------------------------------------------------------------
+# the conflict-free schedule
+
+
+def test_run_ends_are_conflict_free_and_maximal():
+    # against a brute-force scan from every start: small n makes conflicts
+    # dense; environment jumps observe a slot of their own past the agents;
+    # n = 1000 fills a whole block
+    rng = np.random.default_rng(11)
+    for (n, m), allow_self, writes_b, env in itertools.product(
+            ((2, 200), (3, 200), (5, 200), (50, 200), (1000, _BLOCK)),
+            (False, True), (False, True), (False, True)):
+        a = rng.integers(0, n, m)
+        if allow_self:
+            b = rng.integers(0, n, m)
+        else:
+            b = rng.integers(0, n - 1, m)
+            b += b >= a
+        if env:
+            b = np.where(rng.random(m) < 0.5, b, n + np.arange(m))
+        ends = run_ends(a, b, writes_b)
+        for s in range(m):
+            written, e = set(), s
+            while e < m and not {a[e], b[e]} & written:
+                written.add(a[e])
+                if writes_b:
+                    written.add(b[e])
+                e += 1
+            assert ends[s] == e, (n, allow_self, writes_b, env, s)
+
+
+def sequential(cfg):
+    """The jump-by-jump oracle: the simulator's draws, applied one jump at
+    a time to a list of floats; a snapshot is taken before the first jump
+    past its time. Returns the snapshots and the final opinions, clock and
+    jump count."""
+    state = init_state(cfg)
+    k, rng, n = cfg.kernel, state.rng, cfg.n
+    mixed = k.alpha < 1.0
+    sampler = make_env_sampler(k.environment) if mixed else None
+
+    def weight(law, draws, i, d):
+        if isinstance(law, Constant):
+            return law.omega
+        if isinstance(law, BoundedConfidence):
+            return law.omega0 if d <= law.radius else 0.0
+        if isinstance(law, Gaussian):
+            return law.omega0 * np.exp(-(d * d) / law.sigma ** 2)
+        return draws[i]
+
+    x = state.opinions.tolist()
+    snaps, ptr, t, count, done = [], 0, 0.0, 0, False
+    while not done:
+        dts = rng.exponential(1.0 / n, _CHUNK)
+        clock = np.cumsum(np.concatenate(([t], dts)))[1:]
+        end = int(np.searchsorted(clock, cfg.horizon, side="right"))
+        done = end < _CHUNK
+        t = float(clock[min(end, _CHUNK - 1)])
+        aa = rng.integers(0, n, _CHUNK)
+        if cfg.allow_self:
+            bb = rng.integers(0, n, _CHUNK)
+        else:
+            bb = rng.integers(0, n - 1, _CHUNK)
+            bb += bb >= aa
+        coins = rng.random(_CHUNK) < k.alpha if mixed else None
+        signals = sampler(rng, _CHUNK) if mixed else None
+        iw = ew = None
+        if isinstance(k.internal, FiniteMixture):
+            iw = draw_mixture(k.internal, rng, _CHUNK)
+        if mixed and isinstance(k.external, FiniteMixture):
+            ew = draw_mixture(k.external, rng, _CHUNK)
+        for i in range(end):
+            while (ptr < len(cfg.snapshot_times)
+                   and cfg.snapshot_times[ptr] < clock[i]):
+                snaps.append((cfg.snapshot_times[ptr], np.array(x)))
+                ptr += 1
+            a = int(aa[i])
+            xa = x[a]
+            if not mixed or coins[i]:
+                b = int(bb[i])
+                xb = x[b]
+                w = weight(k.internal, iw, i, abs(xa - xb))
+                x[a] = (1.0 - w) * xa + w * xb
+                if cfg.symmetric:
+                    x[b] = (1.0 - w) * xb + w * xa
+            else:
+                e = float(signals[i])
+                u = weight(k.external, ew, i, abs(xa - e))
+                x[a] = (1.0 - u) * xa + u * e
+        count += end
+    snaps += [(s, np.array(x)) for s in cfg.snapshot_times[ptr:]]
+    return snaps, np.array(x), t, count
+
+
+ORACLE_KERNELS = [
+    KernelSpec(alpha=1.0, internal=Constant(0.5)),
+    KernelSpec(alpha=1.0, internal=BoundedConfidence(0.5, 0.3)),
+    KernelSpec(alpha=1.0, internal=Gaussian(0.6, 0.4)),
+    KernelSpec(alpha=1.0, internal=FiniteMixture((0.1, 0.9), (0.5, 0.5))),
+    KernelSpec(alpha=0.5, internal=Constant(0.5), external=Constant(0.5),
+               environment=EnvBump()),
+    KernelSpec(alpha=0.5, internal=Constant(0.3), external=Constant(0.8),
+               environment=EnvAtom(0.25)),
+    KernelSpec(alpha=0.4, internal=BoundedConfidence(0.5, 0.3),
+               external=FiniteMixture((0.2, 0.7), (0.4, 0.6)),
+               environment=EnvUniform(0.2, 0.9)),
+    KernelSpec(alpha=0.6, internal=FiniteMixture((0.2, 0.7), (0.5, 0.5)),
+               external=Gaussian(0.5, 0.2), environment=EnvUniform(-1, 2)),
+]
+
+
+def assert_matches_sequential(cfg):
+    snaps, state = run_with_state(cfg)
+    want, x, t, count = sequential(cfg)
+    assert [s for s, _ in snaps] == [s for s, _ in want]
+    for (_, got), (_, y) in zip(snaps, want):
+        assert got.positions[:, 0].tobytes() == y.tobytes()
+    assert state.opinions.tobytes() == x.tobytes()
+    assert (state.t, state.update_count) == (t, count)
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=[
+    "constant", "confidence", "gaussian", "mixture", "bump_environment",
+    "two_constants", "confidence_mixture", "mixture_gaussian"])
+def test_runs_match_the_sequential_loop(kernel):
+    for n, allow_self, symmetric in itertools.product(
+            (2, 3, 5, 50), (False, True), (False, True)):
+        assert_matches_sequential(make_cfg(
+            n=n, kernel=kernel, horizon=300.0 / n,
+            snapshot_times=(0.0, 1.0 / n, 150.0 / n, 150.0 / n, 300.0 / n),
+            seed=n, allow_self=allow_self, symmetric=symmetric))
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS[::4], ids=[
+    "constant", "bump_environment"])
+def test_runs_match_the_sequential_loop_at_chunk_boundaries(kernel):
+    # snapshots at the clock of the first chunk's last jump and of the one
+    # before it, so one cut falls at the chunk's end and one just before
+    n = 5
+    rng = np.random.default_rng(7)
+    sample_initial(InitUniform(0.0, 1.0), n, rng)
+    clock = np.cumsum(np.concatenate(([0.0], rng.exponential(1.0 / n,
+                                                             _CHUNK))))[1:]
+    times = (float(clock[-2]), float(clock[-1]))
+    for symmetric in (False, True):
+        assert_matches_sequential(make_cfg(
+            n=n, kernel=kernel, horizon=times[-1] + 1.0, snapshot_times=times,
+            seed=7, allow_self=True, symmetric=symmetric))
+    # tau = 0: no jump is applied, and the clock is the first jump's
+    assert_matches_sequential(make_cfg(
+        n=n, kernel=kernel, horizon=0.0, snapshot_times=(0.0,), seed=7))
 
 
 def test_environment_branch_mean_follows_closed_form():

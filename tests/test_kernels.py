@@ -12,7 +12,7 @@ from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
                                  Gaussian, KernelError, KernelSpec,
                                  draw_mixture, env_atoms, env_bump_grid,
                                  env_moment, env_support, make_env_sampler,
-                                 scalar_weight, weight_value)
+                                 weight_value)
 from gossipfield.measures import AtomicMeasure, GridMeasure1D
 
 
@@ -75,8 +75,12 @@ def test_deterministic_laws_symmetric_and_repeatable(x, y):
         b = weight_value(law, abs(y - x))
         assert a == b
         assert weight_value(law, abs(x - y)) == a
-        # the simulator's per-jump form agrees to the bit
-        assert scalar_weight(law)(abs(x - y)) == a
+        # on an array (the simulator's per-run form) it is the same,
+        # element by element, to the bit
+        d = np.array([abs(x - y), abs(x), abs(y), 0.0, 1.0])
+        whole = np.asarray(weight_value(law, d), dtype=float)
+        each = np.array([weight_value(law, v) for v in d], dtype=float)
+        assert whole.tobytes() == each.tobytes()
 
 
 # ---------------------------------------------------------------------------
