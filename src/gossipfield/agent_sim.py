@@ -54,8 +54,6 @@ class InitAtoms:
     def __post_init__(self):
         if not self.measure.normalized:
             raise SimError("atomic initial law must be normalized")
-        if self.measure.dim != 1:
-            raise SimError("simulator is 1-D")
 
 
 @dataclass(frozen=True)
@@ -76,14 +74,9 @@ def sample_initial(law: InitialLaw, n: int, rng: np.random.Generator) -> np.ndar
     if isinstance(law, InitAtoms):
         idx = rng.choice(law.measure.weights.size, size=n,
                          p=law.measure.weights)
-        return law.measure.positions[idx, 0]
+        return law.measure.positions[idx]
     if isinstance(law, InitGrid):
-        g = law.grid
-        cdf = np.cumsum(g.cells)
-        cdf /= cdf[-1]
-        i = np.searchsorted(cdf, rng.random(n), side="right")
-        i = np.minimum(i, g.m - 1)
-        return g.lo + (i + rng.random(n)) * g.h
+        return law.grid.sampler()(rng, n)
     raise SimError(f"unknown initial law {law!r}")
 
 
@@ -91,7 +84,7 @@ def initial_support(law: InitialLaw) -> tuple[float, float]:
     if isinstance(law, InitUniform):
         return (law.a, law.b)
     if isinstance(law, InitAtoms):
-        x = law.measure.positions[:, 0]
+        x = law.measure.positions
         return (float(x.min()), float(x.max()))
     if isinstance(law, InitGrid):
         return (law.grid.lo, law.grid.hi)

@@ -344,9 +344,18 @@ def _check_domain(cfg: RunConfig, shape_ok: dict, errs: list):
     # Without a configured lo/hi the solver spans the hull of the initial
     # law and the environment, which this section does not set; the unit
     # interval stands in for it so that the section's own fields are checked.
+    # A configured window must cover that hull: the grid would cut the
+    # initial law short, or not reach the environment.
     mf = cfg.data["meanfield"]
-    lo, hi = (mf["lo"], mf["hi"]) if mf["lo"] is not None else (0.0, 1.0)
-    section("meanfield", lo=lo, hi=hi)
+    window = mf["lo"] is not None
+    lo, hi = (mf["lo"], mf["hi"]) if window else (0.0, 1.0)
+    solver = section("meanfield", lo=lo, hi=hi)
+    if window and solver is not None and kernel is not None \
+            and initial is not None:
+        a, b = experiments.solver_domain(kernel, initial)
+        if lo > a or hi < b:
+            errs.append(f"meanfield: lo and hi must cover [{a:g}, {b:g}], "
+                        "the hull of the initial law and the environment")
     section("concentrate", kernel=kernel, initial=initial, base_seed=cfg.seed)
     # The weight laws must be constant when `moments` runs, not here: every
     # config has a moments section, and the other subcommands take any law.

@@ -104,7 +104,7 @@ def initial_grid(initial: InitialLaw, lo: float, hi: float,
     if isinstance(initial, InitGrid):
         x, w = initial.grid.centers, initial.grid.cells
     elif isinstance(initial, InitAtoms):
-        x, w = initial.measure.positions[:, 0], initial.measure.weights
+        x, w = initial.measure.positions, initial.measure.weights
     else:
         raise ExperimentError(f"unknown initial law {initial!r}")
     # rebin onto the solver grid by position assignment

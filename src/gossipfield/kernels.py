@@ -238,9 +238,8 @@ def env_bump_grid(m: int = 256) -> GridMeasure1D:
 
 def make_env_sampler(e: EnvironmentSpec, m: int = 1024):
     """Return sampler(rng, size) -> ndarray of `size` independent signals.
-    Densities use inverse-CDF sampling on a grid (the bump on m cells): one
-    uniform per draw picks a cell, then one more per draw places it
-    uniformly within the cell."""
+    Densities use the inverse-CDF sampler of a grid (the bump on m
+    cells)."""
     if isinstance(e, EnvAtom):
         z = e.z
         return lambda rng, size: np.full(size, z)
@@ -249,16 +248,7 @@ def make_env_sampler(e: EnvironmentSpec, m: int = 1024):
         return lambda rng, size: rng.uniform(a, b, size)
     if isinstance(e, (EnvGrid, EnvBump)):
         grid = e.grid if isinstance(e, EnvGrid) else env_bump_grid(m)
-        cdf = np.cumsum(grid.cells)
-        cdf /= cdf[-1]
-        lo, h = grid.lo, grid.h
-
-        def sampler(rng, size):
-            i = np.searchsorted(cdf, rng.random(size), side="right")
-            i = np.minimum(i, grid.m - 1)
-            return lo + (i + rng.random(size)) * h
-
-        return sampler
+        return grid.sampler()
     raise KernelError("no environment configured")
 
 

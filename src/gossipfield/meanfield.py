@@ -7,10 +7,14 @@ linearly between its two bracketing cell centers, which preserves the mean
 of each deposit exactly and the total mass to machine precision.
 
 Because every supported weight law depends on the opinions only through
-|x - y|, the pair double-sum decomposes by cell lag: for a fixed lag the
-deposit offset is constant, so each lag costs one vectorized multiply and
-two slice additions. Constant weight 1/2 lands on the half-step grid and is
-evaluated as an exact discrete self-convolution instead, computed by FFT.
+|x - y|, the pair double-sum decomposes by cell lag L: for a fixed lag the
+deposit offset is constant. A lag plan, built once per grid, lists each
+lag's deposits for every internal branch. The products m_i m_{i+L} are
+formed once per lag and serve both orders of the pair, landing at
+i + w(L) L and at i + L - w(L) L. The pairs that do not move (weight 0,
+or beyond the confidence radius) add up to one stay term, a convolution
+of the cells with the moved fractions. Constant weight 1/2 lands on the
+half-step grid and is an exact discrete self-convolution instead, by FFT.
 
 The environment branch is linear in the cell masses. Its map is built once
 per grid and kept as row blocks, each trimmed to its nonzero column range:
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (BoundedConfidence, Constant, FiniteMixture, Gaussian,
+from .kernels import (BoundedConfidence, Constant, FiniteMixture,
                       KernelSpec, env_atoms, weight_value)
 from .measures import GridMeasure1D, checked_times
 
@@ -86,79 +90,54 @@ def _deposit_conv_half(out: np.ndarray, cells: np.ndarray, coeff: float):
         out[1:] += (0.5 * coeff) * odd
 
 
-def _deposit_lag(out: np.ndarray, cells: np.ndarray, m: int, lag: int,
-                 w: float, coeff: float):
-    """Deposit coeff * m_i * m_{i+lag} at cell offset w*lag from cell i,
-    linearly split between bracketing centers."""
-    i0 = max(0, -lag)
-    i1 = m - max(0, lag)
-    u = cells[i0:i1] * cells[i0 + lag:i1 + lag]
-    shift = w * lag
-    j0 = int(np.floor(shift))
-    f = shift - j0
-    lo_t = i0 + j0
-    hi_t = i1 + j0
-    if lo_t < 0 or hi_t + (1 if f > 0 else 0) > m:
-        raise SolverError("grid does not cover hull")
-    if f > 0:
-        out[lo_t:hi_t] += (coeff * (1.0 - f)) * u
-        out[lo_t + 1:hi_t + 1] += (coeff * f) * u
-    else:
-        out[lo_t:hi_t] += coeff * u
-
-
-def _within_radius_fraction(r: float, lag: int) -> float:
-    """Fraction of the point pairs of two uniform cells `lag` cells apart
+def _within_radius_fraction(r: float, lags: np.ndarray) -> np.ndarray:
+    """Fraction of the point pairs of two uniform cells `lags` cells apart
     that lie within r cell widths of each other. The difference of the two
     in-cell offsets is triangular on [-1, 1] (in cells), so the fraction is
     the triangular CDF evaluated from r - lag down to -r - lag."""
 
     def cdf(s):
-        if s <= -1.0:
-            return 0.0
-        if s >= 1.0:
-            return 1.0
-        return 0.5 * (1.0 + s) ** 2 if s <= 0.0 else 1.0 - 0.5 * (1.0 - s) ** 2
+        s = np.clip(s, -1.0, 1.0)
+        return np.where(s <= 0.0, 0.5 * (1.0 + s) ** 2,
+                        1.0 - 0.5 * (1.0 - s) ** 2)
 
-    return cdf(r - lag) - cdf(-r - lag)
+    return cdf(r - lags) - cdf(-r - lags)
 
 
-def _internal_branch(out: np.ndarray, cells: np.ndarray, h: float,
-                     law, coeff: float, total: float):
-    """One internal mixture branch with weight law `law` and mass
-    coefficient coeff (= alpha * branch probability)."""
-    m = cells.size
-    if isinstance(law, Constant):
-        w = law.omega
-        if w == 0.0:
-            out += (coeff * total) * cells
-            return
-        if w == 0.5:
-            _deposit_conv_half(out, cells, coeff)
-            return
-        for lag in range(-(m - 1), m):
-            _deposit_lag(out, cells, m, lag, w, coeff)
-        return
-    if isinstance(law, BoundedConfidence):
-        r = law.radius / h
-        kmax = min(int(np.floor(r)) + 1, m - 1)
-        covered = np.zeros(m)
-        for lag in range(-kmax, kmax + 1):
-            p = _within_radius_fraction(r, abs(lag))
-            if p == 0.0:
-                continue
-            _deposit_lag(out, cells, m, lag, law.omega0, coeff * p)
-            i0 = max(0, -lag)
-            i1 = m - max(0, lag)
-            covered[i0:i1] += p * cells[i0 + lag:i1 + lag]
-        out += coeff * cells * (total - covered)
-        return
-    if isinstance(law, Gaussian):
-        for lag in range(-(m - 1), m):
-            w = law.omega0 * float(np.exp(-(lag * h) ** 2 / law.sigma ** 2))
-            _deposit_lag(out, cells, m, lag, w, coeff)
-        return
-    raise SolverError(f"unsupported internal law {law!r}")
+def _lag_plan(branches: list, m: int, h: float):
+    """The deposits of the internal (law, mass coefficient) branches by cell
+    lag L. A branch moves a fraction q(L) of its pairs with weight w(L): the
+    in-radius fraction for bounded confidence, else 1 where w(L) > 0. The
+    plan is [(L, [(j0, coeff q (1 - f), coeff q f), ...]), ...], with j0
+    and f the floor and fraction of the shift w(L) L. The branches that
+    leave pairs in place add their coeffs to the stay coefficient, and
+    coeff q to the symmetric kernel of moved fractions."""
+    lags = np.arange(m)
+    deposits = {}
+    stay, moved = 0.0, np.zeros(m)
+    for law, coeff in branches:
+        if isinstance(law, BoundedConfidence):
+            w = law.omega0
+            q = _within_radius_fraction(law.radius / h, lags)
+        else:
+            w = weight_value(law, lags * h)
+            q = (w > 0.0) * 1.0
+        if (q < 1.0).any():
+            stay += coeff
+            moved += coeff * q
+        shift = w * lags
+        j0 = np.floor(shift)
+        f = shift - j0
+        # both deposits of every pair land inside the grid
+        if np.any(j0 < 0) or np.any(j0 + (f > 0) > lags):
+            raise SolverError("grid does not cover hull")
+        for lag in np.flatnonzero(q):
+            a = coeff * q[lag]
+            deposits.setdefault(int(lag), []).append(
+                (int(j0[lag]), float(a * (1.0 - f[lag])), float(a * f[lag])))
+    k = np.max(np.flatnonzero(moved), initial=0)
+    kernel = np.concatenate((moved[k:0:-1], moved[:k + 1]))
+    return sorted(deposits.items()), stay, kernel
 
 
 def _external_blocks(lo: float, h: float, law, coeff: float,
@@ -240,7 +219,16 @@ class _FieldEvaluator:
         self.m = template.m
         self.h = template.h
         self.centers = template.centers
-        self.kernel = kernel
+        law = kernel.internal
+        branches = [(law, kernel.alpha)]
+        if isinstance(law, FiniteMixture):
+            branches = [(Constant(w), kernel.alpha * p)
+                        for w, p in zip(law.omegas, law.probs)]
+        half = Constant(0.5)
+        self.half = sum(c for law, c in branches if law == half)
+        self.plan, self.stay, self.stay_kernel = _lag_plan(
+            [(law, c) for law, c in branches if law != half and c > 0],
+            self.m, self.h)
         if kernel.alpha < 1.0:
             pos, mass = env_atoms(kernel.environment, _ENV_CELLS)
             c0 = self.centers[0]
@@ -254,17 +242,27 @@ class _FieldEvaluator:
             self.ext_blocks = []
 
     def apply_raw(self, cells: np.ndarray) -> np.ndarray:
-        k = self.kernel
-        total = float(cells.sum())
-        out = np.zeros(self.m)
-        if k.alpha > 0.0:
-            if isinstance(k.internal, FiniteMixture):
-                for w, p in zip(k.internal.omegas, k.internal.probs):
-                    _internal_branch(out, cells, self.h, Constant(w),
-                                     k.alpha * p, total)
-            else:
-                _internal_branch(out, cells, self.h, k.internal, k.alpha,
-                                 total)
+        m = self.m
+        out = np.zeros(m)
+        if self.half:
+            _deposit_conv_half(out, cells, self.half)
+        for lag, deposits in self.plan:
+            # c_i * c_{i+lag}: the pair moved from i lands at i + j0 + f,
+            # the one moved from i + lag at i + lag - j0 - f
+            u = cells[:m - lag] * cells[lag:]
+            for j0, near, far in deposits:
+                v = near * u
+                out[j0:j0 + m - lag] += v
+                if lag:
+                    out[lag - j0:m - j0] += v
+                if far:  # f > 0 needs lag > 0
+                    v = far * u
+                    out[j0 + 1:j0 + 1 + m - lag] += v
+                    out[lag - j0 - 1:m - j0 - 1] += v
+        if self.stay:
+            k = self.stay_kernel.size // 2
+            out += cells * (self.stay * float(cells.sum())
+                            - np.convolve(cells, self.stay_kernel)[k:k + m])
         for r0, r1, c0, c1, block in self.ext_blocks:
             out[r0:r1] += block @ cells[c0:c1]
         return out

@@ -21,9 +21,9 @@ class MeasureError(ValueError):
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Finite weighted point set in R^d.
+    """Finite weighted point set on the line.
 
-    positions has shape (n, d); weights has shape (n,), all nonnegative.
+    positions and weights have shape (n,); the weights are nonnegative.
     """
 
     positions: np.ndarray
@@ -31,8 +31,8 @@ class AtomicMeasure:
 
     def __post_init__(self):
         pos = np.atleast_1d(np.asarray(self.positions, dtype=float))
-        if pos.ndim == 1:
-            pos = pos[:, None]
+        if pos.ndim != 1:
+            raise MeasureError("atom positions must be 1-D")
         w = np.asarray(self.weights, dtype=float)
         if pos.shape[0] != w.shape[0]:
             raise MeasureError("positions and weights length mismatch")
@@ -42,10 +42,6 @@ class AtomicMeasure:
         w.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "weights", w)
-
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
 
     @property
     def total_mass(self) -> float:
@@ -121,6 +117,21 @@ class GridMeasure1D:
             raise MeasureError("empty measure: the cells hold no mass")
         return GridMeasure1D(self.lo, self.hi, self.cells / total)
 
+    def sampler(self):
+        """sampler(rng, size) -> `size` independent draws from the cells
+        read as a piecewise-uniform density, by inverse CDF: one uniform
+        per draw picks a cell, then one more per draw places the draw
+        uniformly within its cell."""
+        cdf = np.cumsum(self.cells)
+        cdf /= cdf[-1]
+        lo, h, last = self.lo, self.h, self.m - 1
+
+        def sample(rng, size):
+            i = np.searchsorted(cdf, rng.random(size), side="right")
+            return lo + (np.minimum(i, last) + rng.random(size)) * h
+
+        return sample
+
     def as_atoms(self) -> AtomicMeasure:
         """All cell mass placed at the cell center (first-moment exact for
         densities symmetric within each cell; O(h^2) error otherwise)."""
@@ -153,11 +164,8 @@ class Cluster:
     extent: tuple[float, float]
 
 
-def moment(m, k: int, z=None) -> float:
-    """k-th z-weighted moment: integral of (x . z)^k.
-
-    z defaults to the first coordinate axis; must have unit Euclidean norm.
-    """
+def moment(m, k: int) -> float:
+    """k-th moment: the integral of x^k."""
     if k < 1:
         raise MeasureError("moment order must be >= 1 (use total mass for k=0)")
     if isinstance(m, GridMeasure1D):
@@ -166,18 +174,11 @@ def moment(m, k: int, z=None) -> float:
         return float(np.dot(m.cells, m.centers ** k))
     if m.total_mass <= 0:
         raise MeasureError("empty measure")
-    if z is None:
-        z = np.zeros(m.dim)
-        z[0] = 1.0
-    z = np.asarray(z, dtype=float)
-    if abs(np.linalg.norm(z) - 1.0) > 1e-9:
-        raise MeasureError("direction z must have unit norm")
-    proj = m.positions @ z
-    return float(np.dot(m.weights, proj ** k))
+    return float(np.dot(m.weights, m.positions ** k))
 
 
 def variance(m) -> float:
-    """Second central moment about the mean (d = 1)."""
+    """Second central moment about the mean."""
     m1 = moment(m, 1)
     return moment(m, 2) - m1 * m1
 
@@ -201,9 +202,7 @@ def sorted_cdf(m) -> SortedCDF:
         raise MeasureError("W1 requires normalized measures")
     if isinstance(m, GridMeasure1D):
         m = m.as_atoms()
-    if m.dim != 1:
-        raise MeasureError("exact W1 only in d=1")
-    x, w = m.positions[:, 0], m.weights
+    x, w = m.positions, m.weights
     if np.all(w == w[:1]):
         # equal weights (every empirical measure): their order does not
         # matter, so a plain sort gives the stable sort's arrays
@@ -254,15 +253,14 @@ def wasserstein1_oracle(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     """
     from scipy.optimize import linprog
 
-    if mu.positions.shape[0] > 12 or nu.positions.shape[0] > 12:
+    if mu.positions.size > 12 or nu.positions.size > 12:
         raise MeasureError("oracle is desk-scale only")
     if not (mu.normalized and nu.normalized):
         raise MeasureError("W1 requires normalized measures")
     a, b = mu.weights, nu.weights
-    p = mu.positions.shape[0]
-    q = nu.positions.shape[0]
-    cost = np.linalg.norm(mu.positions[:, None, :] - nu.positions[None, :, :],
-                          axis=2).ravel()
+    p = mu.positions.size
+    q = nu.positions.size
+    cost = np.abs(mu.positions[:, None] - nu.positions[None, :]).ravel()
     # Row sums = a, column sums = b; drop one redundant equality.
     A_eq = np.zeros((p + q, p * q))
     for i in range(p):
@@ -330,13 +328,10 @@ def detect_clusters(g: GridMeasure1D, mass_threshold: float,
 
 
 def measure_to_csv_rows(t: float, m) -> list[tuple[float, float, float]]:
-    """Rows (t, position, mass) for the measure CSV format (d = 1)."""
+    """Rows (t, position, mass) for the measure CSV format."""
     if isinstance(m, GridMeasure1D):
         m = m.as_atoms()
-    if m.dim != 1:
-        raise MeasureError("CSV format is 1-D")
-    return [(t, float(x), float(w))
-            for x, w in zip(m.positions[:, 0], m.weights)]
+    return [(t, float(x), float(w)) for x, w in zip(m.positions, m.weights)]
 
 
 def write_measure_csv(fh: io.TextIOBase, snapshots):

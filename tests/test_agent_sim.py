@@ -76,7 +76,7 @@ def test_sample_initial_atom_frequencies():
 def run_from_start(**kw):
     """Run to the horizon; return the opinions at t = 0 and the final state."""
     snaps, state = run_with_state(make_cfg(snapshot_times=(0.0,), **kw))
-    return snaps[0][1].positions[:, 0], state
+    return snaps[0][1].positions, state
 
 
 def test_step_zero_weight_only_advances_clock():
@@ -141,7 +141,7 @@ def test_run_hull_invariance():
                    external=Constant(0.5), environment=EnvAtom(12.0))
     cfg = make_cfg(kernel=k, horizon=5.0, snapshot_times=(1.0, 3.0, 5.0))
     for _, m in run(cfg):
-        x = m.positions[:, 0]
+        x = m.positions
         assert x.min() >= 0.0 - 1e-12
         assert x.max() <= 12.0 + 1e-12
 
@@ -167,7 +167,7 @@ def test_run_kernel_fast_paths_stay_in_hull():
                               environment=EnvAtom(0.5))):
         cfg = make_cfg(n=20, kernel=kernel, horizon=0.8,
                        snapshot_times=(0.8,), seed=123)
-        got = run(cfg)[0][1].positions[:, 0]
+        got = run(cfg)[0][1].positions
         assert got.shape == (20,)
         assert got.min() >= -1e-12
         assert got.max() <= 1.0 + 1e-12
@@ -202,7 +202,7 @@ def stream_digest(kernel, symmetric=False):
     h = hashlib.sha256()
     for t, m in snaps:
         h.update(struct.pack("<d", t))
-        h.update(np.ascontiguousarray(m.positions[:, 0], "<f8").tobytes())
+        h.update(np.ascontiguousarray(m.positions, "<f8").tobytes())
     h.update(np.ascontiguousarray(state.opinions, "<f8").tobytes())
     h.update(struct.pack("<dq", state.t, state.update_count))
     return state.update_count, h.hexdigest()
@@ -358,7 +358,7 @@ def assert_matches_sequential(cfg):
     want, x, t, count = sequential(cfg)
     assert [s for s, _ in snaps] == [s for s, _ in want]
     for (_, got), (_, y) in zip(snaps, want):
-        assert got.positions[:, 0].tobytes() == y.tobytes()
+        assert got.positions.tobytes() == y.tobytes()
     assert state.opinions.tobytes() == x.tobytes()
     assert (state.t, state.update_count) == (t, count)
 
@@ -405,7 +405,7 @@ def test_environment_branch_mean_follows_closed_form():
                         external=Constant(0.5), environment=EnvBump())
     times = tuple(float(t) for t in range(9))
     means = np.array([
-        [m.positions[:, 0].mean() for _, m in run(make_cfg(
+        [m.positions.mean() for _, m in run(make_cfg(
             n=20_000, kernel=kernel, initial=InitUniform(0.0, 10.0),
             horizon=8.0, snapshot_times=times, seed=seed))]
         for seed in range(20)])
@@ -423,7 +423,7 @@ def test_mixture_dispersion_decays_at_moment_system_rate():
         n=20_000, kernel=KernelSpec(alpha=1.0, internal=law),
         initial=InitUniform(0.0, 10.0), horizon=5.0, snapshot_times=(0.0,),
         seed=4))
-    v0 = np.var(snaps[0][1].positions[:, 0])
+    v0 = np.var(snaps[0][1].positions)
     rate = -np.log(dispersion(state) / v0) / 5.0
     assert rate == pytest.approx(0.42, abs=0.02)
 

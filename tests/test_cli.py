@@ -274,6 +274,10 @@ INVALID_CONFIGS = {
                          "initial: grid needs hi > lo"),
     "atoms_no_points": ("simulate", {"initial": {"type": "atoms"}},
                         "initial.points: required"),
+    "atoms_nested_points": ("simulate",
+                            {"initial": {"type": "atoms",
+                                         "points": [[[0.0, 1.0], 1.0]]}},
+                            "initial.points: expected [x, w] list"),
     "atoms_mass_0.7": ("simulate",
                        {"initial": {"type": "atoms",
                                     "points": [[0.0, 0.3], [1.0, 0.4]]}},
@@ -303,6 +307,14 @@ INVALID_CONFIGS = {
                               "meanfield: hi must exceed lo"),
     "meanfield_lo_only": ("meanfield", {"meanfield.lo": -1.0},
                           "meanfield: give both lo and hi"),
+    "meanfield_window_misses_initial": (
+        "meanfield", {"initial": {"type": "uniform", "a": 0.0, "b": 10.0},
+                      "meanfield.lo": 0.0, "meanfield.hi": 5.0},
+        "meanfield: lo and hi must cover [0, 10]"),
+    "meanfield_window_misses_environment": (
+        "meanfield", {"kernel": ENV_STYLE["kernel"], "meanfield.lo": 0.0,
+                      "meanfield.hi": 1.0},
+        "meanfield: lo and hi must cover [0, 4]"),
     "simulate_snapshots_unsorted": (
         "simulate", {"simulate.snapshot_times": [1.0, 0.5]},
         "simulate: snapshot times must be sorted"),
@@ -371,6 +383,16 @@ def test_moments_checks_pass_valid_runs(command, changes, tmp_path):
     d["moments"] = {}
     p = write_cfg(tmp_path, with_changes(d, changes))
     assert main([command, "--config", str(p), "--out",
+                 str(tmp_path / "out")]) == 0
+
+
+def test_meanfield_window_covering_the_laws_runs(tmp_path):
+    # the bump environment lies on (2, 4), the initial law on (0, 1)
+    d = with_changes(quick_sim_cfg(), {"kernel": ENV_STYLE["kernel"],
+                                       "meanfield.lo": -1.0,
+                                       "meanfield.hi": 5.0})
+    p = write_cfg(tmp_path, d)
+    assert main(["meanfield", "--config", str(p), "--out",
                  str(tmp_path / "out")]) == 0
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
                                  EnvBump, EnvUniform, FiniteMixture, Gaussian,
@@ -146,24 +147,49 @@ def _splat(expect, g, z, mass):
 def _oracle_weight(law, d):
     if isinstance(law, Constant):
         return law.omega
-    if isinstance(law, BoundedConfidence):
+    if isinstance(law, BoundedConfidence):  # the environment branch's cutoff
         return law.omega0 if d <= law.radius else 0.0
     return law.omega0 * np.exp(-d ** 2 / law.sigma ** 2)
 
 
+def _oracle_moved_fraction(law, g, i, j):
+    """The fraction of the point pairs of uniform cells i and j that lie
+    within the confidence radius: the in-cell offset difference s (in
+    cells) has the triangular density 1 - |s| on [-1, 1]."""
+    r, d = law.radius / g.h, abs(i - j)
+    a, b = max(-1.0, -r - d), min(1.0, r - d)
+    if a >= b:
+        return 0.0
+    return quad(lambda s: 1.0 - abs(s), a, b,
+                points=[0.0] if a < 0 < b else None)[0]
+
+
 def _oracle_F(g, k):
     """F by hand: every ordered cell pair and every (cell, environment atom)
-    pair moves as the cell centers do. That excludes an internal bounded
-    confidence law, whose cells are read as uniform densities."""
+    pair moves as the cell centers do. Under bounded confidence, whose cells
+    are read as uniform densities, a fraction of each cell pair moves with
+    omega0 and the rest stays."""
     cells = np.asarray(g.cells)
     centers = g.centers
     expect = np.zeros(g.m)
     if k.alpha > 0:
-        for i in range(g.m):
-            for j in range(g.m):
-                w = _oracle_weight(k.internal, abs(centers[i] - centers[j]))
-                _splat(expect, g, (1 - w) * centers[i] + w * centers[j],
-                       k.alpha * cells[i] * cells[j])
+        law = k.internal
+        branches = ([(Constant(w), p) for w, p in zip(law.omegas, law.probs)]
+                    if isinstance(law, FiniteMixture) else [(law, 1.0)])
+        for law, prob in branches:
+            for i in range(g.m):
+                for j in range(g.m):
+                    mass = k.alpha * prob * cells[i] * cells[j]
+                    if isinstance(law, BoundedConfidence):
+                        p = _oracle_moved_fraction(law, g, i, j)
+                        w = law.omega0
+                        _splat(expect, g, centers[i], (1 - p) * mass)
+                        mass *= p
+                    else:
+                        w = _oracle_weight(law,
+                                           abs(centers[i] - centers[j]))
+                    _splat(expect, g, (1 - w) * centers[i] + w * centers[j],
+                           mass)
     if k.alpha < 1:
         law = k.external
         branches = (zip(law.omegas, law.probs)
@@ -186,14 +212,21 @@ def _random_grid(seed, lo, hi, m):
 
 def _oracle_cases():
     """Grids and kernels for the oracles: constant 1/2 is the FFT
-    convolution; the environment cases cover a one-row band (atom), the
-    bench's bump, and uniform environments over the whole hull, where the
-    map's row blocks go dense."""
+    convolution, and every other internal law goes through the lag plan,
+    bounded confidence once with a radius past the grid's width, so that
+    the plan spans every lag; the environment cases cover a one-row band
+    (atom), the bench's bump, and uniform environments over the whole
+    hull, where the map's row blocks go dense."""
     g40 = _random_grid(1, 0.0, 4.0, 40)
     g150 = _random_grid(2, 0.0, 6.0, 150)
     c0, cm = g150.centers[0], g150.centers[-1]
     return [
         (g40, KernelSpec(alpha=1.0, internal=Gaussian(0.6, 1.3))),
+        (g40, KernelSpec(alpha=1.0, internal=Constant(0.3))),
+        (g40, KernelSpec(alpha=1.0, internal=FiniteMixture(
+            (0.5, 0.3, 0.0), (0.3, 0.5, 0.2)))),
+        (g40, KernelSpec(alpha=1.0, internal=BoundedConfidence(0.5, 0.83))),
+        (g40, KernelSpec(alpha=1.0, internal=BoundedConfidence(0.3, 4.5))),
         (g150, CONST_HALF),
         (g150, KernelSpec(alpha=0.4, internal=Constant(0.5),
                           external=Constant(0.3), environment=EnvAtom(1.7))),
