@@ -12,18 +12,18 @@ import hashlib
 import json
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import agent_sim, experiments, meanfield, moments
-from .agent_sim import InitAtoms, InitGrid, InitUniform
+from .agent_sim import InitAtoms, InitGrid, InitialLaw, InitUniform
 from .kernels import (BoundedConfidence, Constant, EnvAtom, EnvBump, EnvGrid,
                       EnvUniform, FiniteMixture, Gaussian, KernelError,
-                      KernelSpec, env_moment,
-                      env_support)  # noqa: F401 (bench/tracing.py wraps it)
+                      KernelSpec, env_moment, env_support)
 from .measures import (AtomicMeasure, GridMeasure1D, MeasureError, moment,
-                       wasserstein1_1d, write_measure_csv)
+                       wasserstein1_1d)
 
 
 class ConfigError(ValueError):
@@ -45,7 +45,7 @@ def _is_integer(v) -> bool:
 
 
 # JSON types of the config fields. Ranges and domains are not checked here:
-# the objects built from the config check them (see _check_domain).
+# the objects built from the config check them (see _build_objects).
 _TYPES = {
     "number": _is_number,
     "integer": _is_integer,
@@ -116,9 +116,17 @@ def _json_fields(cls) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated, default-filled run configuration."""
+    """Validated, default-filled run configuration and the objects built
+    from it. Equality and the hash cover `data` alone. `meanfield` is None
+    where no window is configured and the laws span a single point."""
 
     data: dict
+    kernel: KernelSpec
+    initial: InitialLaw
+    simulate: agent_sim.SimConfig
+    meanfield: meanfield.SolverConfig | None
+    moments: moments.MomentConfig
+    concentrate: experiments.ConcentrationConfig
 
     def __eq__(self, other):
         return isinstance(other, RunConfig) and self.data == other.data
@@ -248,11 +256,11 @@ def parse_config(text) -> RunConfig:
         errs.append("meanfield: give both lo and hi, or neither")
         shape_ok["meanfield"] = False
 
-    cfg = RunConfig(_normalize(data))
-    _check_domain(cfg, shape_ok, errs)
+    data = _normalize(data)
+    objects = _build_objects(data, shape_ok, errs)
     if errs:
         raise ConfigError(errs)
-    return cfg
+    return RunConfig(data, **objects)
 
 
 def _normalize(obj):
@@ -260,10 +268,8 @@ def _normalize(obj):
         return {k: _normalize(obj[k]) for k in sorted(obj)}
     if isinstance(obj, list):
         return [_normalize(v) for v in obj]
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return int(obj) if obj.is_integer() and abs(obj) < 2 ** 53 else obj
+    if isinstance(obj, float) and obj.is_integer() and abs(obj) < 2 ** 53:
+        return int(obj)
     return obj
 
 
@@ -277,11 +283,9 @@ def serialize(cfg: RunConfig) -> str:
 
 def _cast_fields(cls, values: dict) -> dict:
     """The JSON fields of cls from `values`, each cast by its annotation."""
-    out = {}
-    for key, (ann, _) in _json_fields(cls).items():
-        v = values[key]
-        out[key] = v if v is None else _ANNOTATIONS[ann][1](v)
-    return out
+    return {key: None if values[key] is None
+            else _ANNOTATIONS[ann][1](values[key])
+            for key, (ann, _) in _json_fields(cls).items()}
 
 
 def _build_object(spec: dict, classes: dict):
@@ -291,89 +295,105 @@ def _build_object(spec: dict, classes: dict):
     return cls(**_cast_fields(cls, spec))
 
 
-def build_kernel(cfg: RunConfig) -> KernelSpec:
-    k = cfg.data["kernel"]
-    return KernelSpec(float(k["alpha"]), **{
-        part: _build_object(k[part], classes)
-        for part, (classes, _) in _KERNEL_PARTS.items()
-        if k[part] is not None})
-
-
-def build_initial(cfg: RunConfig):
-    return _build_object(cfg.data["initial"], _INITIALS)
-
-
-def build_section(cfg: RunConfig, section: str, **context):
-    """The dataclass of a config section: its JSON fields, cast by
-    annotation, and `context` for the fields the JSON does not set (and for
-    a null lo and hi)."""
-    cls = _SECTIONS[section]
-    return cls(**{**_cast_fields(cls, cfg.data[section]), **context})
-
-
 _DOMAIN_ERRORS = (KernelError, MeasureError, agent_sim.SimError,
                   meanfield.SolverError, moments.MomentError,
                   experiments.ExperimentError)
 
+_ONE_POINT = ("the initial law and the environment span a single point, "
+              "where the grid solver has no default window")
 
-def _check_domain(cfg: RunConfig, shape_ok: dict, errs: list):
-    """Build every object the subcommands run, through the builders they
-    call, and record each constructor's error under its config path. A part
-    whose shape is unsound, or whose constructor failed, is passed on as
-    None: each constructor checks only its own fields."""
 
-    def build(path, make, *args, **kwargs):
+def _build_objects(data: dict, shape_ok: dict, errs: list) -> dict:
+    """Build every object the subcommands run, recording each constructor's
+    error under its config path. A part whose shape is unsound, or whose
+    constructor failed, is passed on as None."""
+
+    def build(path, make, *args):
         if not shape_ok.get(path, True):
             return None
         try:
-            return make(*args, **kwargs)
+            return make(*args)
         except _DOMAIN_ERRORS as e:
             errs.append(f"{path}: {e}")
             return None
 
     def section(name, **context):
-        return build(name, build_section, cfg, name, **context)
+        cls = _SECTIONS[name]
+        return build(name, lambda: cls(
+            **{**_cast_fields(cls, data[name]), **context}))
 
-    k = cfg.data["kernel"]
+    k = data["kernel"]
     parts = {part: build(f"kernel.{part}", _build_object, k[part], classes)
              for part, (classes, _) in _KERNEL_PARTS.items()
              if k[part] is not None}
     kernel = build("kernel", lambda: KernelSpec(float(k["alpha"]), **parts))
-    initial = build("initial", build_initial, cfg)
-    section("simulate", kernel=kernel, initial=initial, seed=cfg.seed)
-    # Without a configured lo/hi the solver spans the hull of the initial
-    # law and the environment, which this section does not set; the unit
-    # interval stands in for it so that the section's own fields are checked.
-    # A configured window must cover that hull: the grid would cut the
-    # initial law short, or not reach the environment.
-    mf = cfg.data["meanfield"]
-    window = mf["lo"] is not None
-    lo, hi = (mf["lo"], mf["hi"]) if window else (0.0, 1.0)
+    initial = build("initial", _build_object, data["initial"], _INITIALS)
+    laws = kernel is not None and initial is not None
+    objects = {"kernel": kernel, "initial": initial,
+               "simulate": section("simulate", kernel=kernel,
+                                   initial=initial, seed=data["seed"])}
+    # The configured lo/hi, or else the laws' default window. Where there is
+    # none the unit interval stands in to check the section's own fields.
+    mf = data["meanfield"]
+    window = None
+    if shape_ok["meanfield"] and mf["lo"] is not None:
+        window = (float(mf["lo"]), float(mf["hi"]))
+    elif shape_ok["meanfield"] and laws:
+        lo, hi = experiments.solver_domain(kernel, initial, max(mf["m"], 2))
+        window = (lo, hi) if hi > lo else None
+    lo, hi = window or (0.0, 1.0)
     solver = section("meanfield", lo=lo, hi=hi)
-    if window and solver is not None and kernel is not None \
-            and initial is not None:
-        a, b = experiments.solver_domain(kernel, initial)
+    objects["meanfield"] = solver if window else None
+    # A configured window must cover the hull, and the environment, which
+    # is deposited between cell centres, must lie within the outer two.
+    if mf["lo"] is not None and solver is not None and laws:
+        a, b = experiments.opinion_hull(kernel, initial)
         if lo > a or hi < b:
             errs.append(f"meanfield: lo and hi must cover [{a:g}, {b:g}], "
                         "the hull of the initial law and the environment")
-    section("concentrate", kernel=kernel, initial=initial, base_seed=cfg.seed)
+        elif kernel.alpha < 1.0:
+            ea, eb = env_support(kernel.environment)
+            half = (hi - lo) / (2 * solver.m)
+            c0, c1 = lo + half, hi - half
+            if ea < c0 - 1e-12 or eb > c1 + 1e-12:
+                errs.append(f"meanfield: the environment's hull [{ea:g}, "
+                            f"{eb:g}] must lie within [{c0:g}, {c1:g}], the "
+                            "first and last cell centres")
+    objects["concentrate"] = section("concentrate", kernel=kernel,
+                                     initial=initial, base_seed=data["seed"])
     # The weight laws must be constant when `moments` runs, not here: every
     # config has a moments section, and the other subcommands take any law.
-    section("moments")
+    objects["moments"] = section("moments")
+    return objects
 
 
-def _solver_domain(cfg: RunConfig) -> tuple[float, float]:
-    mf = cfg.data["meanfield"]
-    if mf["lo"] is not None:
-        return float(mf["lo"]), float(mf["hi"])
-    return experiments.solver_domain(build_kernel(cfg), build_initial(cfg))
+def _solver(cfg: RunConfig) -> meanfield.SolverConfig:
+    if cfg.meanfield is None:
+        raise ConfigError([f"meanfield: {_ONE_POINT}; give lo and hi"])
+    return cfg.meanfield
 
 
-def _artifact(path: Path, cfg: RunConfig):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fh = open(path, "w", newline="\n")
-    fh.write(f"# config_hash={cfg.config_hash()} seed={cfg.seed}\n")
-    return fh
+_MEASURE_CSV = ("t,position,mass", "%.17g,%.17g,%.17g")
+
+
+def _measure_rows(snapshots):
+    """(t, position, mass) rows of (t, measure) snapshots."""
+    for t, m in snapshots:
+        if isinstance(m, GridMeasure1D):
+            m = m.as_atoms()
+        yield from zip(repeat(t), m.positions.tolist(), m.weights.tolist())
+
+
+def _write_csv(path: Path, cfg: RunConfig, header: str, fmt: str, rows,
+               footer=()) -> Path:
+    """Write one artifact: the line with the config hash and the seed, the
+    header, each row formatted by fmt, then the footer lines."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"# config_hash={cfg.config_hash()} seed={cfg.seed}\n"
+                 f"{header}\n")
+        fh.writelines(fmt % row + "\n" for row in rows)
+        fh.writelines(f"{text}\n" for text in footer)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -381,42 +401,31 @@ def _artifact(path: Path, cfg: RunConfig):
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
-    sim = build_section(cfg, "simulate", kernel=build_kernel(cfg),
-                        initial=build_initial(cfg), seed=cfg.seed)
-    path = out_dir / "trajectory.csv"
-    with _artifact(path, cfg) as fh:
-        write_measure_csv(fh, agent_sim.run(sim))
-    return [path]
+    return [_write_csv(out_dir / "trajectory.csv", cfg, *_MEASURE_CSV,
+                       _measure_rows(agent_sim.run(cfg.simulate)))]
 
 
 def _run_meanfield(cfg: RunConfig):
-    lo, hi = _solver_domain(cfg)
-    solver = build_section(cfg, "meanfield", lo=lo, hi=hi)
-    g0 = experiments.initial_grid(build_initial(cfg), lo, hi, solver.m)
-    return meanfield.integrate(g0, build_kernel(cfg), solver)
+    solver = _solver(cfg)
+    g0 = experiments.initial_grid(cfg.initial, solver.lo, solver.hi, solver.m)
+    return meanfield.integrate(g0, cfg.kernel, solver)
 
 
 def cmd_meanfield(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
-    snaps = _run_meanfield(cfg)
-    paths = []
-    for t, g in snaps:
-        path = out_dir / f"meanfield_t{t:g}.csv"
-        with _artifact(path, cfg) as fh:
-            write_measure_csv(fh, [(t, g)])
-        paths.append(path)
-    return paths
+    return [_write_csv(out_dir / f"meanfield_t{t:g}.csv", cfg, *_MEASURE_CSV,
+                       _measure_rows([(t, g)]))
+            for t, g in _run_meanfield(cfg)]
 
 
 def _moment_params(cfg: RunConfig, K: int) -> moments.MomentParams:
-    kernel = build_kernel(cfg)
+    kernel = cfg.kernel
     parts = ("internal", "external") if kernel.alpha < 1.0 else ("internal",)
     bad = [f"kernel.{part}: moments needs a constant-weight law"
            for part in parts if not isinstance(getattr(kernel, part), Constant)]
     if bad:
         raise ConfigError(bad)
-    lo, hi = _solver_domain(cfg)
-    g0 = experiments.initial_grid(build_initial(cfg), lo, hi,
-                                  cfg.data["meanfield"]["m"])
+    mf = _solver(cfg)
+    g0 = experiments.initial_grid(cfg.initial, mf.lo, mf.hi, mf.m)
     init = [moment(g0, k) for k in range(1, K + 1)]
     env = [env_moment(kernel.environment, k) for k in range(1, K + 1)] \
         if kernel.alpha < 1.0 else [0.0] * K
@@ -429,77 +438,56 @@ def _moment_params(cfg: RunConfig, K: int) -> moments.MomentParams:
 
 
 def cmd_moments(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
-    mcfg = build_section(cfg, "moments")
+    mcfg = cfg.moments
     params = _moment_params(cfg, mcfg.K)
     traj = moments.integrate_moments(params, mcfg.T, mcfg.dt)
-    paths = []
-    path = out_dir / "moments.csv"
-    with _artifact(path, cfg) as fh:
-        fh.write("t,k,value\n")
-        last = traj.times.size - 1  # every stride-th row, and the last, at T
-        stride = max(1, traj.times.size // 2000)
-        for i in [*range(0, last, stride), last]:
-            for k in range(1, params.K + 1):
-                fh.write("%.17g,%d,%.17g\n"
-                         % (traj.times[i], k, traj.values[k - 1, i]))
-    paths.append(path)
+    last = traj.times.size - 1  # every stride-th row, and the last, at T
+    stride = max(1, traj.times.size // 2000)
+    rows = ((traj.times[i], k, traj.values[k - 1, i])
+            for i in [*range(0, last, stride), last]
+            for k in range(1, params.K + 1))
+    paths = [_write_csv(out_dir / "moments.csv", cfg, "t,k,value",
+                        "%.17g,%d,%.17g", rows)]
     if params.alpha < 1.0:
-        lpath = out_dir / "limits.csv"
-        lim = moments.limit_moments(params)
-        with _artifact(lpath, cfg) as fh:
-            fh.write("k,value\n")
-            for k, v in enumerate(lim, start=1):
-                fh.write("%d,%.17g\n" % (k, v))
-        paths.append(lpath)
+        paths.append(_write_csv(out_dir / "limits.csv", cfg, "k,value",
+                                "%d,%.17g", enumerate(
+                                    moments.limit_moments(params), start=1)))
     return paths
 
 
 def cmd_concentrate(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
-    ccfg = build_section(cfg, "concentrate", kernel=build_kernel(cfg),
-                         initial=build_initial(cfg), base_seed=cfg.seed)
+    ccfg = cfg.concentrate
+    a, b = experiments.opinion_hull(cfg.kernel, cfg.initial)
+    if not b > a:  # the reference's window ignores meanfield.lo and hi
+        raise ConfigError([f"concentrate: {_ONE_POINT} for the reference"])
     table = experiments.run_concentration(ccfg, threads=threads)
-    dpath = out_dir / "deviations.csv"
-    with _artifact(dpath, cfg) as fh:
-        fh.write("n,replica,D\n")
-        for n, r, d in table.rows:
-            fh.write("%d,%d,%.17g\n" % (n, r, d))
-    eps_list = list(ccfg.eps_list)
-    if not eps_list:
-        mid_n = ccfg.n_list[len(ccfg.n_list) // 2]
-        eps_list = [float(np.median(table.for_n(mid_n)))]
-    rpath = out_dir / "rates.csv"
-    with _artifact(rpath, cfg) as fh:
-        fh.write("eps,n,tail_prob\n")
-        summaries = []
-        for eps in eps_list:
-            try:
-                points, slope, stderr = experiments.tail_rates(table, eps)
-            except experiments.ExperimentError as e:
-                summaries.append(f"# eps={eps:.17g} error={e}")
-                continue
-            for n, p in points:
-                fh.write("%.17g,%d,%.17g\n" % (eps, n, p))
-            summaries.append(f"# eps={eps:.17g} slope={slope:.17g} "
-                             f"stderr={stderr:.17g}")
-        for line in summaries:
-            fh.write(line + "\n")
-    return [dpath, rpath]
+    paths = [_write_csv(out_dir / "deviations.csv", cfg, "n,replica,D",
+                        "%d,%d,%.17g", table.rows)]
+    mid_n = ccfg.n_list[len(ccfg.n_list) // 2]
+    rows, summaries = [], []
+    for eps in ccfg.eps_list or [float(np.median(table.for_n(mid_n)))]:
+        try:
+            points, slope, stderr = experiments.tail_rates(table, eps)
+        except experiments.ExperimentError as e:
+            summaries.append(f"# eps={eps:.17g} error={e}")
+            continue
+        rows += [(eps, n, p) for n, p in points]
+        summaries.append(f"# eps={eps:.17g} slope={slope:.17g} "
+                         f"stderr={stderr:.17g}")
+    paths.append(_write_csv(out_dir / "rates.csv", cfg, "eps,n,tail_prob",
+                            "%.17g,%d,%.17g", rows, summaries))
+    return paths
 
 
 def cmd_compare(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
     mf_snaps = _run_meanfield(cfg)
     times = tuple(t for t, _ in mf_snaps)
-    sim = build_section(cfg, "simulate", kernel=build_kernel(cfg),
-                        initial=build_initial(cfg), seed=cfg.seed)
-    sim = replace(sim, horizon=max(times, default=sim.horizon),
-                  snapshot_times=times)
-    sim_snaps = agent_sim.run(sim)
-    path = out_dir / "compare.csv"
-    with _artifact(path, cfg) as fh:
-        fh.write("t,w1\n")
-        for (t, emp), (_, ref) in zip(sim_snaps, mf_snaps):
-            fh.write("%.17g,%.17g\n" % (t, wasserstein1_1d(emp, ref)))
-    return [path]
+    sim = replace(cfg.simulate, snapshot_times=times,
+                  horizon=max(times, default=cfg.simulate.horizon))
+    rows = [(t, wasserstein1_1d(emp, ref))
+            for (t, emp), (_, ref) in zip(agent_sim.run(sim), mf_snaps)]
+    return [_write_csv(out_dir / "compare.csv", cfg, "t,w1", "%.17g,%.17g",
+                       rows)]
 
 
 _COMMANDS = {"simulate": cmd_simulate, "meanfield": cmd_meanfield,
@@ -536,10 +524,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(Path(args.config).read_bytes())
         if args.seed is not None:  # checked as the config's own seed is
-            errs = []
-            if not _check_type(errs, "seed", args.seed, "integer >= 0"):
-                raise ConfigError(errs)
-            cfg = RunConfig(_normalize({**cfg.data, "seed": args.seed}))
+            cfg = parse_config(json.dumps({**cfg.data, "seed": args.seed}))
         try:
             paths = dispatch(cfg, args.command, args.out, args.threads)
         except ConfigError:  # a subcommand's own demand on the config

@@ -76,10 +76,10 @@ class DeviationTable:
         return [(n, float(np.median(self.for_n(n)))) for n in ns]
 
 
-def solver_domain(kernel: KernelSpec,
-                  initial: InitialLaw) -> tuple[float, float]:
-    """The grid solver's default interval: the hull of the initial law's
-    support and, when alpha < 1, the environment's."""
+def opinion_hull(kernel: KernelSpec,
+                 initial: InitialLaw) -> tuple[float, float]:
+    """The hull of the initial law's support and, when alpha < 1, the
+    environment's."""
     lo, hi = initial_support(initial)
     if kernel.alpha < 1.0 and kernel.environment is not None:
         elo, ehi = env_support(kernel.environment)
@@ -87,8 +87,22 @@ def solver_domain(kernel: KernelSpec,
     return lo, hi
 
 
+def solver_domain(kernel: KernelSpec, initial: InitialLaw,
+                  m: int) -> tuple[float, float]:
+    """The grid solver's default window for m cells: the opinion hull.
+    When alpha < 1 it is widened by half a cell at each end, so that its
+    first and last cell centres are the hull's ends: the environment
+    branch deposits between cell centres, and the environment must lie
+    within them."""
+    lo, hi = opinion_hull(kernel, initial)
+    if kernel.alpha < 1.0:
+        pad = (hi - lo) / (2 * (m - 1))
+        lo, hi = lo - pad, hi + pad
+    return lo, hi
+
+
 def _reference(cfg: ConcentrationConfig, m: int, dt: float):
-    lo, hi = solver_domain(cfg.kernel, cfg.initial)
+    lo, hi = solver_domain(cfg.kernel, cfg.initial, m)
     g0 = initial_grid(cfg.initial, lo, hi, m)
     solver = SolverConfig(lo, hi, m=m, dt=dt, horizon=cfg.tau,
                           snapshot_times=cfg.sample_times, scheme="rk4")

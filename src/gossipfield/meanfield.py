@@ -128,9 +128,6 @@ def _lag_plan(branches: list, m: int, h: float):
         shift = w * lags
         j0 = np.floor(shift)
         f = shift - j0
-        # both deposits of every pair land inside the grid
-        if np.any(j0 < 0) or np.any(j0 + (f > 0) > lags):
-            raise SolverError("grid does not cover hull")
         for lag in np.flatnonzero(q):
             a = coeff * q[lag]
             deposits.setdefault(int(lag), []).append(
@@ -159,7 +156,6 @@ def _external_blocks(lo: float, h: float, law, coeff: float,
         branches = list(zip(law.omegas, law.probs))
     else:
         branches = [(None, 1.0)]
-    hull_lo, hull_hi = centers[0], centers[-1]
     splats = []
     low = np.full(m, m - 1)
     high = np.zeros(m, dtype=np.int64)
@@ -170,8 +166,6 @@ def _external_blocks(lo: float, h: float, law, coeff: float,
             else:
                 u = upsilon
             z = (1.0 - u) * centers + u * e
-            if z.min() < hull_lo - 1e-9 * h or z.max() > hull_hi + 1e-9 * h:
-                raise SolverError("grid does not cover hull")
             pos = np.clip((z - lo) / h - 0.5, 0.0, m - 1.0)
             idx = np.floor(pos).astype(np.int64)
             splats.append((idx, pos - idx, coeff * p * q))

@@ -6,7 +6,6 @@ All values are immutable after construction; every function here is pure.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,51 +294,21 @@ def detect_clusters(g: GridMeasure1D, mass_threshold: float,
         raise MeasureError("mass_threshold must be in (0,1)")
     if gap_cells < 1:
         raise MeasureError("gap_cells must be >= 1")
-    cutoff = mass_threshold / g.m
-    occupied = g.cells > cutoff
+    occupied = np.flatnonzero(g.cells > mass_threshold / g.m)
+    # a cluster ends where the next occupied cell is more than gap_cells on
+    cut = np.flatnonzero(np.diff(occupied) > gap_cells)
+    starts = np.append(occupied[:1], occupied[cut + 1])
+    ends = np.append(occupied[cut], occupied[-1:])
     centers = g.centers
-    runs = []  # (start, end) inclusive
-    i = 0
-    while i < g.m:
-        if occupied[i]:
-            j = i
-            while j + 1 < g.m and occupied[j + 1]:
-                j += 1
-            runs.append([i, j])
-            i = j + 1
-        else:
-            i += 1
-    merged = []
-    for run in runs:
-        if merged and run[0] - merged[-1][1] - 1 < gap_cells:
-            merged[-1][1] = run[1]
-        else:
-            merged.append(run)
     clusters = []
-    for i, j in merged:
+    for i, j in zip(starts.tolist(), ends.tolist()):
         w = float(g.cells[i:j + 1].sum())
         if w <= mass_threshold:
             continue
         c = float(np.dot(g.cells[i:j + 1], centers[i:j + 1]) / w)
         extent = (g.lo + i * g.h, g.lo + (j + 1) * g.h)
         clusters.append(Cluster(center=c, weight=w, extent=extent))
-    clusters.sort(key=lambda cl: cl.center)
     return clusters
-
-
-def measure_to_csv_rows(t: float, m) -> list[tuple[float, float, float]]:
-    """Rows (t, position, mass) for the measure CSV format."""
-    if isinstance(m, GridMeasure1D):
-        m = m.as_atoms()
-    return [(t, float(x), float(w)) for x, w in zip(m.positions, m.weights)]
-
-
-def write_measure_csv(fh: io.TextIOBase, snapshots):
-    """Write (t, measure) snapshots in long format: header t,position,mass."""
-    fh.write("t,position,mass\n")
-    for t, m in snapshots:
-        for row in measure_to_csv_rows(t, m):
-            fh.write("%.17g,%.17g,%.17g\n" % row)
 
 
 def checked_times(times, horizon: float, error, what="snapshot times",

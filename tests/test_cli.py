@@ -7,14 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gossipfield
 from gossipfield import cli
-from gossipfield.cli import (ConfigError, RunConfig, build_initial,
-                             build_kernel, dispatch, main, parse_config,
-                             serialize)
+from gossipfield.cli import (ConfigError, RunConfig, dispatch, main,
+                             parse_config, serialize)
 from gossipfield.kernels import BoundedConfidence, Constant, EnvBump
+from gossipfield.measures import AtomicMeasure
 
 MINIMAL = {
     "kernel": {"alpha": 1.0, "internal": {"type": "constant", "omega": 0.5}},
@@ -141,11 +142,11 @@ def test_config_hash_stable_under_key_order():
 
 
 def test_build_kernel_and_initial():
-    k = build_kernel(cfg_of(ENV_STYLE))
+    k = cfg_of(ENV_STYLE).kernel
     assert k.alpha == 0.5
     assert isinstance(k.internal, Constant)
     assert isinstance(k.environment, EnvBump)
-    init = build_initial(cfg_of(ENV_STYLE))
+    init = cfg_of(ENV_STYLE).initial
     assert (init.a, init.b) == (0.0, 10.0)
 
 
@@ -153,7 +154,7 @@ def test_build_bounded_confidence():
     d = json.loads(json.dumps(MINIMAL))
     d["kernel"]["internal"] = {"type": "bounded_confidence",
                                "omega0": 0.5, "radius": 1.0}
-    k = build_kernel(cfg_of(d))
+    k = cfg_of(d).kernel
     assert isinstance(k.internal, BoundedConfidence)
 
 
@@ -228,6 +229,17 @@ def test_compare_artifact(tmp_path):
     assert len(lines) == 3  # header comment + header + one snapshot
 
 
+def test_measure_csv_layout(tmp_path):
+    snaps = [(0.0, AtomicMeasure(np.array([0.25, 0.75]),
+                                 np.array([0.5, 0.5])))]
+    path = cli._write_csv(tmp_path / "m.csv", cfg_of(MINIMAL),
+                          *cli._MEASURE_CSV, cli._measure_rows(snaps))
+    lines = path.read_text().splitlines()[1:]
+    assert lines[0] == "t,position,mass"
+    assert lines[1] == "0,0.25,0.5"
+    assert len(lines) == 3
+
+
 def test_rerun_byte_identical(tmp_path):
     cfg = cfg_of(quick_sim_cfg())
     out1 = tmp_path / "a"
@@ -253,6 +265,7 @@ def test_main_config_error_exit_code(tmp_path):
 BOUNDED_CONFIDENCE = {"type": "bounded_confidence", "radius": 1.0}
 ZERO_GRID = {"type": "grid", "lo": 0.0, "hi": 1.0, "cells": [0.0, 0.0]}
 GAUSSIAN = {"type": "gaussian", "omega0": 0.5, "sigma": 1.0}
+ONE_ATOM = {"type": "atoms", "points": [[0.5, 1.0]]}
 MIXTURE = {"type": "mixture", "omegas": [0.2, 0.8], "probs": [0.5, 0.5]}
 
 # (command, {dotted config path: value}, the violation main must print)
@@ -315,6 +328,19 @@ INVALID_CONFIGS = {
         "meanfield", {"kernel": ENV_STYLE["kernel"], "meanfield.lo": 0.0,
                       "meanfield.hi": 1.0},
         "meanfield: lo and hi must cover [0, 4]"),
+    "meanfield_window_edge_environment": (
+        "meanfield", {"kernel": dict(ENV_STYLE["kernel"],
+                                     environment={"type": "atom", "z": 1.0}),
+                      "meanfield.lo": 0.0, "meanfield.hi": 1.0},
+        "meanfield: the environment's hull [1, 1] must lie within [0.005, "
+        "0.995], the first and last cell centres"),
+    **{f"{command}_single_point_hull": (
+        command, {"initial": ONE_ATOM},
+        f"{path}: the initial law and the environment span a single point")
+       for command, path in (("meanfield", "meanfield"),
+                             ("compare", "meanfield"),
+                             ("moments", "meanfield"),
+                             ("concentrate", "concentrate"))},
     "simulate_snapshots_unsorted": (
         "simulate", {"simulate.snapshot_times": [1.0, 0.5]},
         "simulate: snapshot times must be sorted"),
@@ -394,6 +420,56 @@ def test_meanfield_window_covering_the_laws_runs(tmp_path):
     p = write_cfg(tmp_path, d)
     assert main(["meanfield", "--config", str(p), "--out",
                  str(tmp_path / "out")]) == 0
+
+
+def test_simulate_runs_on_a_single_point_hull(tmp_path):
+    d = with_changes(quick_sim_cfg(), {"initial": ONE_ATOM})
+    p = write_cfg(tmp_path, d)
+    assert main(["simulate", "--config", str(p), "--out",
+                 str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command", ["meanfield", "compare"])
+@pytest.mark.parametrize("environment, m", [
+    ({"type": "atom", "z": 1.0}, 2000),
+    ({"type": "bump"}, 100),
+    ({"type": "uniform", "a": 0.5, "b": 3.0}, 300),
+], ids=["atom_at_1", "bump", "uniform_0.5_3"])
+def test_environment_at_the_default_window_edge_runs(command, environment, m,
+                                                     tmp_path):
+    # the default window is widened by half a cell at each end, so that its
+    # first and last cell centres reach the environment
+    d = with_changes(quick_sim_cfg(), {
+        "kernel": dict(ENV_STYLE["kernel"], environment=environment),
+        "meanfield.m": m})
+    p = write_cfg(tmp_path, d)
+    assert main([command, "--config", str(p), "--out",
+                 str(tmp_path / "out")]) == 0
+
+
+def test_bench_tracer_wraps_the_cli(tmp_path):
+    # bench/tracing.py wraps program functions by name; a rename in the
+    # package would break only the traced benchmark run without this test
+    root = Path(__file__).resolve().parents[1]
+    p = write_cfg(tmp_path, with_changes(quick_sim_cfg(),
+                                         {"kernel": ENV_STYLE["kernel"]}))
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(root / 'bench')!r})\n"
+            "import tracing\n"
+            "from gossipfield import cli\n"
+            "tracer = tracing.Tracer()\n"
+            "tracing.install(tracer)\n"
+            f"code = cli.main(['compare', '--config', {str(p)!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}])\n"
+            "print(code, sorted({s['name'] for s in tracer.spans}))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    code, names = out.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0"
+    for name in ("parse", "dispatch", "integrate", "setup", "f_eval", "run",
+                 "run_with_state", "w1", "env_setup"):
+        assert repr(name) in names
 
 
 def test_parsing_a_bump_environment_leaves_scipy_unimported(tmp_path):

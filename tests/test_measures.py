@@ -1,16 +1,14 @@
 """Tests for measure representations, moments, W1, and cluster detection."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipfield.measures import (AtomicMeasure, GridMeasure1D, MeasureError,
-                                  detect_clusters, moment, sorted_cdf,
-                                  variance, wasserstein1_1d,
-                                  wasserstein1_oracle, write_measure_csv)
+from gossipfield.measures import (AtomicMeasure, Cluster, GridMeasure1D,
+                                  MeasureError, detect_clusters, moment,
+                                  sorted_cdf, variance, wasserstein1_1d,
+                                  wasserstein1_oracle)
 
 
 def atoms(positions, weights):
@@ -303,15 +301,47 @@ def test_cluster_centers_respect_gap(spikes, gap_cells):
         assert c.weight > 0.01
 
 
-# ---------------------------------------------------------------------------
-# CSV format
+
+def clusters_by_loops(g, mass_threshold, gap_cells):
+    """The run scan and gap merge that detect_clusters does with one split,
+    written as loops: the oracle it must match."""
+    occupied = g.cells > mass_threshold / g.m
+    runs = []  # [start, end], inclusive
+    i = 0
+    while i < g.m:
+        if occupied[i]:
+            j = i
+            while j + 1 < g.m and occupied[j + 1]:
+                j += 1
+            runs.append([i, j])
+            i = j + 1
+        else:
+            i += 1
+    merged = []
+    for run in runs:
+        if merged and run[0] - merged[-1][1] - 1 < gap_cells:
+            merged[-1][1] = run[1]
+        else:
+            merged.append(run)
+    clusters = []
+    for i, j in merged:
+        w = float(g.cells[i:j + 1].sum())
+        if w > mass_threshold:
+            c = float(np.dot(g.cells[i:j + 1], g.centers[i:j + 1]) / w)
+            clusters.append(Cluster(c, w, (g.lo + i * g.h,
+                                           g.lo + (j + 1) * g.h)))
+    return sorted(clusters, key=lambda cl: cl.center)
 
 
-def test_measure_csv_layout():
-    buf = io.StringIO()
-    snaps = [(0.0, atoms([0.25, 0.75], [0.5, 0.5]))]
-    write_measure_csv(buf, snaps)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "t,position,mass"
-    assert lines[1] == "0,0.25,0.5"
-    assert len(lines) == 3
+def test_clusters_match_the_loop_oracle():
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        m = int(rng.integers(2, 300))
+        cells = rng.random(m) * (rng.random(m) < rng.random())
+        cells[rng.integers(m)] += 1e-3  # never empty
+        g = GridMeasure1D(-1.0, float(rng.uniform(0.0, 9.0)), cells)
+        g = g.normalize()
+        threshold = float(rng.uniform(1e-3, 0.3))
+        gap = int(rng.integers(1, 15))
+        assert detect_clusters(g, threshold, gap) \
+            == clusters_by_loops(g, threshold, gap)
