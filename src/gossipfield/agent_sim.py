@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (BoundedConfidence, FiniteMixture, Gaussian,
-                      KernelSpec, draw_mixture, make_env_sampler,
-                      weight_value)
-from .measures import AtomicMeasure, GridMeasure1D, checked_times
+                      KernelSpec, density_moment, draw_mixture, grid_moment,
+                      make_env_sampler, weight_value)
+from .measures import AtomicMeasure, GridMeasure1D, checked_times, moment
 
 
 class SimError(ValueError):
@@ -88,6 +88,18 @@ def initial_support(law: InitialLaw) -> tuple[float, float]:
         return (float(x.min()), float(x.max()))
     if isinstance(law, InitGrid):
         return (law.grid.lo, law.grid.hi)
+    raise SimError(f"unknown initial law {law!r}")
+
+
+def initial_moment(law: InitialLaw, k: int) -> float:
+    """k-th moment of the initial law, exact: a grid law is read as a
+    piecewise-uniform density, as it is sampled."""
+    if isinstance(law, InitUniform):
+        return density_moment(law.a, law.b, law.b - law.a, k)
+    if isinstance(law, InitAtoms):
+        return moment(law.measure, k)
+    if isinstance(law, InitGrid):
+        return grid_moment(law.grid, k)
     raise SimError(f"unknown initial law {law!r}")
 
 

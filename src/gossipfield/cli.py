@@ -22,7 +22,7 @@ from .agent_sim import InitAtoms, InitGrid, InitialLaw, InitUniform
 from .kernels import (BoundedConfidence, Constant, EnvAtom, EnvBump, EnvGrid,
                       EnvUniform, FiniteMixture, Gaussian, KernelError,
                       KernelSpec, env_moment, env_support)
-from .measures import (AtomicMeasure, GridMeasure1D, MeasureError, moment,
+from .measures import (AtomicMeasure, GridMeasure1D, MeasureError,
                        wasserstein1_1d)
 
 
@@ -422,11 +422,14 @@ def _moment_params(cfg: RunConfig, K: int) -> moments.MomentParams:
     parts = ("internal", "external") if kernel.alpha < 1.0 else ("internal",)
     bad = [f"kernel.{part}: moments needs a constant-weight law"
            for part in parts if not isinstance(getattr(kernel, part), Constant)]
+    # gamma_1 = (1 - alpha) * upsilon, and the stationary recursion divides
+    # by every gamma_k; all are positive exactly when upsilon is
+    if not bad and kernel.alpha < 1.0 and not kernel.external.omega > 0:
+        bad.append("kernel.external: moments needs a positive external "
+                   "weight when alpha < 1, for the stationary moments")
     if bad:
         raise ConfigError(bad)
-    mf = _solver(cfg)
-    g0 = experiments.initial_grid(cfg.initial, mf.lo, mf.hi, mf.m)
-    init = [moment(g0, k) for k in range(1, K + 1)]
+    init = [agent_sim.initial_moment(cfg.initial, k) for k in range(1, K + 1)]
     env = [env_moment(kernel.environment, k) for k in range(1, K + 1)] \
         if kernel.alpha < 1.0 else [0.0] * K
     return moments.MomentParams(alpha=kernel.alpha,
@@ -480,6 +483,9 @@ def cmd_concentrate(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
 
 
 def cmd_compare(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
+    if cfg.simulate.symmetric:
+        raise ConfigError(["simulate.symmetric: compare needs one-sided "
+                           "updates, the dynamics the grid solver models"])
     mf_snaps = _run_meanfield(cfg)
     times = tuple(t for t, _ in mf_snaps)
     sim = replace(cfg.simulate, snapshot_times=times,

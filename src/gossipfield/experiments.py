@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent_sim import InitialLaw, SimConfig, initial_support, run
+from .agent_sim import (InitAtoms, InitGrid, InitialLaw, InitUniform,
+                        SimConfig, initial_support, run)
 from .kernels import BoundedConfidence, KernelSpec, env_support
 from .meanfield import SolverConfig, integrate
-from .measures import (GridMeasure1D, checked_times, sorted_cdf,
+from .measures import (GridMeasure1D, checked_times, density_cdf, sorted_cdf,
                        wasserstein1_1d)
 
 
@@ -111,8 +112,6 @@ def _reference(cfg: ConcentrationConfig, m: int, dt: float):
 
 def initial_grid(initial: InitialLaw, lo: float, hi: float,
                  m: int) -> GridMeasure1D:
-    from .agent_sim import InitAtoms, InitGrid, InitUniform
-
     if isinstance(initial, InitUniform):
         return GridMeasure1D.uniform(lo, hi, m, support=(initial.a, initial.b))
     if isinstance(initial, InitGrid):
@@ -126,26 +125,6 @@ def initial_grid(initial: InitialLaw, lo: float, hi: float,
     idx = np.clip(((x - lo) / h).astype(int), 0, m - 1)
     cells = np.bincount(idx, weights=w, minlength=m)[:m]
     return GridMeasure1D(lo, hi, cells / cells.sum())
-
-
-def _density_w1(a: GridMeasure1D, b: GridMeasure1D) -> float:
-    """W1 between two histograms read as piecewise-uniform densities
-    (piecewise-linear CDFs). Used for the discretization-error estimate,
-    where comparing cell-center atom sets of nested grids would inflate
-    the result by an O(h) atomization offset."""
-    ea = a.lo + np.arange(a.m + 1) * a.h
-    eb = b.lo + np.arange(b.m + 1) * b.h
-    edges = np.union1d(ea, eb)
-    fa = np.interp(edges, ea, np.concatenate([[0.0], np.cumsum(a.cells)]))
-    fb = np.interp(edges, eb, np.concatenate([[0.0], np.cumsum(b.cells)]))
-    d0 = fa[:-1] - fb[:-1]
-    d1 = fa[1:] - fb[1:]
-    # the CDF difference is linear on each segment; integrate |.| exactly,
-    # splitting segments where the sign changes
-    denom = np.maximum(np.abs(d0) + np.abs(d1), 1e-300)
-    seg = np.where(d0 * d1 >= 0, 0.5 * (np.abs(d0) + np.abs(d1)),
-                   0.5 * (d0 * d0 + d1 * d1) / denom)
-    return float((np.diff(edges) * seg).sum())
 
 
 def _replica_seed(base_seed: int, n: int, replica: int) -> int:
@@ -177,10 +156,6 @@ def _one_replica(args) -> tuple[int, int, float]:
     return (n, replica, float(d))
 
 
-def _max_density_w1(a, b) -> float:
-    return max(_density_w1(ga, gb) for (_, ga), (_, gb) in zip(a, b))
-
-
 def run_concentration(cfg: ConcentrationConfig, threads: int = 1,
                       skip_refinement_check: bool = False) -> DeviationTable:
     """Compute the deviation table. Deterministic given base_seed; replicas
@@ -202,11 +177,13 @@ def run_concentration(cfg: ConcentrationConfig, threads: int = 1,
     results.sort(key=lambda r: (r[0], r[1]))
     table = DeviationTable(tuple(results))
     if not skip_refinement_check:
-        # space: halve m at the same step; time: step doubling at m/2
-        coarse = _reference(cfg, cfg.ref_m // 2, cfg.ref_dt)
-        space_err = _max_density_w1(reference, coarse)
-        fine_step = _reference(cfg, cfg.ref_m // 2, cfg.ref_dt / 2)
-        time_err = _max_density_w1(coarse, fine_step)
+        # space: halve m at the same step; time: step doubling at m/2. Read
+        # as densities: the cell-centre atoms of nested grids lie O(h) apart
+        fine = [density_cdf(g) for _, g in reference]
+        coarse, fine_step = ([density_cdf(g) for _, g in _reference(
+            cfg, cfg.ref_m // 2, dt)] for dt in (cfg.ref_dt, cfg.ref_dt / 2))
+        space_err = max(map(wasserstein1_1d, fine, coarse))
+        time_err = max(map(wasserstein1_1d, coarse, fine_step))
         disc_err = space_err + time_err
         d_min = min(d for (_, _, d) in table.rows)
         if disc_err >= 0.1 * d_min:

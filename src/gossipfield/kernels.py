@@ -187,6 +187,19 @@ def env_support(e: EnvironmentSpec) -> tuple[float, float]:
     raise KernelError("no environment configured")
 
 
+def density_moment(lo, hi, h, k: int):
+    """k-th moment of the uniform law on [lo, hi], of width h: the integral
+    of x^k over [lo, hi], over h. lo and hi may be arrays of cells."""
+    return (hi ** (k + 1) - lo ** (k + 1)) / ((k + 1) * h)
+
+
+def grid_moment(g: GridMeasure1D, k: int) -> float:
+    """k-th moment of a grid read as a piecewise-uniform density."""
+    edges = g.edges
+    return float(np.dot(g.cells,
+                        density_moment(edges[:-1], edges[1:], g.h, k)))
+
+
 def env_moment(e: EnvironmentSpec, k: int) -> float:
     """k-th moment of the environment distribution; exact for atoms,
     intervals and grids, composite Simpson on 2^13 intervals for the bump."""
@@ -195,13 +208,9 @@ def env_moment(e: EnvironmentSpec, k: int) -> float:
     if isinstance(e, EnvAtom):
         return e.z ** k
     if isinstance(e, EnvUniform):
-        return (e.b ** (k + 1) - e.a ** (k + 1)) / ((k + 1) * (e.b - e.a))
+        return density_moment(e.a, e.b, e.b - e.a, k)
     if isinstance(e, EnvGrid):
-        # exact polynomial integral of the piecewise-constant density
-        g = e.grid
-        edges = g.lo + np.arange(g.m + 1) * g.h
-        cell_int = (edges[1:] ** (k + 1) - edges[:-1] ** (k + 1)) / ((k + 1) * g.h)
-        return float(np.dot(g.cells, cell_int))
+        return grid_moment(e.grid, k)
     if isinstance(e, EnvBump):
         x = _bump_nodes()
         return float(_simpson(_bump_unnormalized(x) * x ** k,

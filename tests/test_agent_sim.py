@@ -9,12 +9,13 @@ import pytest
 
 from gossipfield.agent_sim import (_BLOCK, _CHUNK, InitAtoms, InitGrid,
                                    InitUniform, SimConfig, SimError, SimState,
-                                   dispersion, init_state, initial_support,
-                                   run, run_ends, run_with_state,
-                                   sample_initial)
+                                   dispersion, init_state, initial_moment,
+                                   initial_support, run, run_ends,
+                                   run_with_state, sample_initial)
 from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
-                                 EnvBump, EnvUniform, FiniteMixture, Gaussian,
-                                 KernelSpec, draw_mixture, make_env_sampler)
+                                 EnvBump, EnvGrid, EnvUniform, FiniteMixture,
+                                 Gaussian, KernelSpec, draw_mixture,
+                                 env_moment, make_env_sampler)
 from gossipfield.measures import AtomicMeasure, GridMeasure1D
 
 
@@ -61,6 +62,26 @@ def test_sample_initial_supports():
         lo, hi = initial_support(law)
         assert x.min() >= lo and x.max() <= hi
         assert x.shape == (300,)
+
+
+def test_initial_moments_are_exact():
+    # a grid law is the piecewise-uniform density it is sampled from: on
+    # (0, 2) with masses 1/4 and 3/4, m1 = 1/8 + 9/8 and m2 = 1/12 + 7/4
+    grid = GridMeasure1D(0.0, 2.0, np.array([0.25, 0.75]))
+    assert initial_moment(InitGrid(grid), 1) == 1.25
+    assert initial_moment(InitGrid(grid), 2) == pytest.approx(11 / 6,
+                                                              rel=1e-15)
+    atoms = AtomicMeasure.from_points([(-1.0, 0.5), (3.0, 0.5)])
+    for k in range(1, 9):
+        assert initial_moment(InitUniform(0.0, 10.0), k) == pytest.approx(
+            10.0 ** k / (k + 1), rel=1e-15)
+        assert initial_moment(InitAtoms(atoms), k) == 0.5 * ((-1) ** k
+                                                              + 3 ** k)
+        # the same formula as the environment of the same law
+        assert initial_moment(InitUniform(0.1, 3.7), k) \
+            == env_moment(EnvUniform(0.1, 3.7), k)
+        assert initial_moment(InitGrid(grid), k) \
+            == env_moment(EnvGrid(grid), k)
 
 
 def test_sample_initial_atom_frequencies():

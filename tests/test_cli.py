@@ -212,6 +212,14 @@ def test_moments_artifacts(tmp_path):
     assert k1 == pytest.approx(3.0, abs=1e-8)
 
 
+def test_moments_start_from_the_exact_initial_moments(tmp_path):
+    # uniform on (0, 1): m^(k) = 1/(k+1), whatever the meanfield grid
+    path = dispatch(cfg_of(quick_sim_cfg()), "moments", out_dir=tmp_path)[0]
+    rows = np.loadtxt(path, delimiter=",", skiprows=2)[:3]
+    assert rows[:, 0].tolist() == [0.0, 0.0, 0.0]
+    assert rows[:, 2] == pytest.approx([1 / 2, 1 / 3, 1 / 4], rel=1e-15)
+
+
 def test_moments_csv_ends_at_T(tmp_path):
     # 14287 rows at stride 7: the last row is not a multiple of the stride
     d = quick_sim_cfg()
@@ -339,7 +347,6 @@ INVALID_CONFIGS = {
         f"{path}: the initial law and the environment span a single point")
        for command, path in (("meanfield", "meanfield"),
                              ("compare", "meanfield"),
-                             ("moments", "meanfield"),
                              ("concentrate", "concentrate"))},
     "simulate_snapshots_unsorted": (
         "simulate", {"simulate.snapshot_times": [1.0, 0.5]},
@@ -374,6 +381,12 @@ INVALID_CONFIGS = {
     "moments_external_gaussian": (
         "moments", {"kernel": dict(ENV_STYLE["kernel"], external=GAUSSIAN)},
         "kernel.external: moments needs a constant-weight law"),
+    "moments_external_weight_0": (
+        "moments", {"kernel": dict(ENV_STYLE["kernel"], external={
+            "type": "constant", "omega": 0.0})},
+        "kernel.external: moments needs a positive external weight"),
+    "compare_symmetric": ("compare", {"simulate.symmetric": True},
+                          "simulate.symmetric: compare needs one-sided"),
 }
 
 
@@ -427,6 +440,26 @@ def test_simulate_runs_on_a_single_point_hull(tmp_path):
     p = write_cfg(tmp_path, d)
     assert main(["simulate", "--config", str(p), "--out",
                  str(tmp_path / "out")]) == 0
+
+
+def test_simulate_runs_symmetric_updates(tmp_path):
+    d = with_changes(quick_sim_cfg(), {"simulate.symmetric": True})
+    p = write_cfg(tmp_path, d)
+    assert main(["simulate", "--config", str(p), "--out",
+                 str(tmp_path / "out")]) == 0
+
+
+def test_moments_runs_on_a_single_point_hull(tmp_path):
+    # the initial moments come from the law itself, with no grid window;
+    # a point mass at z = 1/2 stays there, so every row holds z^k
+    p = write_cfg(tmp_path, with_changes(quick_sim_cfg(),
+                                         {"initial": ONE_ATOM}))
+    assert main(["moments", "--config", str(p), "--out",
+                 str(tmp_path / "out")]) == 0
+    rows = np.loadtxt(tmp_path / "out" / "moments.csv", delimiter=",",
+                      skiprows=2)
+    assert rows.shape == (3 * 201, 3)
+    assert np.array_equal(rows[:, 2], 0.5 ** rows[:, 1])
 
 
 @pytest.mark.parametrize("command", ["meanfield", "compare"])

@@ -10,8 +10,8 @@ from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
 from gossipfield import meanfield
 from gossipfield.meanfield import (SolverConfig, SolverError, apply_F,
                                    integrate, step_ends)
-from gossipfield.measures import (GridMeasure1D, moment, variance,
-                                  wasserstein1_1d)
+from gossipfield.measures import (GridMeasure1D, density_cdf, moment,
+                                  variance, wasserstein1_1d)
 
 CONST_HALF = KernelSpec(alpha=1.0, internal=Constant(0.5))
 
@@ -466,3 +466,44 @@ def test_grid_refinement_consistency():
         results[m] = g
     d = wasserstein1_1d(results[250], results[500])
     assert d < 10.0 / 250
+
+
+# ---------------------------------------------------------------------------
+# W1 stability of the flow d/dt mu = F(mu) - mu
+
+
+STABILITY_TIMES = tuple(np.round(np.arange(201) * 0.05, 10))
+
+
+def _flow_w1(kernel):
+    """The density W1 between the solutions from uniform(0, 10) and from
+    uniform(1, 6), at every RK4 step to t = 10."""
+    lo, hi, m = -0.5, 10.5, 200
+    cfg = SolverConfig(lo, hi, m=m, dt=0.05, horizon=10.0,
+                       snapshot_times=STABILITY_TIMES, scheme="rk4")
+    a, b = (integrate(GridMeasure1D.uniform(lo, hi, m, support=s), kernel,
+                      cfg) for s in ((0.0, 10.0), (1.0, 6.0)))
+    return np.array([wasserstein1_1d(density_cdf(ga), density_cdf(gb))
+                     for (_, ga), (_, gb) in zip(a, b)])
+
+
+@pytest.mark.parametrize("omega", [0.5, 0.3])
+def test_constant_weight_flow_is_w1_nonexpansive(omega):
+    # F is nonexpansive in W1 for a constant weight; with alpha = 1 the
+    # means are conserved, so W1 falls towards their difference, 1.5
+    w1 = _flow_w1(KernelSpec(alpha=1.0, internal=Constant(omega)))
+    assert np.all(np.diff(w1) < 0.0)
+    assert w1[0] == pytest.approx(1.7, abs=1e-3)
+    assert w1[-1] == pytest.approx(1.5, abs=1e-4)
+
+
+@pytest.mark.parametrize("omega, upsilon", [(0.5, 0.5), (0.3, 0.3)])
+def test_environment_flow_contracts_in_w1(omega, upsilon):
+    # the environment branch contracts W1 by 1 - upsilon, so by Gronwall
+    # W1(t) <= exp(-(1 - alpha) upsilon t) W1(0)
+    alpha = 0.5
+    w1 = _flow_w1(KernelSpec(alpha=alpha, internal=Constant(omega),
+                             external=Constant(upsilon),
+                             environment=EnvBump()))
+    bound = np.exp(-(1.0 - alpha) * upsilon * np.array(STABILITY_TIMES))
+    assert np.all(w1 <= bound * w1[0] + 1e-12)

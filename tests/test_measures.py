@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipfield.measures import (AtomicMeasure, Cluster, GridMeasure1D,
-                                  MeasureError, detect_clusters, moment,
-                                  sorted_cdf, variance, wasserstein1_1d,
-                                  wasserstein1_oracle)
+                                  MeasureError, density_cdf, detect_clusters,
+                                  moment, sorted_cdf, variance,
+                                  wasserstein1_1d, wasserstein1_oracle)
 
 
 def atoms(positions, weights):
@@ -198,10 +198,11 @@ def _prepared_cases():
     # weighted atoms with tied positions, unsorted
     tied = atoms([3.0, 1.0, 3.0, 7.5, 1.0, 3.0],
                  [0.1, 0.3, 0.05, 0.2, 0.15, 0.2]).normalize()
-    return {"grid": grid, "empirical": empirical, "tied": tied}
+    return {"grid": grid, "empirical": empirical, "tied": tied,
+            "density": density_cdf(grid)}
 
 
-@pytest.mark.parametrize("name", ["grid", "empirical", "tied"])
+@pytest.mark.parametrize("name", ["grid", "empirical", "tied", "density"])
 def test_w1_against_prepared_form_is_bit_identical(name):
     cases = _prepared_cases()
     ref = cases[name]
@@ -221,6 +222,90 @@ def test_sorted_cdf_equal_weights_match_stable_sort():
     w = np.full(x.size, 1.0 / x.size)[order]
     assert np.array_equal(prepared.x, x[order])
     assert np.array_equal(prepared.cdf, np.concatenate(([0.0], np.cumsum(w))))
+
+
+def test_atom_w1_values_are_pinned():
+    # D is the atom W1 against the reference's cell-centre atoms, and
+    # deviations.csv is byte-identical across versions: the step sum must
+    # keep its float operations and their order
+    rng = np.random.default_rng(2024)
+    ref = sorted_cdf(GridMeasure1D(0.0, 10.0, rng.uniform(0.1, 1.0, 2000))
+                     .normalize())
+    for n, pinned in ((1000, "0x1.45a208b116820p-4"),
+                      (10000, "0x1.d1e5add2cd718p-5")):
+        emp = AtomicMeasure.empirical(rng.uniform(0.0, 10.0, n))
+        assert wasserstein1_1d(emp, ref).hex() == pinned
+
+
+def density_w1_by_interp(a, b):
+    """W1 of two histograms read as densities: both CDFs at the union of
+    the edges by np.interp, |F_a - F_b| integrated exactly on each segment,
+    split where its sign changes. The oracle for density forms."""
+    ea = a.lo + np.arange(a.m + 1) * a.h
+    eb = b.lo + np.arange(b.m + 1) * b.h
+    edges = np.union1d(ea, eb)
+    fa = np.interp(edges, ea, np.concatenate([[0.0], np.cumsum(a.cells)]))
+    fb = np.interp(edges, eb, np.concatenate([[0.0], np.cumsum(b.cells)]))
+    d0 = fa[:-1] - fb[:-1]
+    d1 = fa[1:] - fb[1:]
+    denom = np.maximum(np.abs(d0) + np.abs(d1), 1e-300)
+    seg = np.where(d0 * d1 >= 0, 0.5 * (np.abs(d0) + np.abs(d1)),
+                   0.5 * (d0 * d0 + d1 * d1) / denom)
+    return float((np.diff(edges) * seg).sum())
+
+
+def random_grid(rng, lo, hi, m):
+    cells = rng.uniform(0.0, 1.0, m) * (rng.random(m) < rng.uniform(0.2, 1))
+    cells[rng.integers(m)] += 1.0  # never empty
+    return GridMeasure1D(lo, hi, cells).normalize()
+
+
+def test_density_w1_matches_the_interp_oracle():
+    rng = np.random.default_rng(17)
+    for i in range(200):
+        ma, mb = (int(m) for m in rng.integers(2, 2500, 2))
+        a = random_grid(rng, rng.uniform(-1, 1), rng.uniform(9, 11), ma)
+        if i % 4 == 0:  # nested grids on one window: every edge of b is tied
+            b = random_grid(rng, a.lo, a.hi, max(2, ma // 2))
+        else:
+            b = random_grid(rng, rng.uniform(-1, 1), rng.uniform(9, 11), mb)
+        assert abs(wasserstein1_1d(density_cdf(a), density_cdf(b))
+                   - density_w1_by_interp(a, b)) <= 1e-15
+
+
+def test_density_w1_exact_values():
+    rng = np.random.default_rng(19)
+    for g in (GridMeasure1D.uniform(0.0, 1.0, 16),
+              random_grid(rng, -2.0, 3.0, 400)):
+        # each cell's mass travels h/4 on average to its centre
+        assert wasserstein1_1d(density_cdf(g), g) == pytest.approx(
+            g.h / 4, abs=1e-15)
+        assert wasserstein1_1d(density_cdf(g), density_cdf(g)) == 0.0
+    assert wasserstein1_1d(density_cdf(GridMeasure1D.uniform(0.0, 1.0, 16)),
+                           GridMeasure1D.uniform(0.0, 1.0, 16)) == 1 / 64
+    for m, shift in ((100, 0.25), (64, 2.0)):
+        u = GridMeasure1D.uniform(0.0, 1.0, m)
+        v = GridMeasure1D(shift, 1.0 + shift, u.cells)
+        assert wasserstein1_1d(density_cdf(u), density_cdf(v)) \
+            == pytest.approx(shift, abs=1e-15)
+
+
+@pytest.mark.parametrize("K", [1, 4, 16])
+def test_empirical_against_density_matches_sub_atoms(K):
+    # the density split into K atoms per cell, at the centres of K equal
+    # sub-cells, lies h/(4K) from it; by the triangle inequality so does
+    # every W1 against it
+    rng = np.random.default_rng(23)
+    g = random_grid(rng, 0.0, 10.0, 200)
+    fine = AtomicMeasure(g.lo + (np.arange(g.m * K) + 0.5) * (g.h / K),
+                         np.repeat(g.cells / K, K))
+    for n in (3, 100, 3000):
+        emp = AtomicMeasure.empirical(rng.uniform(-1.0, 11.0, n))
+        exact = wasserstein1_1d(emp, density_cdf(g))
+        assert exact == pytest.approx(wasserstein1_1d(emp, fine),
+                                      abs=g.h / (4 * K))
+        assert wasserstein1_1d(density_cdf(g), emp) == pytest.approx(
+            exact, abs=1e-15)
 
 
 def test_w1_with_ties_matches_transport_lp():
