@@ -211,16 +211,20 @@ def run_ends(a: np.ndarray, b: np.ndarray, writes_b: bool) -> np.ndarray:
     return np.minimum.accumulate(first[::-1])[:0:-1]
 
 
-def run(cfg: SimConfig) -> list[tuple[float, AtomicMeasure]]:
-    """Run one replica to the horizon, emitting the empirical measure at
-    each snapshot time (trajectories are piecewise constant and right
-    continuous, so a snapshot holds the value after the last jump at or
-    before it). Deterministic given (config, seed)."""
-    snapshots, _ = run_with_state(cfg)
+def run(cfg: SimConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """Run one replica to the horizon. Returns the opinions at the snapshot
+    times, row i at cfg.snapshot_times[i]: an array of shape
+    (len(cfg.snapshot_times), n), written into `out` when given (a run that
+    reuses one block allocates none per snapshot). Row i is the empirical
+    measure at that time, n atoms of mass 1/n. Trajectories are piecewise
+    constant and right continuous, so a snapshot holds the value after the
+    last jump at or before it. Deterministic given (config, seed)."""
+    snapshots, _ = run_with_state(cfg, out)
     return snapshots
 
 
-def run_with_state(cfg: SimConfig) -> tuple[list, SimState]:
+def run_with_state(cfg: SimConfig, out: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, SimState]:
     """As run(), additionally returning the terminal SimState.
 
     Every random quantity is drawn per chunk of _CHUNK jumps, in this
@@ -243,7 +247,12 @@ def run_with_state(cfg: SimConfig) -> tuple[list, SimState]:
     reads exactly the values the jump-by-jump loop would give it and does
     the same arithmetic, so the opinions, snapshots, clock and jump count
     are the sequential ones to the bit. A snapshot is a copy of the
-    array."""
+    opinions into its row of the block."""
+    shape = (len(cfg.snapshot_times), cfg.n)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise SimError(f"snapshot block must be float64 of shape {shape}")
     state = init_state(cfg)
     k = cfg.kernel
     rng = state.rng
@@ -261,7 +270,6 @@ def run_with_state(cfg: SimConfig) -> tuple[list, SimState]:
     distance = isinstance(internal, (BoundedConfidence, Gaussian)) or (
         mixed and isinstance(external, (BoundedConfidence, Gaussian)))
 
-    out: list[tuple[float, AtomicMeasure]] = []
     ptr = 0
     # the opinions, then, with an environment, the chunk's signals
     x = np.empty(n + _CHUNK if mixed else n)
@@ -348,8 +356,7 @@ def run_with_state(cfg: SimConfig) -> tuple[list, SimState]:
             count += hi - lo
             lo = hi
             if j < len(cuts):
-                out.append((snaps[ptr + j],
-                            AtomicMeasure.empirical(x[:n].copy())))
+                out[ptr + j] = x[:n]
         ptr += len(cuts)
     state.opinions = x[:n].copy()
     state.t = t

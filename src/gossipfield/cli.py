@@ -377,11 +377,16 @@ _MEASURE_CSV = ("t,position,mass", "%.17g,%.17g,%.17g")
 
 
 def _measure_rows(snapshots):
-    """(t, position, mass) rows of (t, measure) snapshots."""
+    """(t, position, mass) rows of (t, measure) snapshots. A simulator
+    snapshot is a row of n opinions, each of mass 1/n."""
     for t, m in snapshots:
         if isinstance(m, GridMeasure1D):
             m = m.as_atoms()
-        yield from zip(repeat(t), m.positions.tolist(), m.weights.tolist())
+        if isinstance(m, AtomicMeasure):
+            yield from zip(repeat(t), m.positions.tolist(),
+                           m.weights.tolist())
+        else:
+            yield from zip(repeat(t), m.tolist(), repeat(1.0 / m.size))
 
 
 def _write_csv(path: Path, cfg: RunConfig, header: str, fmt: str, rows,
@@ -401,8 +406,10 @@ def _write_csv(path: Path, cfg: RunConfig, header: str, fmt: str, rows,
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
+    sim = cfg.simulate
     return [_write_csv(out_dir / "trajectory.csv", cfg, *_MEASURE_CSV,
-                       _measure_rows(agent_sim.run(cfg.simulate)))]
+                       _measure_rows(zip(sim.snapshot_times,
+                                         agent_sim.run(sim))))]
 
 
 def _run_meanfield(cfg: RunConfig):
@@ -490,8 +497,8 @@ def cmd_compare(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
     times = tuple(t for t, _ in mf_snaps)
     sim = replace(cfg.simulate, snapshot_times=times,
                   horizon=max(times, default=cfg.simulate.horizon))
-    rows = [(t, wasserstein1_1d(emp, ref))
-            for (t, emp), (_, ref) in zip(agent_sim.run(sim), mf_snaps)]
+    rows = [(t, wasserstein1_1d(AtomicMeasure.empirical(x), ref))
+            for x, (t, ref) in zip(agent_sim.run(sim), mf_snaps)]
     return [_write_csv(out_dir / "compare.csv", cfg, "t,w1", "%.17g,%.17g",
                        rows)]
 

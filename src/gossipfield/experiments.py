@@ -22,8 +22,9 @@ from .agent_sim import (InitAtoms, InitGrid, InitialLaw, InitUniform,
                         SimConfig, initial_support, run)
 from .kernels import BoundedConfidence, KernelSpec, env_support
 from .meanfield import SolverConfig, integrate
-from .measures import (GridMeasure1D, checked_times, density_cdf, sorted_cdf,
-                       wasserstein1_1d)
+from .measures import (GridMeasure1D, MergeBuffers, checked_times,
+                       density_cdf, sorted_cdf, wasserstein1_1d,
+                       wasserstein1_rows)
 
 
 class ExperimentError(ValueError):
@@ -133,14 +134,16 @@ def _replica_seed(base_seed: int, n: int, replica: int) -> int:
     return int(state[0]) << 64 | int(state[1])
 
 
-# what every replica job of the current run shares: the config and the
-# reference snapshots in their sorted_cdf form. Set once per process by
-# _init_replicas, so each job carries only (n, replica).
+# what every replica job of the current run shares: the config, the
+# reference snapshots in their sorted_cdf form, the snapshot block and the
+# W1 merge buffers. Set once per process by _init_replicas, so each job
+# carries only (n, replica) and allocates no array per snapshot.
 _shared = {}
 
 
 def _init_replicas(cfg: ConcentrationConfig, reference: tuple) -> None:
-    _shared["cfg"], _shared["reference"] = cfg, reference
+    _shared.update(cfg=cfg, reference=reference, block=np.empty(0),
+                   w1=MergeBuffers())
 
 
 def _one_replica(args) -> tuple[int, int, float]:
@@ -150,10 +153,30 @@ def _one_replica(args) -> tuple[int, int, float]:
                     horizon=cfg.tau, snapshot_times=cfg.sample_times,
                     seed=_replica_seed(cfg.base_seed, n, replica),
                     allow_self=True)
-    snaps = run(sim)
-    d = max(wasserstein1_1d(emp, ref)
-            for (_, emp), ref in zip(snaps, reference))
+    # the jobs come largest n first, so the first one sizes the block
+    k = len(cfg.sample_times)
+    if _shared["block"].size < k * n:
+        _shared["block"] = np.empty(k * n)
+    block = run(sim, _shared["block"][:k * n].reshape(k, n))
+    d = wasserstein1_rows(block, reference, _shared["w1"]).max()
     return (n, replica, float(d))
+
+
+def _discretization_errors(cfg: ConcentrationConfig,
+                           reference: list) -> tuple[float, float]:
+    """The reference's space and time error estimates. Space: halve m at
+    the same step; time: step doubling at m/2. Read as densities: the
+    cell-centre atoms of nested grids lie O(h) apart."""
+    fine = [density_cdf(g) for _, g in reference]
+    coarse, fine_step = ([density_cdf(g) for _, g in _reference(
+        cfg, cfg.ref_m // 2, dt)] for dt in (cfg.ref_dt, cfg.ref_dt / 2))
+    return (max(map(wasserstein1_1d, fine, coarse)),
+            max(map(wasserstein1_1d, coarse, fine_step)))
+
+
+# replica jobs per pool task: small, so that no worker idles while another
+# runs a long last chunk
+_POOL_CHUNK = 4
 
 
 def run_concentration(cfg: ConcentrationConfig, threads: int = 1,
@@ -163,27 +186,28 @@ def run_concentration(cfg: ConcentrationConfig, threads: int = 1,
     mean-field operator. `threads` is capped at the core count."""
     reference = _reference(cfg, cfg.ref_m, cfg.ref_dt)
     shared = (cfg, tuple(sorted_cdf(g) for _, g in reference))
-    jobs = [(n, r) for n in cfg.n_list for r in range(cfg.replicas)]
+    # the largest n first, so that a pool ends on its shortest jobs
+    jobs = [(n, r) for n in sorted(cfg.n_list, reverse=True)
+            for r in range(cfg.replicas)]
     threads = min(threads, os.cpu_count() or 1)
+    errors = None
     if threads > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=threads, initializer=_init_replicas,
                 initargs=shared) as ex:
-            results = list(ex.map(_one_replica, jobs,
-                                  chunksize=max(1, len(jobs) // (4 * threads))))
+            results = ex.map(_one_replica, jobs, chunksize=_POOL_CHUNK)
+            # meanwhile this process, which would only wait, solves the
+            # refinement
+            if not skip_refinement_check:
+                errors = _discretization_errors(cfg, reference)
+            results = list(results)
     else:
         _init_replicas(*shared)
         results = [_one_replica(j) for j in jobs]
     results.sort(key=lambda r: (r[0], r[1]))
     table = DeviationTable(tuple(results))
     if not skip_refinement_check:
-        # space: halve m at the same step; time: step doubling at m/2. Read
-        # as densities: the cell-centre atoms of nested grids lie O(h) apart
-        fine = [density_cdf(g) for _, g in reference]
-        coarse, fine_step = ([density_cdf(g) for _, g in _reference(
-            cfg, cfg.ref_m // 2, dt)] for dt in (cfg.ref_dt, cfg.ref_dt / 2))
-        space_err = max(map(wasserstein1_1d, fine, coarse))
-        time_err = max(map(wasserstein1_1d, coarse, fine_step))
+        space_err, time_err = errors or _discretization_errors(cfg, reference)
         disc_err = space_err + time_err
         d_min = min(d for (_, _, d) in table.rows)
         if disc_err >= 0.1 * d_min:

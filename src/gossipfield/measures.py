@@ -196,6 +196,11 @@ class SortedCDF:
     slope: np.ndarray | None = None
 
 
+def _atom_cdf(w: np.ndarray) -> np.ndarray:
+    """The CDF after each of the atoms of weights w, in order, from 0."""
+    return np.concatenate(([0.0], np.cumsum(w)))
+
+
 def sorted_cdf(m) -> SortedCDF:
     """The prepared form of an atomic measure, or of a grid read as atoms
     at its cell centres (returned as is when already prepared)."""
@@ -213,7 +218,7 @@ def sorted_cdf(m) -> SortedCDF:
     else:
         order = np.argsort(x, kind="stable")
         x, w = x[order], w[order]
-    return SortedCDF(x, np.concatenate(([0.0], np.cumsum(w))))
+    return SortedCDF(x, _atom_cdf(w))
 
 
 def density_cdf(g: GridMeasure1D) -> SortedCDF:
@@ -225,32 +230,76 @@ def density_cdf(g: GridMeasure1D) -> SortedCDF:
                      np.concatenate(([0.0], g.cells / g.h, [0.0])))
 
 
+class MergeBuffers:
+    """Scratch arrays for merging two knot sets of at most `size` knots in
+    all, and for the step sum over the merge; each W1 takes views of their
+    first entries. `knots` holds both knot sets side by side for the merge
+    and is then free for the step sum. `wasserstein1_rows` reuses one over
+    its rows, and a caller may keep one across calls: at 10^4 knots, fresh
+    temporaries are fresh pages, and every call pays their faults."""
+
+    def __init__(self, size: int = 0):
+        self._allocate(size)
+
+    def reserve(self, size: int) -> None:
+        """Make room for `size` merged knots."""
+        if size > self.size:
+            self._allocate(size)
+
+    def _allocate(self, size: int) -> None:
+        self.size = size
+        self.knots, self.merged, self.gaps, self.diff = (
+            np.empty(size) for _ in range(4))
+        self.count = np.empty(size, dtype=np.int64)
+        self.ranks = np.arange(1, size + 1)
+
+
+def _merge(ax: np.ndarray, bx: np.ndarray, buf: MergeBuffers):
+    """Merge two ascending knot arrays by one stable sort, linear on two
+    sorted runs. Returns the merged knots z, their gaps, and count[k], the
+    number of ax's knots among the first k + 1 merged ones, which indexes
+    a's CDF after the k-th merged knot; tied knots bound gaps of length 0.
+    All three are views of buf."""
+    n, size = ax.size, ax.size + bx.size
+    z = buf.knots[:size]
+    z[:n] = ax
+    z[n:] = bx
+    order = np.argsort(z, kind="stable")
+    # mode="clip" (the indices are in range): "raise" would copy `out`
+    z = np.take(z, order, out=buf.merged[:size], mode="clip")
+    gaps = np.subtract(z[1:], z[:-1], out=buf.gaps[:size - 1])
+    count = np.less(order[:-1], n, out=buf.count[:size - 1])
+    return z, gaps, np.cumsum(count, out=count)
+
+
+def _step_sum(a_cdf: np.ndarray, b_cdf: np.ndarray, gaps: np.ndarray,
+              count: np.ndarray, buf: MergeBuffers) -> float:
+    """The integral of |F_a - F_b| for two atom CDFs, constant on each gap
+    of the merge: after the k-th merged knot F_a is a_cdf[count[k]] and F_b
+    is b_cdf[k + 1 - count[k]]. Each CDF is read separately, so equal
+    measures cancel exactly instead of leaving interleaved-cumsum rounding
+    residue. In place, in buf's views and count's own array; not np.dot,
+    whose BLAS call starts a thread on long vectors."""
+    size = count.size
+    diff = np.take(a_cdf, count, out=buf.diff[:size], mode="clip")
+    other = np.subtract(buf.ranks[:size], count, out=count)
+    diff -= np.take(b_cdf, other, out=buf.knots[:size], mode="clip")
+    np.abs(diff, out=diff)
+    diff *= gaps
+    return float(diff.sum())
+
+
 def wasserstein1_1d(mu, nu) -> float:
     """Exact 1-D order-1 Wasserstein distance: the integral of |F_mu - F_nu|.
     Either argument may be a measure, read by `sorted_cdf`, or prepared."""
     a, b = sorted_cdf(mu), sorted_cdf(nu)
-    # merge the knots by one stable sort, linear on two sorted runs
-    z = np.concatenate((a.x, b.x))
-    order = np.argsort(z, kind="stable")
-    z = z[order]
-    gaps = np.diff(z)
-    # after the k-th merged knot, the count of each measure's knots so far
-    # indexes its CDF; tied knots bound gaps of length 0. Each CDF is read
-    # separately, so equal measures cancel exactly instead of leaving
-    # interleaved-cumsum rounding residue.
-    count = np.cumsum(order[:-1] < a.x.size)
+    buf = MergeBuffers(a.x.size + b.x.size)
+    z, gaps, count = _merge(a.x, b.x, buf)
     if a.slope is None and b.slope is None:
-        diff = a.cdf[count]
-        np.subtract(np.arange(1, count.size + 1), count, out=count)
-        diff -= b.cdf[count]
-        # in place: the live temporaries set a run's peak memory at 5e4
-        # atoms; not np.dot, whose BLAS call starts a thread on long vectors
-        np.abs(diff, out=diff)
-        diff *= gaps
-        return float(diff.sum())
+        return _step_sum(a.cdf, b.cdf, gaps, count, buf)
     # F_a - F_b at both ends of each gap, where a linear CDF is read from
     # the knot that starts the gap; integrate |.| exactly, split at its zero
-    other = np.arange(1, count.size + 1) - count
+    other = buf.ranks[:count.size] - count
     d0 = a.cdf[count] - b.cdf[other]
     d1 = d0.copy()
     for f, k, sign in ((a, count, 1.0), (b, other, -1.0)):
@@ -262,6 +311,32 @@ def wasserstein1_1d(mu, nu) -> float:
     seg = np.where(d0 * d1 >= 0, 0.5 * (np.abs(d0) + np.abs(d1)),
                    0.5 * (d0 * d0 + d1 * d1) / denom)
     return float((gaps * seg).sum())
+
+
+def wasserstein1_rows(rows: np.ndarray, refs,
+                      buffers: MergeBuffers | None = None) -> np.ndarray:
+    """W1 between each row of `rows`, read as the empirical measure of its
+    n values, and the matching entry of `refs`, an atomic measure, a grid
+    read as atoms or their prepared form: entry i is
+    wasserstein1_1d(AtomicMeasure.empirical(rows[i]), refs[i]) to the bit.
+    Sorts each row in place, in one call, and builds the equal-weight CDF
+    once; each row then takes one merge and one step sum in the arrays of
+    `buffers` (fresh ones when None)."""
+    refs = [sorted_cdf(r) for r in refs]
+    if len(refs) != rows.shape[0]:
+        raise MeasureError("need one reference per row")
+    if any(r.slope is not None for r in refs):
+        raise MeasureError("wasserstein1_rows compares rows with atoms")
+    rows.sort(axis=1)
+    n = rows.shape[1]
+    cdf = _atom_cdf(np.full(n, 1.0 / n))
+    buf = MergeBuffers() if buffers is None else buffers
+    buf.reserve(n + max((r.x.size for r in refs), default=0))
+    out = np.empty(len(refs))
+    for i, (x, ref) in enumerate(zip(rows, refs)):
+        _, gaps, count = _merge(x, ref.x, buf)
+        out[i] = _step_sum(cdf, ref.cdf, gaps, count, buf)
+    return out
 
 
 def wasserstein1_oracle(mu: AtomicMeasure, nu: AtomicMeasure) -> float:

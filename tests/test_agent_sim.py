@@ -97,7 +97,7 @@ def test_sample_initial_atom_frequencies():
 def run_from_start(**kw):
     """Run to the horizon; return the opinions at t = 0 and the final state."""
     snaps, state = run_with_state(make_cfg(snapshot_times=(0.0,), **kw))
-    return snaps[0][1].positions, state
+    return snaps[0], state
 
 
 def test_step_zero_weight_only_advances_clock():
@@ -136,33 +136,40 @@ def test_run_deterministic_given_seed():
     cfg = make_cfg()
     a = run(cfg)
     b = run(cfg)
-    assert len(a) == len(b) == 2
-    for (ta, ma), (tb, mb) in zip(a, b):
-        assert ta == tb
-        np.testing.assert_array_equal(ma.positions, mb.positions)
-        np.testing.assert_array_equal(ma.weights, mb.weights)
+    assert a.shape == b.shape == (2, cfg.n)
+    np.testing.assert_array_equal(a, b)
+
+
+def test_run_writes_into_a_given_block():
+    cfg = make_cfg(snapshot_times=(0.0, 0.5, 0.5, 1.0))
+    block = np.full((4, cfg.n), np.nan)
+    assert run(cfg, block) is block
+    assert not np.isnan(block).any()
+    np.testing.assert_array_equal(block, run(cfg))
+    for bad in (np.empty((3, cfg.n)), np.empty((4, cfg.n), dtype=np.float32)):
+        with pytest.raises(SimError, match="snapshot block"):
+            run(cfg, bad)
 
 
 def test_run_seed_changes_output():
     a = run(make_cfg(seed=1))
     b = run(make_cfg(seed=2))
-    assert not np.array_equal(a[-1][1].positions, b[-1][1].positions)
+    assert not np.array_equal(a[-1], b[-1])
 
 
 def test_run_snapshot_count_and_normalization():
     cfg = make_cfg(snapshot_times=(0.0, 0.3, 0.9, 1.0))
     snaps = run(cfg)
-    assert [t for t, _ in snaps] == [0.0, 0.3, 0.9, 1.0]
-    for _, m in snaps:
-        assert m.normalized
+    assert snaps.shape == (4, cfg.n)
+    for x in snaps:
+        assert AtomicMeasure.empirical(x).normalized
 
 
 def test_run_hull_invariance():
     k = KernelSpec(alpha=0.5, internal=Gaussian(0.8, 2.0),
                    external=Constant(0.5), environment=EnvAtom(12.0))
     cfg = make_cfg(kernel=k, horizon=5.0, snapshot_times=(1.0, 3.0, 5.0))
-    for _, m in run(cfg):
-        x = m.positions
+    for x in run(cfg):
         assert x.min() >= 0.0 - 1e-12
         assert x.max() <= 12.0 + 1e-12
 
@@ -188,7 +195,7 @@ def test_run_kernel_fast_paths_stay_in_hull():
                               environment=EnvAtom(0.5))):
         cfg = make_cfg(n=20, kernel=kernel, horizon=0.8,
                        snapshot_times=(0.8,), seed=123)
-        got = run(cfg)[0][1].positions
+        got = run(cfg)[0]
         assert got.shape == (20,)
         assert got.min() >= -1e-12
         assert got.max() <= 1.0 + 1e-12
@@ -221,9 +228,9 @@ def stream_digest(kernel, symmetric=False):
                    symmetric=symmetric)
     snaps, state = run_with_state(cfg)
     h = hashlib.sha256()
-    for t, m in snaps:
+    for t, x in zip(cfg.snapshot_times, snaps):
         h.update(struct.pack("<d", t))
-        h.update(np.ascontiguousarray(m.positions, "<f8").tobytes())
+        h.update(np.ascontiguousarray(x, "<f8").tobytes())
     h.update(np.ascontiguousarray(state.opinions, "<f8").tobytes())
     h.update(struct.pack("<dq", state.t, state.update_count))
     return state.update_count, h.hexdigest()
@@ -377,9 +384,10 @@ ORACLE_KERNELS = [
 def assert_matches_sequential(cfg):
     snaps, state = run_with_state(cfg)
     want, x, t, count = sequential(cfg)
-    assert [s for s, _ in snaps] == [s for s, _ in want]
-    for (_, got), (_, y) in zip(snaps, want):
-        assert got.positions.tobytes() == y.tobytes()
+    assert list(cfg.snapshot_times) == [s for s, _ in want]
+    assert len(snaps) == len(want)
+    for got, (_, y) in zip(snaps, want):
+        assert got.tobytes() == y.tobytes()
     assert state.opinions.tobytes() == x.tobytes()
     assert (state.t, state.update_count) == (t, count)
 
@@ -426,7 +434,7 @@ def test_environment_branch_mean_follows_closed_form():
                         external=Constant(0.5), environment=EnvBump())
     times = tuple(float(t) for t in range(9))
     means = np.array([
-        [m.positions.mean() for _, m in run(make_cfg(
+        [x.mean() for x in run(make_cfg(
             n=20_000, kernel=kernel, initial=InitUniform(0.0, 10.0),
             horizon=8.0, snapshot_times=times, seed=seed))]
         for seed in range(20)])
@@ -444,7 +452,7 @@ def test_mixture_dispersion_decays_at_moment_system_rate():
         n=20_000, kernel=KernelSpec(alpha=1.0, internal=law),
         initial=InitUniform(0.0, 10.0), horizon=5.0, snapshot_times=(0.0,),
         seed=4))
-    v0 = np.var(snaps[0][1].positions)
+    v0 = np.var(snaps[0])
     rate = -np.log(dispersion(state) / v0) / 5.0
     assert rate == pytest.approx(0.42, abs=0.02)
 

@@ -109,6 +109,38 @@ def test_serial_runs_share_no_state():
     assert b.rows == _fresh_run(second).rows
 
 
+# float.hex of every D of a small run, (n, replica) ordered, recorded
+# before the replicas wrote their snapshots into one block and took W1 of
+# the whole block in one batch
+PINNED_D = """
+    0x1.b9351e6be1be0p-1 0x1.b97d76828caf0p-1 0x1.86119c9010280p-2
+    0x1.1a9ccaa454618p-2 0x1.c7e4a6a0efb5dp-2 0x1.4d97198d3e42ap-2
+    0x1.8db826cfa6d11p-2 0x1.1db74eef08cf2p-1 0x1.3c91ae729b1eap-1
+    0x1.479760309e668p-1 0x1.4dd8ba3baf037p-2 0x1.c632ac2fac6c5p-1
+    0x1.10e0520268df9p-1 0x1.64231450e1ca4p-2 0x1.03984114485c1p-1
+    0x1.19a29290e8ffep-2 0x1.2b502d9ab79f5p-1 0x1.14c9f241bf6b1p+0
+    0x1.7b36ff208627ap-1 0x1.36866cef4a049p-1 0x1.912490b5da548p-3
+    0x1.791bf2b448c36p-2 0x1.58f41a0deb0dfp-3 0x1.2e74e642783a9p-3
+    0x1.8fc11cf38c178p-3 0x1.4df697ad732d3p-3 0x1.aaa09661b1418p-3
+    0x1.46bc6e85287b1p-3 0x1.05407291723bcp-2 0x1.07bbdc0f8222dp-2
+    0x1.1778769e3c94ep-3 0x1.d2f2501cd6671p-2 0x1.2cf92bff63147p-3
+    0x1.0dada86cb37e0p-2 0x1.5ab977769389ep-3 0x1.718a1a1f1d91ep-2
+    0x1.d99b88d109ae0p-3 0x1.a4b92c1948752p-3 0x1.42aa6ad76262fp-2
+    0x1.9eaffd7bf5036p-3
+""".split()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_deviations_are_pinned(threads):
+    cfg = small_cfg(kernel=KernelSpec(alpha=1.0, internal=Constant(0.5)),
+                    sample_times=(0.0, 0.5, 1.0), n_list=(200, 60),
+                    base_seed=11)
+    rows = run_concentration(cfg, threads=threads).rows
+    assert [(n, r) for n, r, _ in rows] == [
+        (n, r) for n in (60, 200) for r in range(20)]
+    assert [d.hex() for _, _, d in rows] == PINNED_D
+
+
 def test_coarse_reference_fails_the_refinement_gate():
     with pytest.raises(ExperimentError, match=r"space [^,]+, time "):
         run_concentration(small_cfg(ref_m=16))

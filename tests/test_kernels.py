@@ -198,7 +198,7 @@ def run_from_start(kernel, n, initial=InitUniform(0.0, 1.0), seed=0,
     cfg = SimConfig(n=n, kernel=kernel, initial=initial, horizon=1.0,
                     snapshot_times=(0.0,), seed=seed, **kw)
     snaps, state = run_with_state(cfg)
-    return snaps[0][1].positions, state
+    return snaps[0], state
 
 
 def test_internal_weight_evaluates_deterministic_laws():

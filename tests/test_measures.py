@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipfield.measures import (AtomicMeasure, Cluster, GridMeasure1D,
-                                  MeasureError, density_cdf, detect_clusters,
-                                  moment, sorted_cdf, variance,
-                                  wasserstein1_1d, wasserstein1_oracle)
+                                  MeasureError, MergeBuffers, density_cdf,
+                                  detect_clusters, moment, sorted_cdf,
+                                  variance, wasserstein1_1d,
+                                  wasserstein1_oracle, wasserstein1_rows)
 
 
 def atoms(positions, weights):
@@ -306,6 +307,40 @@ def test_empirical_against_density_matches_sub_atoms(K):
                                       abs=g.h / (4 * K))
         assert wasserstein1_1d(density_cdf(g), emp) == pytest.approx(
             exact, abs=1e-15)
+
+
+def test_w1_rows_match_w1_row_by_row_to_the_bit():
+    # one buffer set over every block, so it grows and is reused; the
+    # reference grids have empty cells, and sizes put n below and above m
+    rng = np.random.default_rng(29)
+    buffers = MergeBuffers()
+    for n, m in ((3000, 400), (40, 400), (400, 400), (2, 2000), (900, 60)):
+        grids = [random_grid(rng, 0.0, 10.0, m),
+                 random_grid(rng, 2.0, 8.0, m)] * 4
+        refs = [sorted_cdf(g) for g in grids]
+        rows = rng.uniform(-1.0, 11.0, (len(refs), n))
+        rows[0, :n // 2] = rows[0, 0]  # duplicate opinions
+        rows[1] = rng.choice(grids[1].centers, n)  # on the reference knots
+        rows[2, ::2] = rng.choice(grids[2].centers, (n + 1) // 2)
+        rows[3] = rng.uniform(20.0, 30.0, n)  # right of the hull
+        rows[4] = rng.uniform(-30.0, -20.0, n)  # left of the hull
+        rows[5] = rng.choice(rng.uniform(2.0, 8.0, 3), n)  # three values
+        want = [wasserstein1_1d(AtomicMeasure.empirical(x), ref).hex()
+                for x, ref in zip(rows, refs)]
+        block = rows.copy()
+        for got in (wasserstein1_rows(block, refs, buffers),
+                    wasserstein1_rows(rows.copy(), grids)):
+            assert [d.hex() for d in got.tolist()] == want
+        assert np.array_equal(block, np.sort(rows, axis=1))  # sorted in place
+
+
+def test_w1_rows_rejects_what_the_step_sum_cannot_read():
+    g = GridMeasure1D.uniform(0.0, 10.0, 30)
+    rows = np.random.default_rng(31).uniform(0.0, 10.0, (3, 50))
+    with pytest.raises(MeasureError, match="one reference per row"):
+        wasserstein1_rows(rows, [g, g])
+    with pytest.raises(MeasureError, match="with atoms"):
+        wasserstein1_rows(rows, [g, density_cdf(g), g])
 
 
 def test_w1_with_ties_matches_transport_lp():
