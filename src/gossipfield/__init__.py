@@ -3,12 +3,12 @@ mean-field measure-valued ODE integration, moment analysis, and
 concentration experiments."""
 
 from .measures import (AtomicMeasure, Cluster, GridMeasure1D, detect_clusters,
-                       moment, variance, wasserstein1_1d, wasserstein1_oracle)
+                       moment, wasserstein1_1d)
 from .kernels import (BoundedConfidence, Constant, EnvAtom, EnvBump, EnvGrid,
                       EnvUniform, FiniteMixture, Gaussian, KernelSpec,
                       env_moment)
 from .agent_sim import (InitAtoms, InitGrid, InitUniform, SimConfig, SimState,
-                        dispersion, run)
+                        run)
 from .meanfield import SolverConfig, apply_F, integrate
 from .moments import (MomentConfig, MomentParams, MomentTrajectory,
                       gamma_k, integrate_moments, limit_moments)

@@ -151,12 +151,6 @@ def init_state(cfg: SimConfig) -> SimState:
     return SimState(sample_initial(cfg.initial, cfg.n, rng), 0.0, rng)
 
 
-def dispersion(s: SimState) -> float:
-    """Mean squared deviation of opinions around their current mean."""
-    x = s.opinions
-    return float(np.mean((x - x.mean()) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # dynamics
 

@@ -444,7 +444,7 @@ def _moment_params(cfg: RunConfig, K: int) -> moments.MomentParams:
                                 upsilon=kernel.external.omega
                                 if kernel.alpha < 1.0 else 0.0,
                                 env_moments=tuple(env),
-                                initial_moments=tuple(init), K=K)
+                                initial_moments=tuple(init))
 
 
 def cmd_moments(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:

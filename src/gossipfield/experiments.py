@@ -20,7 +20,7 @@ import numpy as np
 
 from .agent_sim import (InitAtoms, InitGrid, InitialLaw, InitUniform,
                         SimConfig, initial_support, run)
-from .kernels import BoundedConfidence, KernelSpec, env_support
+from .kernels import KernelSpec, env_support
 from .meanfield import SolverConfig, integrate
 from .measures import (GridMeasure1D, MergeBuffers, checked_times,
                        density_cdf, sorted_cdf, wasserstein1_1d,
@@ -57,12 +57,6 @@ class ConcentrationConfig:
         object.__setattr__(self, "sample_times", times)
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
 
-    @property
-    def outside_theorem_hypotheses(self) -> bool:
-        """Bounded-confidence weights are not globally Lipschitz; deviation
-        is still measurable but the exponential tail bound is not implied."""
-        return isinstance(self.kernel.internal, BoundedConfidence)
-
 
 @dataclass(frozen=True)
 class DeviationTable:
@@ -72,10 +66,6 @@ class DeviationTable:
 
     def for_n(self, n: int) -> np.ndarray:
         return np.array([d for (nn, _, d) in self.rows if nn == n])
-
-    def median_by_n(self) -> list[tuple[int, float]]:
-        ns = sorted({nn for (nn, _, _) in self.rows})
-        return [(n, float(np.median(self.for_n(n)))) for n in ns]
 
 
 def opinion_hull(kernel: KernelSpec,
@@ -113,18 +103,22 @@ def _reference(cfg: ConcentrationConfig, m: int, dt: float):
 
 def initial_grid(initial: InitialLaw, lo: float, hi: float,
                  m: int) -> GridMeasure1D:
+    """The initial law on the solver's m cells over [lo, hi]. A uniform or
+    grid law is read as the density the simulator samples: each cell takes
+    the mass of its overlap. An atom goes to the cell that holds it."""
     if isinstance(initial, InitUniform):
         return GridMeasure1D.uniform(lo, hi, m, support=(initial.a, initial.b))
+    h = (hi - lo) / m
     if isinstance(initial, InitGrid):
-        x, w = initial.grid.centers, initial.grid.cells
+        g = initial.grid
+        cdf = np.concatenate(([0.0], np.cumsum(g.cells)))
+        cells = np.diff(np.interp(lo + np.arange(m + 1) * h, g.edges, cdf))
     elif isinstance(initial, InitAtoms):
         x, w = initial.measure.positions, initial.measure.weights
+        idx = np.clip(((x - lo) / h).astype(int), 0, m - 1)
+        cells = np.bincount(idx, weights=w, minlength=m)[:m]
     else:
         raise ExperimentError(f"unknown initial law {initial!r}")
-    # rebin onto the solver grid by position assignment
-    h = (hi - lo) / m
-    idx = np.clip(((x - lo) / h).astype(int), 0, m - 1)
-    cells = np.bincount(idx, weights=w, minlength=m)[:m]
     return GridMeasure1D(lo, hi, cells / cells.sum())
 
 

@@ -220,18 +220,22 @@ def env_moment(e: EnvironmentSpec, k: int) -> float:
 
 def env_atoms(e: EnvironmentSpec, m: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """Realize the environment as grid atoms (positions, masses) for the
-    deterministic solver. Atoms are exact; densities use m cells."""
+    deterministic solver. Atoms are exact; densities use the centres of m
+    cells. A grid law is the piecewise-uniform density it is sampled from:
+    each of its cells splits into ceil(m / g.m) equal ones."""
     if isinstance(e, EnvAtom):
         return np.array([e.z]), np.array([1.0])
     if isinstance(e, EnvUniform):
         g = GridMeasure1D.uniform(e.a, e.b, m)
-        return g.centers, np.asarray(g.cells)
-    if isinstance(e, EnvGrid):
-        return e.grid.centers, np.asarray(e.grid.cells)
-    if isinstance(e, EnvBump):
+    elif isinstance(e, EnvGrid):
+        split = -(-m // e.grid.m)
+        g = GridMeasure1D(e.grid.lo, e.grid.hi,
+                          np.repeat(e.grid.cells / split, split))
+    elif isinstance(e, EnvBump):
         g = env_bump_grid(m)
-        return g.centers, np.asarray(g.cells)
-    raise KernelError("no environment configured")
+    else:
+        raise KernelError("no environment configured")
+    return g.centers, np.asarray(g.cells)
 
 
 def env_bump_grid(m: int = 256) -> GridMeasure1D:

@@ -178,12 +178,6 @@ def moment(m, k: int) -> float:
     return float(np.dot(m.weights, m.positions ** k))
 
 
-def variance(m) -> float:
-    """Second central moment about the mean."""
-    m1 = moment(m, 1)
-    return moment(m, 2) - m1 * m1
-
-
 @dataclass(frozen=True)
 class SortedCDF:
     """A normalized 1-D measure prepared for W1: its knots x ascending, and
@@ -337,42 +331,6 @@ def wasserstein1_rows(rows: np.ndarray, refs,
         _, gaps, count = _merge(x, ref.x, buf)
         out[i] = _step_sum(cdf, ref.cdf, gaps, count, buf)
     return out
-
-
-def wasserstein1_oracle(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
-    """Ground-truth W1 for small atomic instances by solving the
-    transportation linear program exactly.
-
-    Independent of wasserstein1_1d (LP on the cost matrix |x - y|, no CDF
-    shortcut); limited to supports of at most 12 atoms each.
-    """
-    from scipy.optimize import linprog
-
-    if mu.positions.size > 12 or nu.positions.size > 12:
-        raise MeasureError("oracle is desk-scale only")
-    if not (mu.normalized and nu.normalized):
-        raise MeasureError("W1 requires normalized measures")
-    a, b = mu.weights, nu.weights
-    p = mu.positions.size
-    q = nu.positions.size
-    cost = np.abs(mu.positions[:, None] - nu.positions[None, :]).ravel()
-    # Row sums = a, column sums = b; drop one redundant equality.
-    A_eq = np.zeros((p + q, p * q))
-    for i in range(p):
-        A_eq[i, i * q:(i + 1) * q] = 1.0
-    for j in range(q):
-        A_eq[p + j, j::q] = 1.0
-    b_eq = np.concatenate([a, b])
-    # default HiGHS tolerances (~1e-7) leave O(1e-9) slack on instances
-    # with nearly coincident atoms; tighten to the solver minimum (1e-10)
-    # so the oracle resolves such instances exactly
-    res = linprog(cost, A_eq=A_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None),
-                  method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    if not res.success:
-        raise MeasureError(f"transport LP failed: {res.message}")
-    return float(res.fun)
 
 
 def detect_clusters(g: GridMeasure1D, mass_threshold: float,

@@ -61,28 +61,32 @@ class MomentConfig:
 
 @dataclass(frozen=True)
 class MomentParams:
+    """The constant weights and the moments of orders 1..K, where K is the
+    number of initial moments."""
+
     alpha: float
     omega: float
     upsilon: float
     env_moments: tuple        # n^(k), k = 1..K (ignored when alpha = 1)
     initial_moments: tuple    # m^(k)_0, k = 1..K
-    K: int
 
     def __post_init__(self):
         for name in ("alpha", "omega", "upsilon"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise MomentError(f"{name} must lie in [0,1]")
-        if self.K < 1:
-            raise MomentError("K must be >= 1")
-        if len(self.initial_moments) != self.K:
-            raise MomentError("need K initial moments")
+        if len(self.initial_moments) == 0:
+            raise MomentError("need at least one initial moment")
         env = tuple(float(v) for v in self.env_moments)
         if self.alpha < 1.0 and len(env) != self.K:
             raise MomentError("need K environment moments when alpha < 1")
         object.__setattr__(self, "env_moments", env)
         object.__setattr__(self, "initial_moments",
                            tuple(float(v) for v in self.initial_moments))
+
+    @property
+    def K(self) -> int:
+        return len(self.initial_moments)
 
     def moment_scale(self) -> float:
         """M with |m^(k)| <= M^k a priori, from initial and environment

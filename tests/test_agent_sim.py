@@ -9,7 +9,7 @@ import pytest
 
 from gossipfield.agent_sim import (_BLOCK, _CHUNK, InitAtoms, InitGrid,
                                    InitUniform, SimConfig, SimError, SimState,
-                                   dispersion, init_state, initial_moment,
+                                   init_state, initial_moment,
                                    initial_support, run, run_ends,
                                    run_with_state, sample_initial)
 from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
@@ -453,15 +453,8 @@ def test_mixture_dispersion_decays_at_moment_system_rate():
         initial=InitUniform(0.0, 10.0), horizon=5.0, snapshot_times=(0.0,),
         seed=4))
     v0 = np.var(snaps[0])
-    rate = -np.log(dispersion(state) / v0) / 5.0
+    rate = -np.log(np.var(state.opinions) / v0) / 5.0
     assert rate == pytest.approx(0.42, abs=0.02)
-
-
-def test_dispersion_examples():
-    s = SimState(np.array([1.0, 1.0, 1.0]), 0.0, np.random.default_rng(0))
-    assert dispersion(s) == 0.0
-    s2 = SimState(np.array([0.0, 2.0]), 0.0, np.random.default_rng(0))
-    assert dispersion(s2) == pytest.approx(1.0)
 
 
 def test_dispersion_decays_for_averaging_kernel():
@@ -471,5 +464,5 @@ def test_dispersion_decays_for_averaging_kernel():
         _, state = run_with_state(cfg)
         x0 = sample_initial(cfg.initial, cfg.n, np.random.default_rng(seed))
         d0 = float(np.var(x0))
-        wins += dispersion(state) < d0
+        wins += np.var(state.opinions) < d0
     assert wins >= 18  # exponential decay; allow rare noise

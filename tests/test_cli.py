@@ -506,26 +506,26 @@ def test_bench_tracer_wraps_the_cli(tmp_path):
 
 
 def test_parsing_a_bump_environment_leaves_scipy_unimported(tmp_path):
-    # parsing alone, then the two subcommands that set the bump up: its
-    # moments, its grid atoms and its sampler
+    # with scipy blocked outright, so that importing any of it fails: the
+    # package, parsing, and the subcommands that set the bump up (its
+    # moments, its grid atoms and its sampler)
     d = dict(ENV_STYLE, moments={"K": 8, "T": 10.0, "dt": 0.01},
              simulate={"n": 2000},
              meanfield={"m": 200, "dt": 0.01, "scheme": "rk4",
                         "horizon": 2.0, "snapshot_times": [0.0, 1.0, 2.0]})
     p = write_cfg(tmp_path, d)
-    code = ("import sys, gossipfield.cli as c\n"
+    commands = ("simulate", "meanfield", "moments", "compare")
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import gossipfield, gossipfield.cli as c\n"
             f"c.parse_config({json.dumps(d)!r})\n"
-            "print('scipy.integrate' in sys.modules)\n"
-            "for cmd in ('moments', 'compare'):\n"
-            f"    assert c.main([cmd, '--config', {str(p)!r}, '--out',"
-            f" {str(tmp_path / 'out')!r}]) == 0\n"
-            "print('scipy.integrate' in sys.modules)")
+            f"print(*[c.main([cmd, '--config', {str(p)!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}]) for cmd in {commands!r}])")
     src = str(Path(gossipfield.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    lines = out.stdout.split()
-    assert (lines[0], lines[-1]) == ("False", "False")
+    assert out.stdout.split()[-4:] == ["0"] * 4, out.stderr
     assert (tmp_path / "out" / "compare.csv").exists()
 
 

@@ -7,12 +7,12 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from gossipfield.agent_sim import InitUniform
+from gossipfield.agent_sim import InitGrid, InitUniform, initial_moment
 from gossipfield.experiments import (ConcentrationConfig, DeviationTable,
-                                     ExperimentError, run_concentration,
-                                     tail_rates)
-from gossipfield.kernels import (BoundedConfidence, Constant, Gaussian,
-                                 KernelSpec)
+                                     ExperimentError, initial_grid,
+                                     run_concentration, tail_rates)
+from gossipfield.kernels import Constant, Gaussian, KernelSpec
+from gossipfield.measures import GridMeasure1D, moment
 
 GAUSS = KernelSpec(alpha=1.0, internal=Gaussian(0.5, 20.0))
 
@@ -48,11 +48,17 @@ def test_default_sample_times():
     assert cfg.sample_times[-1] == 5.0
 
 
-def test_outside_hypotheses_flag():
-    assert small_cfg(kernel=KernelSpec(
-        alpha=1.0,
-        internal=BoundedConfidence(0.5, 1.0))).outside_theorem_hypotheses
-    assert not small_cfg().outside_theorem_hypotheses
+@pytest.mark.parametrize("m", [101, 437, 1001])
+def test_initial_grid_law_keeps_its_density(m):
+    # a coarse grid law on a solver grid whose edges miss its own: each
+    # solver cell takes its overlap of the density the simulator samples,
+    # so the moments agree to O(h^2), not only to the coarse cell width
+    law = InitGrid(GridMeasure1D(0.0, 10.0,
+                                 np.array([1.0, 2.0, 3.0, 4.0])).normalize())
+    g = initial_grid(law, -0.3, 10.7, m)
+    for k in (1, 2):
+        assert moment(g, k) == pytest.approx(initial_moment(law, k),
+                                             abs=g.h ** 2), k
 
 
 def test_deterministic_given_base_seed():
@@ -75,7 +81,7 @@ def test_initial_sampling_noise_scales_like_inverse_sqrt_n():
     cfg = small_cfg(kernel=GAUSS, tau=0.0, sample_times=(0.0,),
                     n_list=(100, 400, 1600), replicas=60)
     tbl = run_concentration(cfg, skip_refinement_check=True)
-    med = dict(tbl.median_by_n())
+    med = {n: np.median(tbl.for_n(n)) for n in cfg.n_list}
     r1 = med[100] / med[400]
     r2 = med[400] / med[1600]
     assert 1.5 < r1 < 2.7

@@ -5,13 +5,14 @@ import pytest
 from scipy.integrate import quad
 
 from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
-                                 EnvBump, EnvUniform, FiniteMixture, Gaussian,
-                                 KernelSpec, env_atoms)
+                                 EnvBump, EnvGrid, EnvUniform, FiniteMixture,
+                                 Gaussian, KernelSpec, env_atoms, env_moment)
 from gossipfield import meanfield
 from gossipfield.meanfield import (SolverConfig, SolverError, apply_F,
                                    integrate, step_ends)
 from gossipfield.measures import (GridMeasure1D, density_cdf, moment,
-                                  variance, wasserstein1_1d)
+                                  wasserstein1_1d)
+from gossipfield.moments import MomentParams, limit_moments
 
 CONST_HALF = KernelSpec(alpha=1.0, internal=Constant(0.5))
 
@@ -402,6 +403,9 @@ def test_integrate_grid_mismatch_rejected():
 
 def test_variance_decay_rate_euler():
     # averaging dynamics contracts the variance at rate 2 w (1-w) = 1/2
+    def variance(g):
+        return moment(g, 2) - moment(g, 1) ** 2
+
     g0 = GridMeasure1D.uniform(0.0, 10.0, 500)
     v0 = variance(g0)
     cfg = SolverConfig(0, 10, m=500, dt=0.01, horizon=3.0,
@@ -429,6 +433,24 @@ def test_heterogeneous_environment_mean_relaxes():
     for t, g in integrate(g0, ENV_KERNEL, cfg):
         expect = np.exp(-0.25 * t) * 5.0 + (1 - np.exp(-0.25 * t)) * 3.0
         assert moment(g, 1) == pytest.approx(expect, abs=1e-3)
+
+
+def test_grid_environment_limit_matches_the_moment_recursion():
+    # a 2-cell environment is the uniform density on [2, 8], as sampled;
+    # read as its 2 cell centres it would lose its in-cell variance
+    env = EnvGrid(GridMeasure1D(2.0, 8.0, np.array([0.5, 0.5])))
+    k = KernelSpec(alpha=0.5, internal=Constant(0.5),
+                   external=Constant(0.5), environment=env)
+    g0 = GridMeasure1D.uniform(0.0, 10.0, 200)
+    # Euler's fixed point is F(mu) = mu at any dt; 1000 steps reach it
+    cfg = SolverConfig(0, 10, m=200, dt=0.1, horizon=100.0,
+                       snapshot_times=(100.0,))
+    (_, g), = integrate(g0, k, cfg)
+    p = MomentParams(0.5, 0.5, 0.5,
+                     tuple(env_moment(env, j) for j in (1, 2, 3)),
+                     tuple(moment(g0, j) for j in (1, 2, 3)))
+    for j, limit in enumerate(limit_moments(p), start=1):
+        assert moment(g, j) == pytest.approx(limit, rel=1e-4), j
 
 
 def _w1_at_t1(scheme, dt, m=200):

@@ -18,8 +18,7 @@ def params(alpha=0.5, omega=0.5, upsilon=0.5, K=4, env=None, init=None):
     if init is None:
         init = tuple(5.0 ** k for k in range(1, K + 1))  # delta at 5
     return MomentParams(alpha=alpha, omega=omega, upsilon=upsilon,
-                        env_moments=tuple(env), initial_moments=tuple(init),
-                        K=K)
+                        env_moments=tuple(env), initial_moments=tuple(init))
 
 
 # ---------------------------------------------------------------------------
@@ -29,10 +28,10 @@ def params(alpha=0.5, omega=0.5, upsilon=0.5, K=4, env=None, init=None):
 def test_params_validation():
     with pytest.raises(MomentError):
         params(alpha=1.2)
-    with pytest.raises(MomentError):
-        MomentParams(0.5, 0.5, 0.5, (1.0,), (1.0, 2.0), K=2)
-    with pytest.raises(MomentError):
-        MomentParams(1.0, 0.5, 0.5, (), (1.0,), K=0)
+    with pytest.raises(MomentError, match="K environment moments"):
+        MomentParams(0.5, 0.5, 0.5, (1.0,), (1.0, 2.0))
+    with pytest.raises(MomentError, match="at least one initial moment"):
+        MomentParams(1.0, 0.5, 0.5, (), ())
 
 
 def test_moment_config_validation():
@@ -222,7 +221,7 @@ def test_dt_guard():
 
 
 def test_moment_scale_bound():
-    p = MomentParams(0.5, 0.5, 0.5, (2.0, 4.0), (3.0, 9.0), K=2)
+    p = MomentParams(0.5, 0.5, 0.5, (2.0, 4.0), (3.0, 9.0))
     # largest k-th-root over initial and environment moments
     assert p.moment_scale() == pytest.approx(3.0)
 
