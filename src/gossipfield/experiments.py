@@ -22,9 +22,8 @@ from .agent_sim import (InitAtoms, InitGrid, InitialLaw, InitUniform,
                         SimConfig, initial_support, run)
 from .kernels import KernelSpec, env_support
 from .meanfield import SolverConfig, integrate
-from .measures import (GridMeasure1D, MergeBuffers, checked_times,
-                       density_cdf, sorted_cdf, wasserstein1_1d,
-                       wasserstein1_rows)
+from .measures import (GridMeasure1D, checked_times, quantile_slices,
+                       sorted_cdf, wasserstein1_1d, wasserstein1_rows)
 
 
 class ExperimentError(ValueError):
@@ -129,15 +128,16 @@ def _replica_seed(base_seed: int, n: int, replica: int) -> int:
 
 
 # what every replica job of the current run shares: the config, the
-# reference snapshots in their sorted_cdf form, the snapshot block and the
-# W1 merge buffers. Set once per process by _init_replicas, so each job
-# carries only (n, replica) and allocates no array per snapshot.
+# reference snapshots read as densities in their sorted_cdf form, the
+# snapshot block and the reference cut into the quantile slices of the
+# current n. Set once per process by _init_replicas, so each job carries
+# only (n, replica) and allocates no array per snapshot.
 _shared = {}
 
 
 def _init_replicas(cfg: ConcentrationConfig, reference: tuple) -> None:
     _shared.update(cfg=cfg, reference=reference, block=np.empty(0),
-                   w1=MergeBuffers())
+                   slices=None)
 
 
 def _one_replica(args) -> tuple[int, int, float]:
@@ -147,22 +147,25 @@ def _one_replica(args) -> tuple[int, int, float]:
                     horizon=cfg.tau, snapshot_times=cfg.sample_times,
                     seed=_replica_seed(cfg.base_seed, n, replica),
                     allow_self=True)
-    # the jobs come largest n first, so the first one sizes the block
+    # the jobs come largest n first, so the first one sizes the block,
+    # and the first one of each n cuts the reference for it
     k = len(cfg.sample_times)
     if _shared["block"].size < k * n:
         _shared["block"] = np.empty(k * n)
+    if _shared["slices"] is None or _shared["slices"][0].n != n:
+        _shared["slices"] = [quantile_slices(r, n) for r in reference]
     block = run(sim, _shared["block"][:k * n].reshape(k, n))
-    d = wasserstein1_rows(block, reference, _shared["w1"]).max()
+    d = wasserstein1_rows(block, _shared["slices"]).max()
     return (n, replica, float(d))
 
 
 def _discretization_errors(cfg: ConcentrationConfig,
-                           reference: list) -> tuple[float, float]:
-    """The reference's space and time error estimates. Space: halve m at
-    the same step; time: step doubling at m/2. Read as densities: the
-    cell-centre atoms of nested grids lie O(h) apart."""
-    fine = [density_cdf(g) for _, g in reference]
-    coarse, fine_step = ([density_cdf(g) for _, g in _reference(
+                           fine: tuple) -> tuple[float, float]:
+    """The reference's space and time error estimates, as W1 between
+    densities, the reading D takes of the reference too: `fine` holds the
+    reference snapshots in their sorted_cdf form. Space: halve m at the
+    same step; time: step doubling at m/2."""
+    coarse, fine_step = ([sorted_cdf(g) for _, g in _reference(
         cfg, cfg.ref_m // 2, dt)] for dt in (cfg.ref_dt, cfg.ref_dt / 2))
     return (max(map(wasserstein1_1d, fine, coarse)),
             max(map(wasserstein1_1d, coarse, fine_step)))
@@ -173,8 +176,8 @@ def _discretization_errors(cfg: ConcentrationConfig,
 _POOL_CHUNK = 4
 
 
-def run_concentration(cfg: ConcentrationConfig, threads: int = 1,
-                      skip_refinement_check: bool = False) -> DeviationTable:
+def run_concentration(cfg: ConcentrationConfig,
+                      threads: int = 1) -> DeviationTable:
     """Compute the deviation table. Deterministic given base_seed; replicas
     use allow_self=True to match the independent-sampling structure of the
     mean-field operator. `threads` is capped at the core count."""
@@ -184,7 +187,6 @@ def run_concentration(cfg: ConcentrationConfig, threads: int = 1,
     jobs = [(n, r) for n in sorted(cfg.n_list, reverse=True)
             for r in range(cfg.replicas)]
     threads = min(threads, os.cpu_count() or 1)
-    errors = None
     if threads > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=threads, initializer=_init_replicas,
@@ -192,24 +194,23 @@ def run_concentration(cfg: ConcentrationConfig, threads: int = 1,
             results = ex.map(_one_replica, jobs, chunksize=_POOL_CHUNK)
             # meanwhile this process, which would only wait, solves the
             # refinement
-            if not skip_refinement_check:
-                errors = _discretization_errors(cfg, reference)
+            errors = _discretization_errors(*shared)
             results = list(results)
     else:
         _init_replicas(*shared)
         results = [_one_replica(j) for j in jobs]
+        errors = _discretization_errors(*shared)
     results.sort(key=lambda r: (r[0], r[1]))
     table = DeviationTable(tuple(results))
-    if not skip_refinement_check:
-        space_err, time_err = errors or _discretization_errors(cfg, reference)
-        disc_err = space_err + time_err
-        d_min = min(d for (_, _, d) in table.rows)
-        if disc_err >= 0.1 * d_min:
-            raise ExperimentError(
-                f"mean-field discretization error {disc_err:.3g} (space "
-                f"{space_err:.3g}, time {time_err:.3g}) is not small "
-                f"against the smallest deviation {d_min:.3g}; refine the "
-                "reference solver")
+    space_err, time_err = errors
+    disc_err = space_err + time_err
+    d_min = min(d for (_, _, d) in table.rows)
+    if disc_err >= 0.1 * d_min:
+        raise ExperimentError(
+            f"mean-field discretization error {disc_err:.3g} (space "
+            f"{space_err:.3g}, time {time_err:.3g}) is not small against "
+            f"the smallest deviation {d_min:.3g}; refine the reference "
+            "solver")
     return table
 
 

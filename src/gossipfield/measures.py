@@ -190,20 +190,20 @@ class SortedCDF:
     slope: np.ndarray | None = None
 
 
-def _atom_cdf(w: np.ndarray) -> np.ndarray:
-    """The CDF after each of the atoms of weights w, in order, from 0."""
-    return np.concatenate(([0.0], np.cumsum(w)))
-
-
 def sorted_cdf(m) -> SortedCDF:
-    """The prepared form of an atomic measure, or of a grid read as atoms
-    at its cell centres (returned as is when already prepared)."""
+    """The prepared form of a measure (returned as is when already
+    prepared). An atomic measure is prepared as its atoms. A grid is
+    prepared as its piecewise-uniform density, the law the solver's cells
+    stand for: its m + 1 edges are the knots, and its CDF rises by
+    cells[k] across cell k."""
     if isinstance(m, SortedCDF):
         return m
     if not m.normalized:
         raise MeasureError("W1 requires normalized measures")
     if isinstance(m, GridMeasure1D):
-        m = m.as_atoms()
+        return SortedCDF(m.edges,
+                         np.concatenate(([0.0, 0.0], np.cumsum(m.cells))),
+                         np.concatenate(([0.0], m.cells / m.h, [0.0])))
     x, w = m.positions, m.weights
     if np.all(w == w[:1]):
         # equal weights (every empirical measure): their order does not
@@ -212,88 +212,27 @@ def sorted_cdf(m) -> SortedCDF:
     else:
         order = np.argsort(x, kind="stable")
         x, w = x[order], w[order]
-    return SortedCDF(x, _atom_cdf(w))
-
-
-def density_cdf(g: GridMeasure1D) -> SortedCDF:
-    """The prepared form of a grid read as a piecewise-uniform density: its
-    m + 1 edges are the knots, and its CDF rises by cells[k] across cell k."""
-    if not g.normalized:
-        raise MeasureError("W1 requires normalized measures")
-    return SortedCDF(g.edges, np.concatenate(([0.0, 0.0], np.cumsum(g.cells))),
-                     np.concatenate(([0.0], g.cells / g.h, [0.0])))
-
-
-class MergeBuffers:
-    """Scratch arrays for merging two knot sets of at most `size` knots in
-    all, and for the step sum over the merge; each W1 takes views of their
-    first entries. `knots` holds both knot sets side by side for the merge
-    and is then free for the step sum. `wasserstein1_rows` reuses one over
-    its rows, and a caller may keep one across calls: at 10^4 knots, fresh
-    temporaries are fresh pages, and every call pays their faults."""
-
-    def __init__(self, size: int = 0):
-        self._allocate(size)
-
-    def reserve(self, size: int) -> None:
-        """Make room for `size` merged knots."""
-        if size > self.size:
-            self._allocate(size)
-
-    def _allocate(self, size: int) -> None:
-        self.size = size
-        self.knots, self.merged, self.gaps, self.diff = (
-            np.empty(size) for _ in range(4))
-        self.count = np.empty(size, dtype=np.int64)
-        self.ranks = np.arange(1, size + 1)
-
-
-def _merge(ax: np.ndarray, bx: np.ndarray, buf: MergeBuffers):
-    """Merge two ascending knot arrays by one stable sort, linear on two
-    sorted runs. Returns the merged knots z, their gaps, and count[k], the
-    number of ax's knots among the first k + 1 merged ones, which indexes
-    a's CDF after the k-th merged knot; tied knots bound gaps of length 0.
-    All three are views of buf."""
-    n, size = ax.size, ax.size + bx.size
-    z = buf.knots[:size]
-    z[:n] = ax
-    z[n:] = bx
-    order = np.argsort(z, kind="stable")
-    # mode="clip" (the indices are in range): "raise" would copy `out`
-    z = np.take(z, order, out=buf.merged[:size], mode="clip")
-    gaps = np.subtract(z[1:], z[:-1], out=buf.gaps[:size - 1])
-    count = np.less(order[:-1], n, out=buf.count[:size - 1])
-    return z, gaps, np.cumsum(count, out=count)
-
-
-def _step_sum(a_cdf: np.ndarray, b_cdf: np.ndarray, gaps: np.ndarray,
-              count: np.ndarray, buf: MergeBuffers) -> float:
-    """The integral of |F_a - F_b| for two atom CDFs, constant on each gap
-    of the merge: after the k-th merged knot F_a is a_cdf[count[k]] and F_b
-    is b_cdf[k + 1 - count[k]]. Each CDF is read separately, so equal
-    measures cancel exactly instead of leaving interleaved-cumsum rounding
-    residue. In place, in buf's views and count's own array; not np.dot,
-    whose BLAS call starts a thread on long vectors."""
-    size = count.size
-    diff = np.take(a_cdf, count, out=buf.diff[:size], mode="clip")
-    other = np.subtract(buf.ranks[:size], count, out=count)
-    diff -= np.take(b_cdf, other, out=buf.knots[:size], mode="clip")
-    np.abs(diff, out=diff)
-    diff *= gaps
-    return float(diff.sum())
+    return SortedCDF(x, np.concatenate(([0.0], np.cumsum(w))))
 
 
 def wasserstein1_1d(mu, nu) -> float:
     """Exact 1-D order-1 Wasserstein distance: the integral of |F_mu - F_nu|.
     Either argument may be a measure, read by `sorted_cdf`, or prepared."""
     a, b = sorted_cdf(mu), sorted_cdf(nu)
-    buf = MergeBuffers(a.x.size + b.x.size)
-    z, gaps, count = _merge(a.x, b.x, buf)
-    if a.slope is None and b.slope is None:
-        return _step_sum(a.cdf, b.cdf, gaps, count, buf)
+    # merge the knots by one stable sort, linear on two sorted runs;
+    # count[k], the number of a's knots among the first k + 1 merged ones,
+    # indexes a's CDF after the k-th merged knot, and tied knots bound
+    # gaps of length 0
+    z = np.concatenate((a.x, b.x))
+    order = np.argsort(z, kind="stable")
+    z = z[order]
+    gaps = np.diff(z)
+    count = np.cumsum(order[:-1] < a.x.size)
     # F_a - F_b at both ends of each gap, where a linear CDF is read from
-    # the knot that starts the gap; integrate |.| exactly, split at its zero
-    other = buf.ranks[:count.size] - count
+    # the knot that starts the gap; integrate |.| exactly, split at its
+    # zero. Each CDF is read separately, so equal measures cancel exactly
+    # instead of leaving interleaved-cumsum rounding residue
+    other = np.arange(1, count.size + 1) - count
     d0 = a.cdf[count] - b.cdf[other]
     d1 = d0.copy()
     for f, k, sign in ((a, count, 1.0), (b, other, -1.0)):
@@ -301,35 +240,91 @@ def wasserstein1_1d(mu, nu) -> float:
             x, slope = f.x[k - 1], sign * f.slope[k]
             d0 += (z[:-1] - x) * slope
             d1 += (z[1:] - x) * slope
-    denom = np.maximum(np.abs(d0) + np.abs(d1), 1e-300)
-    seg = np.where(d0 * d1 >= 0, 0.5 * (np.abs(d0) + np.abs(d1)),
-                   0.5 * (d0 * d0 + d1 * d1) / denom)
+    # the mean of |.| on a gap: of its ends, or where they differ in sign
+    # (never on the flat gaps of two atom forms), by the two triangles
+    total = np.abs(d0) + np.abs(d1)
+    seg = 0.5 * total
+    cross = d0 * d1 < 0
+    d0, d1 = d0[cross], d1[cross]
+    seg[cross] = 0.5 * (d0 * d0 + d1 * d1) / total[cross]
     return float((gaps * seg).sum())
 
 
-def wasserstein1_rows(rows: np.ndarray, refs,
-                      buffers: MergeBuffers | None = None) -> np.ndarray:
+@dataclass(frozen=True)
+class QuantileSlices:
+    """A density G, prepared as `form` by `sorted_cdf`, cut for W1 against
+    empirical measures of n atoms into n slices of mass 1/n: slice i runs
+    from q[i] to q[i + 1], where q[j] = G^-1(j/n), and phi[j] = Phi(q[j]),
+    where Phi(x) is the integral of G from the first edge to x. edge_phi
+    holds Phi at the edges."""
+
+    n: int
+    form: SortedCDF
+    edge_phi: np.ndarray
+    q: np.ndarray
+    phi: np.ndarray
+
+
+def _integral(f: SortedCDF, edge_phi: np.ndarray,
+              y: np.ndarray) -> np.ndarray:
+    """Phi at points y within the edges of the density f, from y's cell,
+    found by arithmetic on the uniform edges rather than by a search."""
+    m = f.x.size - 1
+    k = ((y - f.x[0]) * (m / (f.x[-1] - f.x[0]))).astype(np.intp)
+    np.clip(k, 0, m - 1, out=k)
+    t = y - f.x[k]
+    return edge_phi[k] + t * (f.cdf[k + 1] + 0.5 * t * f.slope[k + 1])
+
+
+def quantile_slices(ref, n: int) -> QuantileSlices:
+    """`ref`, a grid or its prepared form, cut into the n slices of
+    `QuantileSlices` (returned as is when already cut for n)."""
+    if isinstance(ref, QuantileSlices):
+        if ref.n != n:
+            raise MeasureError(f"reference cut for n = {ref.n}, not {n}")
+        return ref
+    f = sorted_cdf(ref)
+    if f.slope is None:
+        raise MeasureError("wasserstein1_rows compares rows with densities, "
+                           "not atoms")
+    x, cdf, slope = f.x, f.cdf[1:], f.slope[1:-1]
+    gaps = np.diff(x)
+    edge_phi = np.concatenate(
+        ([0.0], np.cumsum(gaps * (cdf[:-1] + 0.5 * slope * gaps))))
+    # cdf[k] <= u < cdf[k + 1], so cell k holds mass and slope[k] > 0
+    u = np.arange(1, n) / n
+    k = np.minimum(np.searchsorted(cdf, u, side="right") - 1, x.size - 2)
+    q = np.concatenate(
+        ([x[0]], np.minimum(x[k] + (u - cdf[k]) / slope[k], x[k + 1]),
+         [x[-1]]))
+    return QuantileSlices(n, f, edge_phi, q, _integral(f, edge_phi, q))
+
+
+def wasserstein1_rows(rows: np.ndarray, refs) -> np.ndarray:
     """W1 between each row of `rows`, read as the empirical measure of its
-    n values, and the matching entry of `refs`, an atomic measure, a grid
-    read as atoms or their prepared form: entry i is
-    wasserstein1_1d(AtomicMeasure.empirical(rows[i]), refs[i]) to the bit.
-    Sorts each row in place, in one call, and builds the equal-weight CDF
-    once; each row then takes one merge and one step sum in the arrays of
-    `buffers` (fresh ones when None)."""
-    refs = [sorted_cdf(r) for r in refs]
+    n values, and the matching entry of `refs`, a density: a grid, its
+    prepared form or its `quantile_slices` for n. Entry i equals
+    wasserstein1_1d(AtomicMeasure.empirical(rows[i]), refs[i]) up to
+    rounding. Sorts each row in place, in one call, and takes no merge:
+    W1 is the integral over u of |x(u) - G^-1(u)|, and on slice i, from
+    a = i/n to b = (i + 1)/n, x(u) is the (i + 1)-th smallest value x_i.
+    With y_i = x_i clipped to [q[i], q[i + 1]], the slice contributes
+    |x_i - y_i| / n, plus the integral of G - a from q[i] to y_i, plus the
+    integral of b - G from y_i to q[i + 1], each one exact through Phi."""
     if len(refs) != rows.shape[0]:
         raise MeasureError("need one reference per row")
-    if any(r.slope is not None for r in refs):
-        raise MeasureError("wasserstein1_rows compares rows with atoms")
-    rows.sort(axis=1)
     n = rows.shape[1]
-    cdf = _atom_cdf(np.full(n, 1.0 / n))
-    buf = MergeBuffers() if buffers is None else buffers
-    buf.reserve(n + max((r.x.size for r in refs), default=0))
+    refs = [quantile_slices(r, n) for r in refs]
+    rows.sort(axis=1)
+    a, b = np.arange(n) / n, np.arange(1, n + 1) / n
     out = np.empty(len(refs))
     for i, (x, ref) in enumerate(zip(rows, refs)):
-        _, gaps, count = _merge(x, ref.x, buf)
-        out[i] = _step_sum(cdf, ref.cdf, gaps, count, buf)
+        left, right = ref.q[:-1], ref.q[1:]
+        y = np.clip(x, left, right)
+        phi = _integral(ref.form, ref.edge_phi, y)
+        out[i] = (np.abs(x - y) / n
+                  + (phi - ref.phi[:-1] - a * (y - left))
+                  + (b * (right - y) - ref.phi[1:] + phi)).sum()
     return out
 
 

@@ -103,9 +103,6 @@ class MomentTrajectory:
     times: np.ndarray
     values: np.ndarray  # shape (K, len(times)); row k-1 is m^(k)
 
-    def row(self, k: int) -> np.ndarray:
-        return self.values[k - 1]
-
 
 def gamma_k(p: MomentParams, k: int) -> float:
     """Relaxation rate of the order-k moment."""

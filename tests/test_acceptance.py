@@ -111,7 +111,7 @@ def test_criterion_05_stationary_moment_recursion():
     lim = limit_moments(p)
     assert lim[0] == pytest.approx(3.0, abs=1e-12)
     long = integrate_moments(p, 200.0)
-    assert abs(lim[1] - long.row(2)[-1]) < 1e-4
+    assert abs(lim[1] - long.values[1][-1]) < 1e-4
     # a point-mass environment at c forces stationary moments c^k
     c = 1.7
     p_atom = MomentParams(alpha=0.5, omega=0.5, upsilon=0.5,

@@ -237,6 +237,37 @@ def test_compare_artifact(tmp_path):
     assert len(lines) == 3  # header comment + header + one snapshot
 
 
+def uniform_w1(x, width):
+    """W1 between the empirical measure of x and the uniform law on
+    (0, width), in closed form: the i-th smallest value carries the
+    quantiles u in [i/n, (i + 1)/n], where the law sits at width * u."""
+    n = x.size
+    a, b = np.arange(n) / n, np.arange(1, n + 1) / n
+    c = np.sort(x) / width
+    y = np.clip(c, a, b)
+    return width * float(np.sum(np.abs(c - y) / n
+                                + ((y - a) ** 2 + (b - y) ** 2) / 2))
+
+
+def test_compare_reads_the_solver_grid_as_its_density(tmp_path):
+    # at t = 0 the solver's 50 cells hold the uniform law exactly, so the
+    # t = 0 row is the W1 of the simulator's opening draw to that law. Read
+    # as cell-centre atoms, the grid would add up to h/4 = 0.05, more than
+    # twice the sampling scale 0.31 * 10 / sqrt(n) = 0.022
+    d = {"seed": 3, "kernel": MINIMAL["kernel"],
+         "initial": {"type": "uniform", "a": 0.0, "b": 10.0},
+         "simulate": {"n": 20_000, "horizon": 1.0, "snapshot_times": [0.0]},
+         "meanfield": {"m": 50, "dt": 0.05, "horizon": 1.0,
+                       "snapshot_times": [0.0, 1.0]}}
+    cfg = cfg_of(d)
+    (traj,) = dispatch(cfg, "simulate", out_dir=tmp_path)
+    x = np.loadtxt(traj, delimiter=",", skiprows=2)[:, 1]
+    (path,) = dispatch(cfg, "compare", out_dir=tmp_path)
+    rows = np.loadtxt(path, delimiter=",", skiprows=2)
+    assert rows[0, 0] == 0.0 and x.size == 20_000
+    assert rows[0, 1] == pytest.approx(uniform_w1(x, 10.0), rel=1e-12)
+
+
 def test_measure_csv_layout(tmp_path):
     snaps = [(0.0, AtomicMeasure(np.array([0.25, 0.75]),
                                  np.array([0.5, 0.5])))]

@@ -7,12 +7,15 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from gossipfield.agent_sim import InitGrid, InitUniform, initial_moment
+from gossipfield.agent_sim import (InitGrid, InitUniform, SimConfig,
+                                   initial_moment, run)
 from gossipfield.experiments import (ConcentrationConfig, DeviationTable,
-                                     ExperimentError, initial_grid,
+                                     ExperimentError, _reference,
+                                     _replica_seed, initial_grid,
                                      run_concentration, tail_rates)
 from gossipfield.kernels import Constant, Gaussian, KernelSpec
-from gossipfield.measures import GridMeasure1D, moment
+from gossipfield.measures import (AtomicMeasure, GridMeasure1D, moment,
+                                  wasserstein1_1d)
 
 GAUSS = KernelSpec(alpha=1.0, internal=Gaussian(0.5, 20.0))
 
@@ -63,13 +66,13 @@ def test_initial_grid_law_keeps_its_density(m):
 
 def test_deterministic_given_base_seed():
     cfg = small_cfg(n_list=(100,), replicas=20)
-    a = run_concentration(cfg, skip_refinement_check=True)
-    b = run_concentration(cfg, skip_refinement_check=True)
+    a = run_concentration(cfg)
+    b = run_concentration(cfg)
     assert a.rows == b.rows
 
 
 def test_rows_bounded_by_domain_diameter():
-    tbl = run_concentration(small_cfg(), skip_refinement_check=True)
+    tbl = run_concentration(small_cfg())
     assert len(tbl.rows) == 2 * 20
     for n, r, d in tbl.rows:
         assert 0.0 <= d <= 10.0
@@ -80,7 +83,7 @@ def test_initial_sampling_noise_scales_like_inverse_sqrt_n():
     # its median shrinks like 1/sqrt(n)
     cfg = small_cfg(kernel=GAUSS, tau=0.0, sample_times=(0.0,),
                     n_list=(100, 400, 1600), replicas=60)
-    tbl = run_concentration(cfg, skip_refinement_check=True)
+    tbl = run_concentration(cfg)
     med = {n: np.median(tbl.for_n(n)) for n in cfg.n_list}
     r1 = med[100] / med[400]
     r2 = med[400] / med[1600]
@@ -90,8 +93,8 @@ def test_initial_sampling_noise_scales_like_inverse_sqrt_n():
 
 def test_threads_do_not_change_results():
     cfg = small_cfg(n_list=(80,), replicas=20)
-    a = run_concentration(cfg, threads=1, skip_refinement_check=True)
-    b = run_concentration(cfg, threads=4, skip_refinement_check=True)
+    a = run_concentration(cfg, threads=1)
+    b = run_concentration(cfg, threads=4)
     assert a.rows == b.rows
 
 
@@ -100,8 +103,7 @@ def _fresh_run(cfg):
     run left in this one."""
     ctx = multiprocessing.get_context("spawn")
     with concurrent.futures.ProcessPoolExecutor(1, mp_context=ctx) as ex:
-        return ex.submit(run_concentration, cfg,
-                         skip_refinement_check=True).result()
+        return ex.submit(run_concentration, cfg).result()
 
 
 def test_serial_runs_share_no_state():
@@ -109,42 +111,60 @@ def test_serial_runs_share_no_state():
                       kernel=KernelSpec(alpha=1.0, internal=Constant(0.5)))
     second = small_cfg(n_list=(60,), replicas=20, tau=0.5,
                        sample_times=(0.25, 0.5), base_seed=3)
-    a = run_concentration(first, skip_refinement_check=True)
-    b = run_concentration(second, skip_refinement_check=True)
+    a = run_concentration(first)
+    b = run_concentration(second)
     assert a.rows == _fresh_run(first).rows
     assert b.rows == _fresh_run(second).rows
 
 
 # float.hex of every D of a small run, (n, replica) ordered, recorded
-# before the replicas wrote their snapshots into one block and took W1 of
-# the whole block in one batch
+# when D first read the reference snapshots as densities, through the
+# closed form of wasserstein1_rows
 PINNED_D = """
-    0x1.b9351e6be1be0p-1 0x1.b97d76828caf0p-1 0x1.86119c9010280p-2
-    0x1.1a9ccaa454618p-2 0x1.c7e4a6a0efb5dp-2 0x1.4d97198d3e42ap-2
-    0x1.8db826cfa6d11p-2 0x1.1db74eef08cf2p-1 0x1.3c91ae729b1eap-1
-    0x1.479760309e668p-1 0x1.4dd8ba3baf037p-2 0x1.c632ac2fac6c5p-1
-    0x1.10e0520268df9p-1 0x1.64231450e1ca4p-2 0x1.03984114485c1p-1
-    0x1.19a29290e8ffep-2 0x1.2b502d9ab79f5p-1 0x1.14c9f241bf6b1p+0
-    0x1.7b36ff208627ap-1 0x1.36866cef4a049p-1 0x1.912490b5da548p-3
-    0x1.791bf2b448c36p-2 0x1.58f41a0deb0dfp-3 0x1.2e74e642783a9p-3
-    0x1.8fc11cf38c178p-3 0x1.4df697ad732d3p-3 0x1.aaa09661b1418p-3
-    0x1.46bc6e85287b1p-3 0x1.05407291723bcp-2 0x1.07bbdc0f8222dp-2
-    0x1.1778769e3c94ep-3 0x1.d2f2501cd6671p-2 0x1.2cf92bff63147p-3
-    0x1.0dada86cb37e0p-2 0x1.5ab977769389ep-3 0x1.718a1a1f1d91ep-2
-    0x1.d99b88d109ae0p-3 0x1.a4b92c1948752p-3 0x1.42aa6ad76262fp-2
-    0x1.9eaffd7bf5036p-3
+    0x1.b93480dfebb50p-1 0x1.b97c9e7acfc93p-1 0x1.8603d13af3f86p-2
+    0x1.1a9c5fe8833a0p-2 0x1.c7e50b73063a1p-2 0x1.4d92825862f7bp-2
+    0x1.8db82d930af2ap-2 0x1.1db68f4596a02p-1 0x1.3c90ff9005379p-1
+    0x1.4797053027a9bp-1 0x1.4dc64cc01a38ap-2 0x1.c6326194e8936p-1
+    0x1.10e16344255dcp-1 0x1.64111bc9195b4p-2 0x1.0390e9c9e13fcp-1
+    0x1.1995e1879ec68p-2 0x1.2b4fbdd79659bp-1 0x1.14ca02eb6e828p+0
+    0x1.7b3573e6304e7p-1 0x1.3683c49b0a594p-1 0x1.90fb0cdef5d69p-3
+    0x1.792821e9daf74p-2 0x1.58d01730254e8p-3 0x1.2ea9cdac73012p-3
+    0x1.8f9fa68fb72b1p-3 0x1.4dd03954bda6cp-3 0x1.aac436d3c4825p-3
+    0x1.4692b9dd1d9a8p-3 0x1.053845cb21104p-2 0x1.07b82a8f4bb64p-2
+    0x1.17cde051c8070p-3 0x1.d2f6e8006d989p-2 0x1.2d347acd0a7b1p-3
+    0x1.0da6fa0833a6dp-2 0x1.5a8944a13707fp-3 0x1.718ac2befba62p-2
+    0x1.d9caf6aff7241p-3 0x1.a49db7ddcabffp-3 0x1.42aabb2c60d8ep-2
+    0x1.9e97fb0cbff0fp-3
 """.split()
+
+
+def pinned_cfg():
+    return small_cfg(kernel=KernelSpec(alpha=1.0, internal=Constant(0.5)),
+                     sample_times=(0.0, 0.5, 1.0), n_list=(200, 60),
+                     base_seed=11)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_deviations_are_pinned(threads):
-    cfg = small_cfg(kernel=KernelSpec(alpha=1.0, internal=Constant(0.5)),
-                    sample_times=(0.0, 0.5, 1.0), n_list=(200, 60),
-                    base_seed=11)
-    rows = run_concentration(cfg, threads=threads).rows
+    rows = run_concentration(pinned_cfg(), threads=threads).rows
     assert [(n, r) for n, r, _ in rows] == [
         (n, r) for n in (60, 200) for r in range(20)]
     assert [d.hex() for _, _, d in rows] == PINNED_D
+
+
+def test_pinned_deviations_are_w1_to_the_density():
+    # rebuild three replicas apart from the replica phase: D is the largest
+    # W1, taken by the merge, between a snapshot and the reference density
+    cfg = pinned_cfg()
+    reference = _reference(cfg, cfg.ref_m, cfg.ref_dt)
+    for n, replica, index in ((60, 0, 0), (60, 13, 13), (200, 7, 27)):
+        sim = SimConfig(n=n, kernel=cfg.kernel, initial=cfg.initial,
+                        horizon=cfg.tau, snapshot_times=cfg.sample_times,
+                        seed=_replica_seed(cfg.base_seed, n, replica),
+                        allow_self=True)
+        d = max(wasserstein1_1d(AtomicMeasure.empirical(x), g)
+                for x, (_, g) in zip(run(sim), reference))
+        assert float.fromhex(PINNED_D[index]) == pytest.approx(d, rel=1e-10)
 
 
 def test_coarse_reference_fails_the_refinement_gate():
@@ -183,8 +203,7 @@ def test_tail_fit_degenerate_input():
 
 
 def test_replica_order_does_not_change_quantiles():
-    tbl = run_concentration(small_cfg(n_list=(60,), replicas=24),
-                            skip_refinement_check=True)
+    tbl = run_concentration(small_cfg(n_list=(60,), replicas=24))
     d = tbl.for_n(60)
     shuffled = np.random.default_rng(3).permutation(d)
     assert np.quantile(d, [0.25, 0.5, 0.75]) == pytest.approx(

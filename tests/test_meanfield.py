@@ -10,8 +10,7 @@ from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
 from gossipfield import meanfield
 from gossipfield.meanfield import (SolverConfig, SolverError, apply_F,
                                    integrate, step_ends)
-from gossipfield.measures import (GridMeasure1D, density_cdf, moment,
-                                  wasserstein1_1d)
+from gossipfield.measures import GridMeasure1D, moment, wasserstein1_1d
 from gossipfield.moments import MomentParams, limit_moments
 
 CONST_HALF = KernelSpec(alpha=1.0, internal=Constant(0.5))
@@ -505,7 +504,7 @@ def _flow_w1(kernel):
                        snapshot_times=STABILITY_TIMES, scheme="rk4")
     a, b = (integrate(GridMeasure1D.uniform(lo, hi, m, support=s), kernel,
                       cfg) for s in ((0.0, 10.0), (1.0, 6.0)))
-    return np.array([wasserstein1_1d(density_cdf(ga), density_cdf(gb))
+    return np.array([wasserstein1_1d(ga, gb)
                      for (_, ga), (_, gb) in zip(a, b)])
 
 

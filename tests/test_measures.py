@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipfield.measures import (AtomicMeasure, Cluster, GridMeasure1D,
-                                  MeasureError, MergeBuffers, density_cdf,
-                                  detect_clusters, moment, sorted_cdf,
+                                  MeasureError, detect_clusters, moment,
+                                  quantile_slices, sorted_cdf,
                                   wasserstein1_1d, wasserstein1_rows)
 from lp_oracle import wasserstein1_oracle
 
@@ -189,8 +189,12 @@ def test_w1_translation_equivariance(mu, nu, c):
 
 
 def test_w1_grid_vs_its_own_atoms():
+    # W1 reads a grid as its density, never as its cell-centre atoms: each
+    # cell's mass travels h/4 on average to its centre
     g = GridMeasure1D.uniform(0.0, 1.0, 16)
-    assert wasserstein1_1d(g, g.as_atoms()) == 0.0
+    assert wasserstein1_1d(g, g.as_atoms()) == 1 / 64
+    assert wasserstein1_1d(g, g) == 0.0
+    assert wasserstein1_1d(g.as_atoms(), g.as_atoms()) == 0.0
 
 
 def _prepared_cases():
@@ -201,10 +205,11 @@ def _prepared_cases():
     tied = atoms([3.0, 1.0, 3.0, 7.5, 1.0, 3.0],
                  [0.1, 0.3, 0.05, 0.2, 0.15, 0.2]).normalize()
     return {"grid": grid, "empirical": empirical, "tied": tied,
-            "density": density_cdf(grid)}
+            "density": sorted_cdf(grid), "centres": grid.as_atoms()}
 
 
-@pytest.mark.parametrize("name", ["grid", "empirical", "tied", "density"])
+@pytest.mark.parametrize("name", ["grid", "empirical", "tied", "density",
+                                  "centres"])
 def test_w1_against_prepared_form_is_bit_identical(name):
     cases = _prepared_cases()
     ref = cases[name]
@@ -227,12 +232,12 @@ def test_sorted_cdf_equal_weights_match_stable_sort():
 
 
 def test_atom_w1_values_are_pinned():
-    # D is the atom W1 against the reference's cell-centre atoms, and
-    # deviations.csv is byte-identical across versions: the step sum must
-    # keep its float operations and their order
+    # W1 between two atom forms, recorded when it had an integrand of its
+    # own (a step sum): the one integrand, split at the zeros of F - G,
+    # must give the same bits on the flat segments of two atom CDFs
     rng = np.random.default_rng(2024)
     ref = sorted_cdf(GridMeasure1D(0.0, 10.0, rng.uniform(0.1, 1.0, 2000))
-                     .normalize())
+                     .normalize().as_atoms())
     for n, pinned in ((1000, "0x1.45a208b116820p-4"),
                       (10000, "0x1.d1e5add2cd718p-5")):
         emp = AtomicMeasure.empirical(rng.uniform(0.0, 10.0, n))
@@ -271,7 +276,7 @@ def test_density_w1_matches_the_interp_oracle():
             b = random_grid(rng, a.lo, a.hi, max(2, ma // 2))
         else:
             b = random_grid(rng, rng.uniform(-1, 1), rng.uniform(9, 11), mb)
-        assert abs(wasserstein1_1d(density_cdf(a), density_cdf(b))
+        assert abs(wasserstein1_1d(a, b)
                    - density_w1_by_interp(a, b)) <= 1e-15
 
 
@@ -280,16 +285,13 @@ def test_density_w1_exact_values():
     for g in (GridMeasure1D.uniform(0.0, 1.0, 16),
               random_grid(rng, -2.0, 3.0, 400)):
         # each cell's mass travels h/4 on average to its centre
-        assert wasserstein1_1d(density_cdf(g), g) == pytest.approx(
+        assert wasserstein1_1d(g, g.as_atoms()) == pytest.approx(
             g.h / 4, abs=1e-15)
-        assert wasserstein1_1d(density_cdf(g), density_cdf(g)) == 0.0
-    assert wasserstein1_1d(density_cdf(GridMeasure1D.uniform(0.0, 1.0, 16)),
-                           GridMeasure1D.uniform(0.0, 1.0, 16)) == 1 / 64
+        assert wasserstein1_1d(g, g) == 0.0
     for m, shift in ((100, 0.25), (64, 2.0)):
         u = GridMeasure1D.uniform(0.0, 1.0, m)
         v = GridMeasure1D(shift, 1.0 + shift, u.cells)
-        assert wasserstein1_1d(density_cdf(u), density_cdf(v)) \
-            == pytest.approx(shift, abs=1e-15)
+        assert wasserstein1_1d(u, v) == pytest.approx(shift, abs=1e-15)
 
 
 @pytest.mark.parametrize("K", [1, 4, 16])
@@ -303,45 +305,58 @@ def test_empirical_against_density_matches_sub_atoms(K):
                          np.repeat(g.cells / K, K))
     for n in (3, 100, 3000):
         emp = AtomicMeasure.empirical(rng.uniform(-1.0, 11.0, n))
-        exact = wasserstein1_1d(emp, density_cdf(g))
+        exact = wasserstein1_1d(emp, g)
         assert exact == pytest.approx(wasserstein1_1d(emp, fine),
                                       abs=g.h / (4 * K))
-        assert wasserstein1_1d(density_cdf(g), emp) == pytest.approx(
+        assert wasserstein1_1d(g, emp) == pytest.approx(
             exact, abs=1e-15)
 
 
-def test_w1_rows_match_w1_row_by_row_to_the_bit():
-    # one buffer set over every block, so it grows and is reused; the
-    # reference grids have empty cells, and sizes put n below and above m
+def test_w1_rows_match_w1_row_by_row():
+    # the closed form against the merge, for the reference given as a
+    # grid, as its prepared form and as its slices for n; the reference
+    # grids have empty cells, and sizes put n below and above m
     rng = np.random.default_rng(29)
-    buffers = MergeBuffers()
     for n, m in ((3000, 400), (40, 400), (400, 400), (2, 2000), (900, 60)):
         grids = [random_grid(rng, 0.0, 10.0, m),
                  random_grid(rng, 2.0, 8.0, m)] * 4
-        refs = [sorted_cdf(g) for g in grids]
-        rows = rng.uniform(-1.0, 11.0, (len(refs), n))
+        rows = rng.uniform(-1.0, 11.0, (len(grids), n))
         rows[0, :n // 2] = rows[0, 0]  # duplicate opinions
-        rows[1] = rng.choice(grids[1].centers, n)  # on the reference knots
-        rows[2, ::2] = rng.choice(grids[2].centers, (n + 1) // 2)
+        rows[1] = rng.choice(grids[1].edges, n)  # on the reference knots
+        rows[2, ::2] = rng.choice(grids[2].edges, (n + 1) // 2)
         rows[3] = rng.uniform(20.0, 30.0, n)  # right of the hull
         rows[4] = rng.uniform(-30.0, -20.0, n)  # left of the hull
         rows[5] = rng.choice(rng.uniform(2.0, 8.0, 3), n)  # three values
-        want = [wasserstein1_1d(AtomicMeasure.empirical(x), ref).hex()
-                for x, ref in zip(rows, refs)]
-        block = rows.copy()
-        for got in (wasserstein1_rows(block, refs, buffers),
-                    wasserstein1_rows(rows.copy(), grids)):
-            assert [d.hex() for d in got.tolist()] == want
-        assert np.array_equal(block, np.sort(rows, axis=1))  # sorted in place
+        want = [wasserstein1_1d(AtomicMeasure.empirical(x), g)
+                for x, g in zip(rows, grids)]
+        for refs in (grids, [sorted_cdf(g) for g in grids],
+                     [quantile_slices(g, n) for g in grids]):
+            block = rows.copy()
+            got = wasserstein1_rows(block, refs)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+            assert np.array_equal(block, np.sort(rows, axis=1))  # in place
 
 
-def test_w1_rows_rejects_what_the_step_sum_cannot_read():
+def test_w1_rows_exact_values():
+    # n points at the midpoints of the n equal-mass slices of a uniform
+    # density on [0, 1]: each slice moves its mass 1/(4n) on average
+    for n in (2, 7, 1000):
+        g = GridMeasure1D.uniform(0.0, 1.0, 64)
+        rows = ((np.arange(n) + 0.5) / n)[None, :]
+        assert wasserstein1_rows(rows, [g])[0] == pytest.approx(
+            1 / (4 * n), rel=1e-12)
+
+
+def test_w1_rows_rejects_atom_references():
     g = GridMeasure1D.uniform(0.0, 10.0, 30)
     rows = np.random.default_rng(31).uniform(0.0, 10.0, (3, 50))
     with pytest.raises(MeasureError, match="one reference per row"):
         wasserstein1_rows(rows, [g, g])
-    with pytest.raises(MeasureError, match="with atoms"):
-        wasserstein1_rows(rows, [g, density_cdf(g), g])
+    for atoms_ in (g.as_atoms(), sorted_cdf(g.as_atoms())):
+        with pytest.raises(MeasureError, match="not atoms"):
+            wasserstein1_rows(rows, [g, atoms_, g])
+    with pytest.raises(MeasureError, match="cut for n = 40"):
+        wasserstein1_rows(rows, [g, g, quantile_slices(g, 40)])
 
 
 def test_w1_with_ties_matches_transport_lp():

@@ -120,7 +120,8 @@ def test_rhs_matches_binomial_sums():
 def test_first_moment_constant_when_alpha_one():
     p = params(alpha=1.0, K=2)
     traj = integrate_moments(p, 5.0)
-    np.testing.assert_allclose(traj.row(1), p.initial_moments[0], atol=1e-12)
+    np.testing.assert_allclose(traj.values[0], p.initial_moments[0],
+                               atol=1e-12)
 
 
 def test_first_moment_closed_form():
@@ -129,7 +130,7 @@ def test_first_moment_closed_form():
     n1 = p.env_moments[0]
     expect = np.exp(-0.25 * traj.times) * 5.0 \
         + (1 - np.exp(-0.25 * traj.times)) * n1
-    np.testing.assert_allclose(traj.row(1), expect, atol=1e-10)
+    np.testing.assert_allclose(traj.values[0], expect, atol=1e-10)
 
 
 def test_second_moment_closed_form_pure_averaging():
@@ -141,13 +142,13 @@ def test_second_moment_closed_form_pure_averaging():
     c = 2 * 0.3 * 0.7 * 4.0 / g2
     traj = integrate_moments(p, 8.0)
     expect = c + (5.0 - c) * np.exp(-g2 * traj.times)
-    np.testing.assert_allclose(traj.row(2), expect, atol=1e-9)
+    np.testing.assert_allclose(traj.values[1], expect, atol=1e-9)
 
 
 def test_jensen_invariant_along_trajectory():
     traj = integrate_moments(params(K=4), 10.0)
     # (m^(1))^2 <= m^(2) for a probability measure
-    assert np.max(traj.row(1) ** 2 - traj.row(2)) <= 1e-10
+    assert np.max(traj.values[0] ** 2 - traj.values[1]) <= 1e-10
 
 
 def test_triangularity():
@@ -209,7 +210,7 @@ def test_a_priori_moment_bound():
     M = p.moment_scale()
     traj = integrate_moments(p, 10.0)
     for k in range(1, 6):
-        assert np.max(np.abs(traj.row(k))) <= M ** k * (1 + 1e-9)
+        assert np.max(np.abs(traj.values[k - 1])) <= M ** k * (1 + 1e-9)
 
 
 def test_dt_guard():
@@ -267,4 +268,4 @@ def test_limit_matches_long_horizon_integration():
     lim = limit_moments(p)
     traj = integrate_moments(p, 200.0)
     for k in range(1, 4):
-        assert traj.row(k)[-1] == pytest.approx(lim[k - 1], abs=1e-6)
+        assert traj.values[k - 1][-1] == pytest.approx(lim[k - 1], abs=1e-6)
