@@ -74,7 +74,7 @@ _SECTIONS = {"simulate": agent_sim.SimConfig,
              "meanfield": meanfield.SolverConfig,
              "moments": moments.MomentConfig,
              "concentrate": experiments.ConcentrationConfig}
-_CONTEXT = {"kernel", "initial", "seed", "base_seed", "ref_dt", "ref_m"}
+_CONTEXT = {"kernel", "initial", "seed", "base_seed"}
 
 # {"type": ...} objects: type -> class; every field is required
 _LAWS = {"constant": Constant, "bounded_confidence": BoundedConfidence,
@@ -473,7 +473,7 @@ def cmd_concentrate(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:
     table = experiments.run_concentration(ccfg, threads=threads)
     paths = [_write_csv(out_dir / "deviations.csv", cfg, "n,replica,D",
                         "%d,%d,%.17g", table.rows)]
-    mid_n = ccfg.n_list[len(ccfg.n_list) // 2]
+    mid_n = ccfg.n_list[len(ccfg.n_list) // 2]  # n_list is sorted
     rows, summaries = [], []
     for eps in ccfg.eps_list or [float(np.median(table.for_n(mid_n)))]:
         try:
@@ -528,10 +528,12 @@ def main(argv=None) -> int:
                         help="override the config seed")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="parallel workers (concentrate only), capped at "
-                             "the core count")
+                        help="parallel workers (concentrate only), at least "
+                             "1, capped at the core count")
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            parser.error(f"--threads must be at least 1, got {args.threads}")
     except SystemExit as e:
         return 1 if e.code else 0
     try:

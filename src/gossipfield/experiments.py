@@ -4,10 +4,9 @@ from the mean-field solution, as a function of n.
 For each population size and replica we record
 D = max over sample times of W1(empirical measure, mean-field reference),
 then estimate tail probabilities P(D >= eps) and the slope of log P versus
-n. The mean-field reference is computed once (RK4, fine grid) and its own
-discretization error is estimated by refining the grid and, apart, the
-step; the harness aborts if that error is not small against the measured
-deviations.
+n. The mean-field reference (RK4) is solved on the coarsest grid of a
+short ladder whose discretization error, estimated by refining the grid
+and, apart, the step, is small against the measured deviations.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ class ConcentrationConfig:
     replicas: int = 100
     eps_list: tuple[float, ...] = ()
     base_seed: int = 0
-    ref_dt: float = 0.05
-    ref_m: int = 2000
 
     def __post_init__(self):
         times = checked_times(
@@ -49,12 +46,15 @@ class ConcentrationConfig:
             self.tau, ExperimentError, "sample times", "tau")
         if not self.n_list or min(self.n_list) < 2:
             raise ExperimentError("n_list needs population sizes >= 2")
+        if len(set(self.n_list)) < len(self.n_list):
+            raise ExperimentError("n_list repeats a population size")
         if any(not eps > 0 for eps in self.eps_list):
             raise ExperimentError("every eps in eps_list must be positive")
         if self.replicas < 20:
             raise ExperimentError("need >= 20 replicas for tail estimation")
         object.__setattr__(self, "sample_times", times)
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        object.__setattr__(self, "n_list",
+                           tuple(sorted(int(n) for n in self.n_list)))
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,13 @@ def solver_domain(kernel: KernelSpec, initial: InitialLaw,
     return lo, hi
 
 
-def _reference(cfg: ConcentrationConfig, m: int, dt: float):
+# The reference grids tried in turn, each at the step _REF_DT: the first
+# whose discretization error passes the gate is the reference.
+_REF_GRIDS = (500, 1000, 2000)
+_REF_DT = 0.05
+
+
+def _reference(cfg: ConcentrationConfig, m: int, dt: float = _REF_DT):
     lo, hi = solver_domain(cfg.kernel, cfg.initial, m)
     g0 = initial_grid(cfg.initial, lo, hi, m)
     solver = SolverConfig(lo, hi, m=m, dt=dt, horizon=cfg.tau,
@@ -159,14 +165,14 @@ def _one_replica(args) -> tuple[int, int, float]:
     return (n, replica, float(d))
 
 
-def _discretization_errors(cfg: ConcentrationConfig,
-                           fine: tuple) -> tuple[float, float]:
-    """The reference's space and time error estimates, as W1 between
-    densities, the reading D takes of the reference too: `fine` holds the
-    reference snapshots in their sorted_cdf form. Space: halve m at the
-    same step; time: step doubling at m/2."""
+def _discretization_errors(cfg: ConcentrationConfig, fine: tuple,
+                           m: int) -> tuple[float, float]:
+    """The error estimates of the reference at m cells, as W1 between
+    densities, the reading D takes of the reference too: `fine` holds its
+    snapshots in their sorted_cdf form. Space: halve m at the same step;
+    time: step doubling at m/2."""
     coarse, fine_step = ([sorted_cdf(g) for _, g in _reference(
-        cfg, cfg.ref_m // 2, dt)] for dt in (cfg.ref_dt, cfg.ref_dt / 2))
+        cfg, m // 2, dt)] for dt in (_REF_DT, _REF_DT / 2))
     return (max(map(wasserstein1_1d, fine, coarse)),
             max(map(wasserstein1_1d, coarse, fine_step)))
 
@@ -180,52 +186,43 @@ def run_concentration(cfg: ConcentrationConfig,
                       threads: int = 1) -> DeviationTable:
     """Compute the deviation table. Deterministic given base_seed; replicas
     use allow_self=True to match the independent-sampling structure of the
-    mean-field operator. `threads` is capped at the core count."""
-    reference = _reference(cfg, cfg.ref_m, cfg.ref_dt)
-    shared = (cfg, tuple(sorted_cdf(g) for _, g in reference))
+    mean-field operator. `threads` workers, capped at the core count, run
+    them against the reference on each grid of _REF_GRIDS in turn, with
+    the same seeds, until its discretization error is below 0.1 times the
+    smallest D: the table is that of the grid that passed."""
     # the largest n first, so that a pool ends on its shortest jobs
-    jobs = [(n, r) for n in sorted(cfg.n_list, reverse=True)
-            for r in range(cfg.replicas)]
+    jobs = [(n, r) for n in reversed(cfg.n_list) for r in range(cfg.replicas)]
     threads = min(threads, os.cpu_count() or 1)
-    if threads > 1:
+    for m in _REF_GRIDS:
+        reference = tuple(sorted_cdf(g) for _, g in _reference(cfg, m))
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=threads, initializer=_init_replicas,
-                initargs=shared) as ex:
+                initargs=(cfg, reference)) as ex:
             results = ex.map(_one_replica, jobs, chunksize=_POOL_CHUNK)
-            # meanwhile this process, which would only wait, solves the
-            # refinement
-            errors = _discretization_errors(*shared)
-            results = list(results)
-    else:
-        _init_replicas(*shared)
-        results = [_one_replica(j) for j in jobs]
-        errors = _discretization_errors(*shared)
-    results.sort(key=lambda r: (r[0], r[1]))
-    table = DeviationTable(tuple(results))
-    space_err, time_err = errors
-    disc_err = space_err + time_err
-    d_min = min(d for (_, _, d) in table.rows)
-    if disc_err >= 0.1 * d_min:
-        raise ExperimentError(
-            f"mean-field discretization error {disc_err:.3g} (space "
-            f"{space_err:.3g}, time {time_err:.3g}) is not small against "
-            f"the smallest deviation {d_min:.3g}; refine the reference "
-            "solver")
-    return table
+            # meanwhile this process, which would only wait, refines
+            space_err, time_err = _discretization_errors(cfg, reference, m)
+            results = sorted(results)
+        disc_err = space_err + time_err
+        d_min = min(d for (_, _, d) in results)
+        if disc_err < 0.1 * d_min:
+            return DeviationTable(tuple(results))
+    raise ExperimentError(
+        f"mean-field discretization error {disc_err:.3g} (space "
+        f"{space_err:.3g}, time {time_err:.3g}) of the reference at m = {m}, "
+        f"the finest tried, is not small against the smallest deviation "
+        f"{d_min:.3g}")
 
 
 def tail_rates(tbl: DeviationTable, eps: float):
     """Empirical tail probabilities P(D >= eps) per n and the least-squares
-    slope of log P versus n (with its standard error).
+    slope of log P versus n, with its standard error, which is nan when
+    only two n enter the fit.
 
     Only n values with tails strictly inside (0, 1) enter the fit.
     Returns (points, slope, stderr) with points = [(n, p), ...].
     """
-    ns = sorted({n for (n, _, _) in tbl.rows})
-    points = []
-    for n in ns:
-        d = tbl.for_n(n)
-        points.append((n, float(np.mean(d >= eps))))
+    points = [(n, float(np.mean(tbl.for_n(n) >= eps)))
+              for n in sorted({n for (n, _, _) in tbl.rows})]
     usable = [(n, p) for n, p in points if 0.0 < p < 1.0]
     if len(usable) < 2:
         raise ExperimentError(
@@ -238,5 +235,6 @@ def tail_rates(tbl: DeviationTable, eps: float):
     intercept = float(y.mean() - slope * xbar)
     resid = y - (intercept + slope * x)
     dof = len(usable) - 2
-    stderr = float(np.sqrt(np.sum(resid ** 2) / dof / sxx)) if dof > 0 else 0.0
+    stderr = (float(np.sqrt(np.sum(resid ** 2) / dof / sxx)) if dof > 0
+              else float("nan"))
     return points, slope, stderr

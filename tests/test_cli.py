@@ -387,6 +387,10 @@ INVALID_CONFIGS = {
         "simulate: snapshot times must lie in [0, horizon]"),
     "concentrate_n_1": ("concentrate", {"concentrate.n_list": [1, 20]},
                         "concentrate: n_list"),
+    "concentrate_n_repeated": ("concentrate",
+                               {"concentrate.n_list": [20, 40, 20]},
+                               "concentrate: n_list repeats a population "
+                               "size"),
     "concentrate_tau_negative": ("concentrate", {"concentrate.tau": -1.0},
                                  "concentrate: tau must be nonnegative"),
     "concentrate_sample_past_tau": (
@@ -454,6 +458,33 @@ def test_moments_checks_pass_valid_runs(command, changes, tmp_path):
     p = write_cfg(tmp_path, with_changes(d, changes))
     assert main([command, "--config", str(p), "--out",
                  str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_1_with_usage(threads, tmp_path, capsys):
+    d = dict(quick_sim_cfg(), concentrate={"tau": 0.5, "n_list": [20, 40],
+                                           "replicas": 20})
+    p = write_cfg(tmp_path, d)
+    assert main(["concentrate", "--config", str(p), "--out",
+                 str(tmp_path / "out"), "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gossipfield")
+    assert f"--threads must be at least 1, got {threads}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_default_eps_is_the_median_at_the_middle_n(tmp_path):
+    # n_list need not be sorted: the default eps reads the middle n of the
+    # sorted list, here 300
+    d = dict(MINIMAL, concentrate={"tau": 0.5, "sample_times": [0.0, 0.5],
+                                   "n_list": [1000, 100, 300],
+                                   "replicas": 20})
+    dispatch(cfg_of(d), "concentrate", out_dir=tmp_path)
+    rows = np.loadtxt(tmp_path / "deviations.csv", delimiter=",",
+                      skiprows=2)
+    eps = np.median(rows[rows[:, 0] == 300, 2])
+    summary = (tmp_path / "rates.csv").read_text().splitlines()[-1]
+    assert summary.startswith(f"# eps={eps:.17g} ")
 
 
 def test_meanfield_window_covering_the_laws_runs(tmp_path):

@@ -1,17 +1,17 @@
 """Tests for the concentration harness."""
 
 import concurrent.futures
-import dataclasses
 import multiprocessing
 
 import numpy as np
 import pytest
 
+from gossipfield import experiments
 from gossipfield.agent_sim import (InitGrid, InitUniform, SimConfig,
                                    initial_moment, run)
-from gossipfield.experiments import (ConcentrationConfig, DeviationTable,
-                                     ExperimentError, _reference,
-                                     _replica_seed, initial_grid,
+from gossipfield.experiments import (_REF_GRIDS, ConcentrationConfig,
+                                     DeviationTable, ExperimentError,
+                                     _reference, _replica_seed, initial_grid,
                                      run_concentration, tail_rates)
 from gossipfield.kernels import Constant, Gaussian, KernelSpec
 from gossipfield.measures import (AtomicMeasure, GridMeasure1D, moment,
@@ -23,7 +23,7 @@ GAUSS = KernelSpec(alpha=1.0, internal=Gaussian(0.5, 20.0))
 def small_cfg(**kw):
     base = dict(kernel=GAUSS, initial=InitUniform(0.0, 10.0), tau=1.0,
                 sample_times=(0.5, 1.0), n_list=(50, 200), replicas=20,
-                base_seed=7, ref_m=400)
+                base_seed=7)
     base.update(kw)
     return ConcentrationConfig(**base)
 
@@ -117,24 +117,25 @@ def test_serial_runs_share_no_state():
     assert b.rows == _fresh_run(second).rows
 
 
-# float.hex of every D of a small run, (n, replica) ordered, recorded
-# when D first read the reference snapshots as densities, through the
-# closed form of wasserstein1_rows
+# float.hex of every D of a small run, (n, replica) ordered, against the
+# reference snapshots read as densities, through the closed form of
+# wasserstein1_rows; recorded with the reference on the ladder's first
+# grid, where the run passes its gate
 PINNED_D = """
-    0x1.b93480dfebb50p-1 0x1.b97c9e7acfc93p-1 0x1.8603d13af3f86p-2
-    0x1.1a9c5fe8833a0p-2 0x1.c7e50b73063a1p-2 0x1.4d92825862f7bp-2
-    0x1.8db82d930af2ap-2 0x1.1db68f4596a02p-1 0x1.3c90ff9005379p-1
-    0x1.4797053027a9bp-1 0x1.4dc64cc01a38ap-2 0x1.c6326194e8936p-1
-    0x1.10e16344255dcp-1 0x1.64111bc9195b4p-2 0x1.0390e9c9e13fcp-1
-    0x1.1995e1879ec68p-2 0x1.2b4fbdd79659bp-1 0x1.14ca02eb6e828p+0
-    0x1.7b3573e6304e7p-1 0x1.3683c49b0a594p-1 0x1.90fb0cdef5d69p-3
-    0x1.792821e9daf74p-2 0x1.58d01730254e8p-3 0x1.2ea9cdac73012p-3
-    0x1.8f9fa68fb72b1p-3 0x1.4dd03954bda6cp-3 0x1.aac436d3c4825p-3
-    0x1.4692b9dd1d9a8p-3 0x1.053845cb21104p-2 0x1.07b82a8f4bb64p-2
-    0x1.17cde051c8070p-3 0x1.d2f6e8006d989p-2 0x1.2d347acd0a7b1p-3
-    0x1.0da6fa0833a6dp-2 0x1.5a8944a13707fp-3 0x1.718ac2befba62p-2
-    0x1.d9caf6aff7241p-3 0x1.a49db7ddcabffp-3 0x1.42aabb2c60d8ep-2
-    0x1.9e97fb0cbff0fp-3
+    0x1.b9348687c530fp-1 0x1.b97c6d098753cp-1 0x1.86033888db1b0p-2
+    0x1.1a9c5fe8833bfp-2 0x1.c7e49e84b4a8dp-2 0x1.4d930cf924f1ep-2
+    0x1.8db7974eb291ap-2 0x1.1db6859143334p-1 0x1.3c90e4ec44c23p-1
+    0x1.479725586767ap-1 0x1.4dc6da78b0251p-2 0x1.c632a7e93358dp-1
+    0x1.10e15a84fcfa0p-1 0x1.6411a7ddf194cp-2 0x1.0390e9c9e13bdp-1
+    0x1.1995e1879ecbap-2 0x1.2b4f7274c5d00p-1 0x1.14ca029b82e03p+0
+    0x1.7b3573e63057cp-1 0x1.3683c49b0a51dp-1 0x1.90f899144ee70p-3
+    0x1.792821e9db06ep-2 0x1.58cfbb8090522p-3 0x1.2ea9cdac73117p-3
+    0x1.8fa0083dca099p-3 0x1.4dcde1e8424fdp-3 0x1.aac436d3c4925p-3
+    0x1.4693e11bf7816p-3 0x1.0538701099c98p-2 0x1.07b7b09db3020p-2
+    0x1.17cde051c81c6p-3 0x1.d2f6e8006da8cp-2 0x1.2d347acd0a845p-3
+    0x1.0da6d07b42cd3p-2 0x1.5a8a5b7f66ddap-3 0x1.718aa2fd2afe7p-2
+    0x1.d9caf6aff71c2p-3 0x1.a49eb269db981p-3 0x1.42aa55f1b0bf5p-2
+    0x1.9e98b48ae630ap-3
 """.split()
 
 
@@ -156,7 +157,7 @@ def test_pinned_deviations_are_w1_to_the_density():
     # rebuild three replicas apart from the replica phase: D is the largest
     # W1, taken by the merge, between a snapshot and the reference density
     cfg = pinned_cfg()
-    reference = _reference(cfg, cfg.ref_m, cfg.ref_dt)
+    reference = _reference(cfg, _REF_GRIDS[0])
     for n, replica, index in ((60, 0, 0), (60, 13, 13), (200, 7, 27)):
         sim = SimConfig(n=n, kernel=cfg.kernel, initial=cfg.initial,
                         horizon=cfg.tau, snapshot_times=cfg.sample_times,
@@ -167,16 +168,41 @@ def test_pinned_deviations_are_w1_to_the_density():
         assert float.fromhex(PINNED_D[index]) == pytest.approx(d, rel=1e-10)
 
 
-def test_coarse_reference_fails_the_refinement_gate():
-    with pytest.raises(ExperimentError, match=r"space [^,]+, time "):
-        run_concentration(small_cfg(ref_m=16))
+def spy_grids(monkeypatch):
+    """The grid of every reference solve, in call order."""
+    grids = []
+
+    def spy(cfg, m, *args):
+        grids.append(m)
+        return _reference(cfg, m, *args)
+
+    monkeypatch.setattr(experiments, "_reference", spy)
+    return grids
 
 
-def test_default_reference_passes_the_refinement_gate():
-    fields = {f.name: f.default
-              for f in dataclasses.fields(ConcentrationConfig)}
-    cfg = small_cfg(ref_m=fields["ref_m"], ref_dt=fields["ref_dt"])
-    assert len(run_concentration(cfg).rows) == 2 * 20
+def test_coarse_reference_fails_the_refinement_gate(monkeypatch):
+    monkeypatch.setattr(experiments, "_REF_GRIDS", (16,))
+    with pytest.raises(ExperimentError,
+                       match=r"space [^,]+, time [^)]+\) of the reference "
+                             r"at m = 16,"):
+        run_concentration(small_cfg())
+
+
+def test_default_reference_passes_the_refinement_gate(monkeypatch):
+    # the reference and its two refinement solves at half its grid: the
+    # first rung of the ladder passes
+    grids = spy_grids(monkeypatch)
+    assert len(run_concentration(small_cfg()).rows) == 2 * 20
+    assert grids == [_REF_GRIDS[0], _REF_GRIDS[0] // 2, _REF_GRIDS[0] // 2]
+
+
+def test_a_failed_rung_leaves_no_trace_in_the_table(monkeypatch):
+    monkeypatch.setattr(experiments, "_REF_GRIDS", (500,))
+    single = run_concentration(small_cfg()).rows
+    monkeypatch.setattr(experiments, "_REF_GRIDS", (16, 500))
+    grids = spy_grids(monkeypatch)
+    assert run_concentration(small_cfg()).rows == single
+    assert grids == [16, 8, 8, 500, 250, 250]
 
 
 def test_tail_fit_recovers_planted_rate():
@@ -193,6 +219,17 @@ def test_tail_fit_recovers_planted_rate():
     points, slope, stderr = tail_rates(tbl, eps=1.0)
     assert slope == pytest.approx(-rate, abs=1e-6)
     assert stderr == pytest.approx(0.0, abs=1e-9)
+
+
+def test_tail_fit_through_two_points_has_no_stderr():
+    # two usable n fit the line exactly, with no degree of freedom left to
+    # estimate its error: slope + 2 stderr < 0 must not reduce to a sign
+    rows = tuple((n, i, 2.0 if i < k else 0.5)
+                 for n, k in ((100, 16), (200, 8)) for i in range(32))
+    points, slope, stderr = tail_rates(DeviationTable(rows), eps=1.0)
+    assert points == [(100, 0.5), (200, 0.25)]
+    assert slope == pytest.approx(-np.log(2.0) / 100.0)
+    assert np.isnan(stderr)
 
 
 def test_tail_fit_degenerate_input():
