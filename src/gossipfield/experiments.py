@@ -190,6 +190,8 @@ def run_concentration(cfg: ConcentrationConfig,
     them against the reference on each grid of _REF_GRIDS in turn, with
     the same seeds, until its discretization error is below 0.1 times the
     smallest D: the table is that of the grid that passed."""
+    if threads < 1:
+        raise ExperimentError(f"threads must be at least 1, got {threads}")
     # the largest n first, so that a pool ends on its shortest jobs
     jobs = [(n, r) for n in reversed(cfg.n_list) for r in range(cfg.replicas)]
     threads = min(threads, os.cpu_count() or 1)

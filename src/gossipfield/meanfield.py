@@ -16,11 +16,18 @@ or beyond the confidence radius) add up to one stay term, a convolution
 of the cells with the moved fractions. Constant weight 1/2 lands on the
 half-step grid and is an exact discrete self-convolution instead, by FFT.
 
-The environment branch is linear in the cell masses. Its map is built once
-per grid and kept as row blocks, each trimmed to its nonzero column range:
-a column's deposits cover only the rows its environment band reaches, so
-most of the dense map is zero. The blocks are cut from those per-column
-bands, and the dense map is never formed.
+The environment branch is linear in the cell masses. For external weight
+1/2 it is the same half-grid convolution: an atom e at cell coordinate
+j + f, split (1 - f) onto centre j and f onto centre j + 1, sends cell i
+to the half-step points (i + j)/2 and (i + j + 1)/2, and splitting those
+onto the centres gives the weights of the deposit (c_i + e)/2 itself:
+1 - f/2 and f/2 when i + j is even, (1 - f)/2 and (1 + f)/2 when it is
+odd. So that branch is cells * e_split, folded like the internal one, and
+both share one transform pair. Any other external weight has its map built
+once per grid and kept as row blocks, each trimmed to its nonzero column
+range: a column's deposits cover only the rows its environment band
+reaches, so most of the dense map is zero. The blocks are cut from those
+per-column bands, and the dense map is never formed.
 
 Bounded confidence reads each cell as a uniform density: a cell pair
 interacts with the exact fraction of its point pairs that lie within the
@@ -73,21 +80,51 @@ class SolverConfig:
             self.snapshot_times, self.horizon, SolverError))
 
 
-def _deposit_conv_half(out: np.ndarray, cells: np.ndarray, coeff: float):
-    """Internal branch for constant weight 1/2: the pushforward lives on the
-    half-step grid (c_i + c_j)/2 and is the discrete self-convolution
-    cells * cells, computed as the inverse FFT of the squared transform,
-    zero-padded to a power of two >= 2m - 1 (no wrap-around)."""
-    n_conv = 2 * cells.size - 1
-    n_fft = 1 << (n_conv - 1).bit_length()
+def _fft_size(m: int) -> tuple[int, int]:
+    """The length 2m - 1 of a half-grid convolution of m cells, and the
+    power of two >= it that it is zero-padded to (no wrap-around)."""
+    n_conv = 2 * m - 1
+    return n_conv, 1 << (n_conv - 1).bit_length()
+
+
+def _deposit_conv_half(out: np.ndarray, cells: np.ndarray, coeff: float,
+                       env_hat: np.ndarray | None = None):
+    """The weight-1/2 branches, on the half-step grid. The internal one is
+    the discrete self-convolution coeff * cells * cells: pair (i, j) lands
+    at (i + j)/2. The external one, given as env_hat, the transform of
+    its coefficient times e_split, is cells * e_split: an environment atom
+    at cell coordinate j + f, split (1 - f) onto centre j and f onto
+    j + 1, sends cell i to (i + j)/2 and (i + j + 1)/2, which fold onto
+    the centres with the weights of the deposit (c_i + e)/2 itself,
+    1 - f/2 and f/2 when i + j is even, (1 - f)/2 and (1 + f)/2 when it
+    is odd. One transform pair serves both: the inverse FFT of
+    C (coeff C + env_hat), or of C C scaled by coeff afterwards, zero-
+    padded past 2m - 1. A half-step point between two centres is split
+    equally onto them."""
+    n_conv, n_fft = _fft_size(cells.size)
     spec = np.fft.rfft(cells, n_fft)
-    conv = np.fft.irfft(spec * spec, n_fft)[:n_conv]
-    even = conv[0::2]
+    if env_hat is None:
+        conv = np.fft.irfft(spec * spec, n_fft)[:n_conv]
+        conv *= coeff
+    else:
+        conv = np.fft.irfft(spec * (coeff * spec + env_hat), n_fft)[:n_conv]
+    out += conv[0::2]
     odd = conv[1::2]
-    out += coeff * even
-    if odd.size:
-        out[:-1] += (0.5 * coeff) * odd
-        out[1:] += (0.5 * coeff) * odd
+    odd *= 0.5
+    out[:-1] += odd
+    out[1:] += odd
+
+
+def _split_environment(lo: float, h: float, m: int, env_pos: np.ndarray,
+                       env_mass: np.ndarray) -> np.ndarray:
+    """The environment atoms split linearly onto the m centres, their
+    positions clipped to the centres' range."""
+    pos = np.clip((env_pos - lo) / h - 0.5, 0.0, m - 1.0)
+    idx = np.floor(pos).astype(np.int64)
+    frac = pos - idx
+    return (np.bincount(idx, env_mass * (1.0 - frac), minlength=m)
+            + np.bincount(np.minimum(idx + 1, m - 1), env_mass * frac,
+                          minlength=m))
 
 
 def _within_radius_fraction(r: float, lags: np.ndarray) -> np.ndarray:
@@ -137,14 +174,15 @@ def _lag_plan(branches: list, m: int, h: float):
     return sorted(deposits.items()), stay, kernel
 
 
-def _external_blocks(lo: float, h: float, law, coeff: float,
+def _external_blocks(lo: float, h: float, branches: list,
                      env_pos: np.ndarray, env_mass: np.ndarray,
                      centers: np.ndarray) -> list[tuple]:
-    """The environment branch is linear in the cell masses: its map T has
-    (T @ cells)[p] = coeff * sum_l q_l * splat_p((1-u) c_i + u e_l). Return
-    T as (r0, r1, c0, c1, T[r0:r1, c0:c1]) blocks of _ENV_BLOCK_ROWS rows
-    over its nonzero rows, each cut to its nonzero column range, so that
-    T @ x is the sum of block @ x[c0:c1] placed at rows r0:r1.
+    """The environment branch is linear in the cell masses: for the
+    external (law, mass coefficient) branches its map T has
+    (T @ cells)[p] = sum coeff * sum_l q_l * splat_p((1-u) c_i + u e_l).
+    Return T as (r0, r1, c0, c1, T[r0:r1, c0:c1]) blocks of _ENV_BLOCK_ROWS
+    rows over its nonzero rows, each cut to its nonzero column range, so
+    that T @ x is the sum of block @ x[c0:c1] placed at rows r0:r1.
 
     T itself is never formed. Column c's deposits are summed into a band
     of the rows from the lowest it reaches, one deposit at a time in the
@@ -152,23 +190,16 @@ def _external_blocks(lo: float, h: float, law, coeff: float,
     blocks are cut from the bands. The deposits are nonnegative, so an
     entry is nonzero exactly when one of its deposits is."""
     m = centers.size
-    if isinstance(law, FiniteMixture):
-        branches = list(zip(law.omegas, law.probs))
-    else:
-        branches = [(None, 1.0)]
     splats = []
     low = np.full(m, m - 1)
     high = np.zeros(m, dtype=np.int64)
-    for upsilon, p in branches:
+    for law, coeff in branches:
         for e, q in zip(env_pos, env_mass):
-            if upsilon is None:
-                u = weight_value(law, np.abs(centers - e))
-            else:
-                u = upsilon
+            u = weight_value(law, np.abs(centers - e))
             z = (1.0 - u) * centers + u * e
             pos = np.clip((z - lo) / h - 0.5, 0.0, m - 1.0)
             idx = np.floor(pos).astype(np.int64)
-            splats.append((idx, pos - idx, coeff * p * q))
+            splats.append((idx, pos - idx, coeff * q))
             np.minimum(low, idx, out=low)
             np.maximum(high, idx, out=high)
     # band[c, i] is T[low[c] + i, c]; one side of one splat hits each
@@ -204,6 +235,15 @@ def _external_blocks(lo: float, h: float, law, coeff: float,
     return blocks
 
 
+def _branches(law, coeff: float) -> list[tuple]:
+    """A weight law as (law, mass coefficient) branches: a mixture's
+    components as constant laws, each with its share of coeff."""
+    if isinstance(law, FiniteMixture):
+        return [(Constant(w), coeff * p)
+                for w, p in zip(law.omegas, law.probs)]
+    return [(law, coeff)]
+
+
 class _FieldEvaluator:
     """Precomputed context for repeated apply_F evaluations on one grid."""
 
@@ -213,33 +253,37 @@ class _FieldEvaluator:
         self.m = template.m
         self.h = template.h
         self.centers = template.centers
-        law = kernel.internal
-        branches = [(law, kernel.alpha)]
-        if isinstance(law, FiniteMixture):
-            branches = [(Constant(w), kernel.alpha * p)
-                        for w, p in zip(law.omegas, law.probs)]
         half = Constant(0.5)
+        branches = _branches(kernel.internal, kernel.alpha)
         self.half = sum(c for law, c in branches if law == half)
         self.plan, self.stay, self.stay_kernel = _lag_plan(
             [(law, c) for law, c in branches if law != half and c > 0],
             self.m, self.h)
+        self.env_hat = None
+        self.ext_blocks = []
         if kernel.alpha < 1.0:
             pos, mass = env_atoms(kernel.environment, _ENV_CELLS)
             c0 = self.centers[0]
             cm = self.centers[-1]
             if pos.min() < c0 - 1e-12 or pos.max() > cm + 1e-12:
                 raise SolverError("grid does not cover hull")
-            self.ext_blocks = _external_blocks(
-                self.lo, self.h, kernel.external, 1.0 - kernel.alpha, pos,
-                mass, self.centers)
-        else:
-            self.ext_blocks = []
+            branches = _branches(kernel.external, 1.0 - kernel.alpha)
+            env_half = sum(c for law, c in branches if law == half)
+            if env_half:
+                e_split = _split_environment(self.lo, self.h, self.m, pos,
+                                             mass)
+                self.env_hat = np.fft.rfft(env_half * e_split,
+                                           _fft_size(self.m)[1])
+            rest = [(law, c) for law, c in branches if law != half and c > 0]
+            if rest:
+                self.ext_blocks = _external_blocks(
+                    self.lo, self.h, rest, pos, mass, self.centers)
 
     def apply_raw(self, cells: np.ndarray) -> np.ndarray:
         m = self.m
         out = np.zeros(m)
-        if self.half:
-            _deposit_conv_half(out, cells, self.half)
+        if self.half or self.env_hat is not None:
+            _deposit_conv_half(out, cells, self.half, self.env_hat)
         for lag, deposits in self.plan:
             # c_i * c_{i+lag}: the pair moved from i lands at i + j0 + f,
             # the one moved from i + lag at i + lag - j0 - f

@@ -124,13 +124,18 @@ class GridMeasure1D:
         """sampler(rng, size) -> `size` independent draws from the cells
         read as a piecewise-uniform density, by inverse CDF: one uniform
         per draw picks a cell, then one more per draw places the draw
-        uniformly within its cell."""
+        uniformly within its cell. The cell uniforms are searched in
+        sorted order, where each search starts from the last one's cell,
+        and the cells scattered back to the draws' order."""
         cdf = np.cumsum(self.cells)
         cdf /= cdf[-1]
         lo, h, last = self.lo, self.h, self.m - 1
 
         def sample(rng, size):
-            i = np.searchsorted(cdf, rng.random(size), side="right")
+            u = rng.random(size)
+            order = np.argsort(u)
+            i = np.empty(u.shape, dtype=np.intp)
+            i[order] = np.searchsorted(cdf, u[order], side="right")
             return lo + (np.minimum(i, last) + rng.random(size)) * h
 
         return sample

@@ -91,6 +91,12 @@ def test_initial_sampling_noise_scales_like_inverse_sqrt_n():
     assert 1.5 < r2 < 2.7
 
 
+@pytest.mark.parametrize("threads", [0, -2])
+def test_threads_below_one_are_an_experiment_error(threads):
+    with pytest.raises(ExperimentError, match="threads must be at least 1"):
+        run_concentration(small_cfg(), threads=threads)
+
+
 def test_threads_do_not_change_results():
     cfg = small_cfg(n_list=(80,), replicas=20)
     a = run_concentration(cfg, threads=1)

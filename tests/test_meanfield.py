@@ -216,7 +216,9 @@ def _oracle_cases():
     bounded confidence once with a radius past the grid's width, so that
     the plan spans every lag; the environment cases cover a one-row band
     (atom), the bench's bump, and uniform environments over the whole
-    hull, where the map's row blocks go dense."""
+    hull, where the map's row blocks go dense. External weight 1/2 joins
+    the FFT convolution: alone, as a mixture's component, beside a lag
+    plan, and with atoms on the first and the last centre."""
     g40 = _random_grid(1, 0.0, 4.0, 40)
     g150 = _random_grid(2, 0.0, 6.0, 150)
     c0, cm = g150.centers[0], g150.centers[-1]
@@ -239,6 +241,17 @@ def _oracle_cases():
         (g150, KernelSpec(alpha=0.3, internal=Constant(0.5),
                           external=FiniteMixture((0.2, 1.0), (0.4, 0.6)),
                           environment=EnvUniform(c0, cm))),
+        (g150, ENV_KERNEL),
+        (g150, KernelSpec(alpha=0.6, internal=Gaussian(0.6, 1.3),
+                          external=Constant(0.5), environment=EnvAtom(2.3))),
+        (g150, KernelSpec(alpha=0.3, internal=Constant(0.5),
+                          external=FiniteMixture((0.5, 0.2, 1.0),
+                                                 (0.5, 0.3, 0.2)),
+                          environment=EnvUniform(c0, cm))),
+        (g150, KernelSpec(alpha=0.4, internal=Constant(0.3),
+                          external=Constant(0.5), environment=EnvAtom(c0))),
+        (g150, KernelSpec(alpha=0.0, internal=Constant(0.5),
+                          external=Constant(0.5), environment=EnvAtom(cm))),
     ]
 
 
@@ -255,10 +268,13 @@ def _dense_blocks(g, k):
     """The environment map's row blocks cut from the dense m x m map T,
     built by np.add.at in the order of branches, atoms and the two sides
     of each splat: 64-row blocks over T's nonzero rows, each trimmed to its
-    nonzero columns."""
+    nonzero columns. The map leaves out the weight-1/2 branches, which the
+    FFT convolution takes."""
     law, m, centers = k.external, g.m, g.centers
     branches = (list(zip(law.omegas, law.probs))
                 if isinstance(law, FiniteMixture) else [(None, 1.0)])
+    branches = [(upsilon, p) for upsilon, p in branches
+                if upsilon != 0.5 and law != Constant(0.5)]
     env_pos, env_mass = env_atoms(k.environment, meanfield._ENV_CELLS)
     T = np.zeros((m, m))
     cols = np.arange(m)
@@ -275,6 +291,8 @@ def _dense_blocks(g, k):
             np.add.at(T, (np.minimum(idx + 1, m - 1), cols), scale * frac)
     rows = np.flatnonzero(T.any(axis=1))
     blocks = []
+    if not rows.size:
+        return blocks
     for r0 in range(rows[0], rows[-1] + 1, 64):
         r1 = min(r0 + 64, rows[-1] + 1)
         nz = np.flatnonzero(T[r0:r1].any(axis=0))
@@ -286,15 +304,43 @@ def _dense_blocks(g, k):
 
 def test_environment_blocks_match_dense_map():
     """The row blocks are filled without forming the dense map, and equal
-    the blocks cut from it bit for bit, extents and shapes included."""
+    the blocks cut from it bit for bit, extents and shapes included. At
+    m = 1000 the bench kernel keeps no blocks, and its weight-0.3 twin
+    keeps twelve."""
     cases = [(g, k) for g, k in _oracle_cases() if k.alpha < 1.0]
-    cases.append((GridMeasure1D.uniform(0.0, 10.0, 1000), ENV_KERNEL))
+    g1000 = GridMeasure1D.uniform(0.0, 10.0, 1000)
+    cases += [(g1000, ENV_KERNEL),
+              (g1000, KernelSpec(alpha=0.5, internal=Constant(0.5),
+                                 external=Constant(0.3),
+                                 environment=EnvBump()))]
     for g, k in cases:
         got = meanfield._FieldEvaluator(g, k).ext_blocks
         want = _dense_blocks(g, k)
         assert [b[:4] for b in got] == [b[:4] for b in want], repr(k)
         for b, w in zip(got, want):
             np.testing.assert_array_equal(b[4], w[4], strict=True)
+
+
+@pytest.mark.parametrize("lo, hi, m", [(0.0, 6.0, 150), (0.0, 10.0, 1000)])
+def test_half_environment_convolution_matches_its_map(lo, hi, m):
+    """The external 1/2 branch by FFT equals the map the row blocks build
+    for it. On the m = 1000 grid the last centre sits 1e-13 cells past
+    m - 1, so an atom there has its position clipped."""
+    g = _random_grid(4, lo, hi, m)
+    cells = np.asarray(g.cells)
+    c0, cm = g.centers[0], g.centers[-1]
+    for env in (EnvAtom(c0), EnvAtom(cm), EnvBump(), EnvUniform(c0, cm)):
+        k = KernelSpec(alpha=0.0, internal=Constant(0.5),
+                       external=Constant(0.5), environment=env)
+        ev = meanfield._FieldEvaluator(g, k)
+        assert ev.ext_blocks == []
+        pos, mass = env_atoms(env, meanfield._ENV_CELLS)
+        want = np.zeros(m)
+        for r0, r1, b0, b1, block in meanfield._external_blocks(
+                lo, g.h, [(Constant(0.5), 1.0)], pos, mass, g.centers):
+            want[r0:r1] += block @ cells[b0:b1]
+        np.testing.assert_allclose(ev.apply_raw(cells), want, rtol=0,
+                                   atol=1e-15, err_msg=repr(env))
 
 
 def test_apply_F_requires_normalized():

@@ -67,6 +67,30 @@ def test_normalize_empty_measure_errors():
         g.normalize()
 
 
+@pytest.mark.parametrize("cells, size", [
+    (np.linspace(1.0, 3.0, 1024) ** 2, 16384),
+    # zero cells tie their CDF entries; side="right" skips them
+    (np.array([0.0, 0.3, 0.0, 0.0, 0.5, 0.2, 0.0]), 5000),
+    (np.array([0.0, 1.0]), 1),
+    (np.array([0.5, 0.5]), 0),
+])
+def test_grid_sampler_matches_a_plain_inverse_cdf(cells, size):
+    """The sorted search draws the cells, and leaves the generator in the
+    state, of one searchsorted on the uniforms as drawn."""
+    g = GridMeasure1D(-1.0, 3.0, cells / cells.sum())
+    rng = np.random.default_rng(11)
+    draws = g.sampler()(rng, size)
+    plain = np.random.default_rng(11)
+    cdf = np.cumsum(g.cells)
+    cdf /= cdf[-1]
+    i = np.searchsorted(cdf, plain.random(size), side="right")
+    want = g.lo + (np.minimum(i, g.m - 1) + plain.random(size)) * g.h
+    np.testing.assert_array_equal(draws, want, strict=True)
+    assert rng.random() == plain.random()
+    cell = np.floor((draws - g.lo) / g.h).astype(int)
+    assert np.all(g.cells[cell] > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # moments
 
