@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from itertools import repeat
@@ -37,7 +38,8 @@ _TOP_KEYS = {"seed", "output_dir", "kernel", "initial", "simulate",
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number that is finite: json.loads reads NaN and Infinity."""
+    return _is_integer(v) or (isinstance(v, float) and math.isfinite(v))
 
 
 def _is_integer(v) -> bool:
@@ -344,21 +346,28 @@ def _build_objects(data: dict, shape_ok: dict, errs: list) -> dict:
     lo, hi = window or (0.0, 1.0)
     solver = section("meanfield", lo=lo, hi=hi)
     objects["meanfield"] = solver if window else None
-    # A configured window must cover the hull, and the environment, which
-    # is deposited between cell centres, must lie within the outer two.
+    # A configured window must cover the hull, and every point mass, which
+    # is split between cell centres, must lie within the outer two: the
+    # environment when alpha < 1 and the atoms of an atom start.
     if mf["lo"] is not None and solver is not None and laws:
         a, b = experiments.opinion_hull(kernel, initial)
         if lo > a or hi < b:
             errs.append(f"meanfield: lo and hi must cover [{a:g}, {b:g}], "
                         "the hull of the initial law and the environment")
-        elif kernel.alpha < 1.0:
-            ea, eb = env_support(kernel.environment)
+        else:
+            hulls = {}
+            if kernel.alpha < 1.0:
+                hulls["the environment's"] = env_support(kernel.environment)
+            if isinstance(initial, InitAtoms):
+                hulls["the initial atoms'"] = agent_sim.initial_support(
+                    initial)
             half = (hi - lo) / (2 * solver.m)
             c0, c1 = lo + half, hi - half
-            if ea < c0 - 1e-12 or eb > c1 + 1e-12:
-                errs.append(f"meanfield: the environment's hull [{ea:g}, "
-                            f"{eb:g}] must lie within [{c0:g}, {c1:g}], the "
-                            "first and last cell centres")
+            for what, (ea, eb) in hulls.items():
+                if ea < c0 - 1e-12 or eb > c1 + 1e-12:
+                    errs.append(f"meanfield: {what} hull [{ea:g}, {eb:g}] "
+                                f"must lie within [{c0:g}, {c1:g}], the "
+                                "first and last cell centres")
     objects["concentrate"] = section("concentrate", kernel=kernel,
                                      initial=initial, base_seed=data["seed"])
     # The weight laws must be constant when `moments` runs, not here: every

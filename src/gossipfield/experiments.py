@@ -20,7 +20,7 @@ import numpy as np
 from .agent_sim import (InitAtoms, InitGrid, InitialLaw, InitUniform,
                         SimConfig, initial_support, run)
 from .kernels import KernelSpec, env_support
-from .meanfield import SolverConfig, integrate
+from .meanfield import SolverConfig, integrate, split_onto_centres
 from .measures import (GridMeasure1D, checked_times, quantile_slices,
                        sorted_cdf, wasserstein1_1d, wasserstein1_rows)
 
@@ -81,12 +81,12 @@ def opinion_hull(kernel: KernelSpec,
 def solver_domain(kernel: KernelSpec, initial: InitialLaw,
                   m: int) -> tuple[float, float]:
     """The grid solver's default window for m cells: the opinion hull.
-    When alpha < 1 it is widened by half a cell at each end, so that its
-    first and last cell centres are the hull's ends: the environment
-    branch deposits between cell centres, and the environment must lie
-    within them."""
+    When alpha < 1, or the start is atoms, it is widened by half a cell
+    at each end, so that its first and last cell centres are the hull's
+    ends: the solver splits the environment and the start's atoms between
+    cell centres, and every such point mass must lie within them."""
     lo, hi = opinion_hull(kernel, initial)
-    if kernel.alpha < 1.0:
+    if kernel.alpha < 1.0 or isinstance(initial, InitAtoms):
         pad = (hi - lo) / (2 * (m - 1))
         lo, hi = lo - pad, hi + pad
     return lo, hi
@@ -110,7 +110,10 @@ def initial_grid(initial: InitialLaw, lo: float, hi: float,
                  m: int) -> GridMeasure1D:
     """The initial law on the solver's m cells over [lo, hi]. A uniform or
     grid law is read as the density the simulator samples: each cell takes
-    the mass of its overlap. An atom goes to the cell that holds it."""
+    the mass of its overlap. An atom is split linearly between the two
+    cell centres around it, as the solver splits every point mass, which
+    keeps its mean; solver_domain's window pads for the atoms, so that
+    they lie within the centres."""
     if isinstance(initial, InitUniform):
         return GridMeasure1D.uniform(lo, hi, m, support=(initial.a, initial.b))
     h = (hi - lo) / m
@@ -119,9 +122,8 @@ def initial_grid(initial: InitialLaw, lo: float, hi: float,
         cdf = np.concatenate(([0.0], np.cumsum(g.cells)))
         cells = np.diff(np.interp(lo + np.arange(m + 1) * h, g.edges, cdf))
     elif isinstance(initial, InitAtoms):
-        x, w = initial.measure.positions, initial.measure.weights
-        idx = np.clip(((x - lo) / h).astype(int), 0, m - 1)
-        cells = np.bincount(idx, weights=w, minlength=m)[:m]
+        cells = split_onto_centres(lo, h, m, initial.measure.positions,
+                                   initial.measure.weights)
     else:
         raise ExperimentError(f"unknown initial law {initial!r}")
     return GridMeasure1D(lo, hi, cells / cells.sum())

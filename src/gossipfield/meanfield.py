@@ -115,16 +115,19 @@ def _deposit_conv_half(out: np.ndarray, cells: np.ndarray, coeff: float,
     out[1:] += odd
 
 
-def _split_environment(lo: float, h: float, m: int, env_pos: np.ndarray,
-                       env_mass: np.ndarray) -> np.ndarray:
-    """The environment atoms split linearly onto the m centres, their
-    positions clipped to the centres' range."""
-    pos = np.clip((env_pos - lo) / h - 0.5, 0.0, m - 1.0)
-    idx = np.floor(pos).astype(np.int64)
-    frac = pos - idx
-    return (np.bincount(idx, env_mass * (1.0 - frac), minlength=m)
-            + np.bincount(np.minimum(idx + 1, m - 1), env_mass * frac,
-                          minlength=m))
+def split_onto_centres(lo: float, h: float, m: int, x: np.ndarray,
+                       mass: np.ndarray | None = None):
+    """Point masses at x split linearly onto the m centres of the cells of
+    width h from lo, keeping their mean: at cell coordinate j + f, clipped
+    to [0, m - 1], centre j takes 1 - f and j + 1 takes f. Without masses,
+    return j and f."""
+    pos = np.clip((x - lo) / h - 0.5, 0.0, m - 1.0)
+    j = np.floor(pos).astype(np.int64)
+    f = pos - j
+    if mass is None:
+        return j, f
+    return (np.bincount(j, mass * (1.0 - f), minlength=m)
+            + np.bincount(np.minimum(j + 1, m - 1), mass * f, minlength=m))
 
 
 def _within_radius_fraction(r: float, lags: np.ndarray) -> np.ndarray:
@@ -197,9 +200,8 @@ def _external_blocks(lo: float, h: float, branches: list,
         for e, q in zip(env_pos, env_mass):
             u = weight_value(law, np.abs(centers - e))
             z = (1.0 - u) * centers + u * e
-            pos = np.clip((z - lo) / h - 0.5, 0.0, m - 1.0)
-            idx = np.floor(pos).astype(np.int64)
-            splats.append((idx, pos - idx, coeff * q))
+            idx, frac = split_onto_centres(lo, h, m, z)
+            splats.append((idx, frac, coeff * q))
             np.minimum(low, idx, out=low)
             np.maximum(high, idx, out=high)
     # band[c, i] is T[low[c] + i, c]; one side of one splat hits each
@@ -270,10 +272,8 @@ class _FieldEvaluator:
             branches = _branches(kernel.external, 1.0 - kernel.alpha)
             env_half = sum(c for law, c in branches if law == half)
             if env_half:
-                e_split = _split_environment(self.lo, self.h, self.m, pos,
-                                             mass)
-                self.env_hat = np.fft.rfft(env_half * e_split,
-                                           _fft_size(self.m)[1])
+                self.env_hat = np.fft.rfft(env_half * split_onto_centres(
+                    self.lo, self.h, self.m, pos, mass), _fft_size(self.m)[1])
             rest = [(law, c) for law, c in branches if law != half and c > 0]
             if rest:
                 self.ext_blocks = _external_blocks(

@@ -373,6 +373,12 @@ INVALID_CONFIGS = {
                       "meanfield.lo": 0.0, "meanfield.hi": 1.0},
         "meanfield: the environment's hull [1, 1] must lie within [0.005, "
         "0.995], the first and last cell centres"),
+    "meanfield_window_edge_initial_atoms": (
+        "meanfield", {"initial": {"type": "atoms",
+                                  "points": [[0.0, 0.5], [1.0, 0.5]]},
+                      "meanfield.lo": 0.0, "meanfield.hi": 1.0},
+        "meanfield: the initial atoms' hull [0, 1] must lie within [0.005, "
+        "0.995], the first and last cell centres"),
     **{f"{command}_single_point_hull": (
         command, {"initial": ONE_ATOM},
         f"{path}: the initial law and the environment span a single point")
@@ -422,6 +428,15 @@ INVALID_CONFIGS = {
         "kernel.external: moments needs a positive external weight"),
     "compare_symmetric": ("compare", {"simulate.symmetric": True},
                           "simulate.symmetric: compare needs one-sided"),
+    # json.dumps writes NaN, Infinity and -Infinity, and json.loads reads
+    # them back
+    **{f"{path}_{value}": (command, {path: float(value)},
+                           f"{path}: expected number")
+       for command, path, value in (("meanfield", "meanfield.dt", "nan"),
+                                    ("simulate", "concentrate.tau", "inf"),
+                                    ("simulate", "moments.T", "inf"),
+                                    ("simulate", "initial.b", "inf"),
+                                    ("compare", "initial.a", "-inf"))},
 }
 
 

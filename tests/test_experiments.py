@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from gossipfield import experiments
-from gossipfield.agent_sim import (InitGrid, InitUniform, SimConfig,
-                                   initial_moment, run)
+from gossipfield.agent_sim import (InitAtoms, InitGrid, InitUniform,
+                                   SimConfig, initial_moment, run)
 from gossipfield.experiments import (_REF_GRIDS, ConcentrationConfig,
                                      DeviationTable, ExperimentError,
                                      _reference, _replica_seed, initial_grid,
@@ -62,6 +62,18 @@ def test_initial_grid_law_keeps_its_density(m):
     for k in (1, 2):
         assert moment(g, k) == pytest.approx(initial_moment(law, k),
                                              abs=g.h ** 2), k
+
+
+@pytest.mark.parametrize("m", [100, 400, 1000])
+def test_initial_grid_atoms_keep_their_mean(m):
+    # each atom is split between the two centres around it, on the default
+    # window, which pads for the atoms so that the end ones sit on the end
+    # centres
+    law = InitAtoms(AtomicMeasure.from_points([(1.0, 0.3), (2.5, 0.3),
+                                               (4.0, 0.4)]))
+    kernel = KernelSpec(alpha=1.0, internal=Constant(0.5))
+    g = initial_grid(law, *experiments.solver_domain(kernel, law, m), m)
+    assert moment(g, 1) == pytest.approx(initial_moment(law, 1), abs=1e-12)
 
 
 def test_deterministic_given_base_seed():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
@@ -341,6 +343,31 @@ def test_half_environment_convolution_matches_its_map(lo, hi, m):
             want[r0:r1] += block @ cells[b0:b1]
         np.testing.assert_allclose(ev.apply_raw(cells), want, rtol=0,
                                    atol=1e-15, err_msg=repr(env))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40),
+       st.lists(st.tuples(st.floats(0, 1), st.floats(0.01, 1)),
+                min_size=1, max_size=8))
+def test_split_onto_centres_keeps_mass_and_mean(m, points):
+    # positions spread over the centres' range, the ends included
+    g = GridMeasure1D.uniform(-1.0, 3.0, m)
+    u, w = map(np.array, zip(*points))
+    x = g.centers[0] + u * (g.centers[-1] - g.centers[0])
+    cells = meanfield.split_onto_centres(g.lo, g.h, m, x, w)
+    assert cells.min() >= 0.0
+    assert cells.sum() == pytest.approx(w.sum(), abs=1e-12)
+    assert cells @ g.centers == pytest.approx(w @ x, abs=1e-12)
+
+
+def test_split_onto_centres_puts_positions_past_the_ends_on_them():
+    g = GridMeasure1D.uniform(0.0, 1.0, 10)  # centres 0.05 .. 0.95
+    x = np.array([-5.0, 0.01, 0.99, 7.0])
+    cells = meanfield.split_onto_centres(g.lo, g.h, g.m, x,
+                                         np.array([0.1, 0.2, 0.3, 0.4]))
+    assert cells[0] == pytest.approx(0.3, abs=1e-15)
+    assert cells[-1] == pytest.approx(0.7, abs=1e-15)
+    assert not cells[1:-1].any()
 
 
 def test_apply_F_requires_normalized():
