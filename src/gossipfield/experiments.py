@@ -137,9 +137,10 @@ def _replica_seed(base_seed: int, n: int, replica: int) -> int:
 
 # what every replica job of the current run shares: the config, the
 # reference snapshots read as densities in their sorted_cdf form, the
-# snapshot block and the reference cut into the quantile slices of the
-# current n. Set once per process by _init_replicas, so each job carries
-# only (n, replica) and allocates no array per snapshot.
+# snapshot block and the reference snapshots cut, as one block, into the
+# quantile slices of the current n. Set once per process by
+# _init_replicas, so each job carries only (n, replica) and allocates no
+# array per snapshot.
 _shared = {}
 
 
@@ -160,8 +161,8 @@ def _one_replica(args) -> tuple[int, int, float]:
     k = len(cfg.sample_times)
     if _shared["block"].size < k * n:
         _shared["block"] = np.empty(k * n)
-    if _shared["slices"] is None or _shared["slices"][0].n != n:
-        _shared["slices"] = [quantile_slices(r, n) for r in reference]
+    if _shared["slices"] is None or _shared["slices"].n != n:
+        _shared["slices"] = quantile_slices(reference, n)
     block = run(sim, _shared["block"][:k * n].reshape(k, n))
     d = wasserstein1_rows(block, _shared["slices"]).max()
     return (n, replica, float(d))

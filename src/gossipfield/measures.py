@@ -6,7 +6,7 @@ All values are immutable after construction; every function here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +67,8 @@ class AtomicMeasure:
     def empirical(samples: np.ndarray) -> "AtomicMeasure":
         samples = np.asarray(samples, dtype=float)
         n = samples.shape[0]
+        if n == 0:
+            raise MeasureError("empty measure")
         return AtomicMeasure(samples, np.full(n, 1.0 / n))
 
 
@@ -257,37 +259,65 @@ def wasserstein1_1d(mu, nu) -> float:
 
 @dataclass(frozen=True)
 class QuantileSlices:
-    """A density G, prepared as `form` by `sorted_cdf`, cut for W1 against
-    empirical measures of n atoms into n slices of mass 1/n: slice i runs
-    from q[i] to q[i + 1], where q[j] = G^-1(j/n), and phi[j] = Phi(q[j]),
-    where Phi(x) is the integral of G from the first edge to x. edge_phi
-    holds Phi at the edges."""
+    """k densities G_r, each a grid's piecewise-uniform density, cut for
+    W1 against empirical measures of n atoms into n slices of mass 1/n:
+    slice i of row r runs from q[r, i] to q[r, i + 1], where
+    q[r, j] = G_r^-1(j/n). Built by `quantile_slices`.
+
+    The k grids' cells are concatenated, row r's from index first[r] to
+    last[r]: each cell's left edge, Phi_r and the CDF at that edge, and
+    its slope, where Phi_r(x) is the integral of G_r from its first edge
+    to x. x0[r] and scale[r], the first edge and the cells per unit
+    length, find a point's cell.
+
+    Derived: phi[r, j] = Phi_r(q[r, j]); width[r, i], slice i's width;
+    and centroid[r, i], the mean of its mass, n times the integral of
+    G_r^-1 over u in [i/n, b], b = (i + 1)/n. By parts, that is
+    q[r, i] + n (b width[r, i] - (phi[r, i + 1] - phi[r, i])), whose
+    rounding, like Phi's, scales with the window's width, not with its
+    distance from 0."""
 
     n: int
-    form: SortedCDF
-    edge_phi: np.ndarray
     q: np.ndarray
-    phi: np.ndarray
+    edge: np.ndarray
+    edge_phi: np.ndarray
+    cdf: np.ndarray
+    slope: np.ndarray
+    x0: np.ndarray
+    scale: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    phi: np.ndarray = field(init=False)
+    width: np.ndarray = field(init=False)
+    centroid: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        phi = self.integral(np.arange(len(self))[:, None], self.q)
+        width = np.diff(self.q, axis=1)
+        b = np.arange(1, self.n + 1) / self.n
+        centroid = self.q[:, :-1] + self.n * (b * width
+                                              - np.diff(phi, axis=1))
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "centroid", centroid)
+
+    def __len__(self) -> int:
+        return self.q.shape[0]
+
+    def integral(self, row, y: np.ndarray) -> np.ndarray:
+        """Phi_row at points y within the edges of row's grid; row is an
+        index, or an index array that broadcasts against y. A point's cell
+        comes from arithmetic on the uniform edges rather than a search."""
+        k = self.first[row] + ((y - self.x0[row])
+                               * self.scale[row]).astype(np.intp)
+        np.clip(k, self.first[row], self.last[row], out=k)
+        t = y - self.edge[k]
+        return self.edge_phi[k] + t * (self.cdf[k] + 0.5 * t * self.slope[k])
 
 
-def _integral(f: SortedCDF, edge_phi: np.ndarray,
-              y: np.ndarray) -> np.ndarray:
-    """Phi at points y within the edges of the density f, from y's cell,
-    found by arithmetic on the uniform edges rather than by a search."""
-    m = f.x.size - 1
-    k = ((y - f.x[0]) * (m / (f.x[-1] - f.x[0]))).astype(np.intp)
-    np.clip(k, 0, m - 1, out=k)
-    t = y - f.x[k]
-    return edge_phi[k] + t * (f.cdf[k + 1] + 0.5 * t * f.slope[k + 1])
-
-
-def quantile_slices(ref, n: int) -> QuantileSlices:
-    """`ref`, a grid or its prepared form, cut into the n slices of
-    `QuantileSlices` (returned as is when already cut for n)."""
-    if isinstance(ref, QuantileSlices):
-        if ref.n != n:
-            raise MeasureError(f"reference cut for n = {ref.n}, not {n}")
-        return ref
+def _cut(ref, n: int) -> dict:
+    """One density, a grid or its prepared form, cut for n: the arguments
+    of its one-row `QuantileSlices`."""
     f = sorted_cdf(ref)
     if f.slope is None:
         raise MeasureError("wasserstein1_rows compares rows with densities, "
@@ -302,34 +332,81 @@ def quantile_slices(ref, n: int) -> QuantileSlices:
     q = np.concatenate(
         ([x[0]], np.minimum(x[k] + (u - cdf[k]) / slope[k], x[k + 1]),
          [x[-1]]))
-    return QuantileSlices(n, f, edge_phi, q, _integral(f, edge_phi, q))
+    m = x.size - 1
+    return dict(q=q[None, :], edge=x[:-1], edge_phi=edge_phi[:-1],
+                cdf=cdf[:-1], slope=slope, x0=x[:1],
+                scale=np.array([m / (x[-1] - x[0])]), first=np.array([0]),
+                last=np.array([m - 1]))
+
+
+def quantile_slices(refs, n: int) -> QuantileSlices:
+    """The densities `refs`, in one `QuantileSlices` cut for n. `refs` is
+    a grid or its prepared form, or a sequence of them and of
+    `QuantileSlices` already cut for n; one `QuantileSlices` is returned
+    as is. The grids may differ in window and in cell count."""
+    if isinstance(refs, (GridMeasure1D, SortedCDF, QuantileSlices)):
+        refs = [refs]
+    parts = []
+    for ref in refs:
+        if not isinstance(ref, QuantileSlices):
+            parts.append(_cut(ref, n))
+        elif ref.n != n:
+            raise MeasureError(f"reference cut for n = {ref.n}, not {n}")
+        else:
+            parts.append(vars(ref))
+    if len(refs) == 1 and isinstance(refs[0], QuantileSlices):
+        return refs[0]
+    joined = {name: np.concatenate([p[name] for p in parts])
+              for name in ("q", "edge", "edge_phi", "cdf", "slope", "x0",
+                           "scale")}
+    # each part's cell indices move past the cells of the parts before it
+    shift = np.cumsum([0] + [p["edge"].size for p in parts[:-1]])
+    for name in ("first", "last"):
+        joined[name] = np.concatenate(
+            [p[name] + s for p, s in zip(parts, shift)])
+    return QuantileSlices(n, **joined)
 
 
 def wasserstein1_rows(rows: np.ndarray, refs) -> np.ndarray:
-    """W1 between each row of `rows`, read as the empirical measure of its
-    n values, and the matching entry of `refs`, a density: a grid, its
-    prepared form or its `quantile_slices` for n. Entry i equals
-    wasserstein1_1d(AtomicMeasure.empirical(rows[i]), refs[i]) up to
-    rounding. Sorts each row in place, in one call, and takes no merge:
-    W1 is the integral over u of |x(u) - G^-1(u)|, and on slice i, from
-    a = i/n to b = (i + 1)/n, x(u) is the (i + 1)-th smallest value x_i.
-    With y_i = x_i clipped to [q[i], q[i + 1]], the slice contributes
-    |x_i - y_i| / n, plus the integral of G - a from q[i] to y_i, plus the
-    integral of b - G from y_i to q[i + 1], each one exact through Phi."""
-    if len(refs) != rows.shape[0]:
+    """W1 between each row of `rows`, a (k, n) block read as k empirical
+    measures of n values, and the matching density of `refs`: k grids or
+    prepared forms, or their `quantile_slices` for n. Entry r equals
+    wasserstein1_1d(AtomicMeasure.empirical(rows[r]), refs[r]) up to
+    rounding. Sorts each row in place, in one call, and takes no merge.
+
+    W1 is the integral over u of |x(u) - G^-1(u)|, and on slice i,
+    u in [a, b] = [i/n, (i + 1)/n], x(u) is the (i + 1)-th smallest value
+    x_i. The slice contributes |x_i - c_i| / n + 2 min(A_i, B_i), with c_i
+    its centroid, A_i the integral of G - a from q[i] to x_i and B_i that
+    of b - G from x_i to q[i + 1]. min(A_i, B_i) is 0 unless
+    q[i] < x_i < q[i + 1], and then |x_i - c_i| < width_i. So one pass
+    over the block sums the first term, and only the candidates
+    |x_i - c_i| < width_i take the areas, exact through Phi, with x_i
+    clipped to its slice."""
+    if np.ndim(rows) != 2:
+        raise MeasureError("rows must be a 2-D block of shape (k, n), one "
+                           f"row of n opinions per reference, not shape "
+                           f"{np.shape(rows)}")
+    k, n = rows.shape
+    if n < 1:
+        raise MeasureError("rows need at least one opinion each")
+    if len(refs) != k:
         raise MeasureError("need one reference per row")
-    n = rows.shape[1]
-    refs = [quantile_slices(r, n) for r in refs]
+    if k == 0:
+        return np.zeros(0)
+    s = quantile_slices(refs, n)
     rows.sort(axis=1)
-    a, b = np.arange(n) / n, np.arange(1, n + 1) / n
-    out = np.empty(len(refs))
-    for i, (x, ref) in enumerate(zip(rows, refs)):
-        left, right = ref.q[:-1], ref.q[1:]
-        y = np.clip(x, left, right)
-        phi = _integral(ref.form, ref.edge_phi, y)
-        out[i] = (np.abs(x - y) / n
-                  + (phi - ref.phi[:-1] - a * (y - left))
-                  + (b * (right - y) - ref.phi[1:] + phi)).sum()
+    d = rows - s.centroid
+    np.abs(d, out=d)
+    out = d.sum(axis=1) / n
+    cand = np.flatnonzero(d < s.width)
+    r, i = np.divmod(cand, n)
+    left, right = s.q[r, i], s.q[r, i + 1]
+    y = np.clip(rows[r, i], left, right)
+    phi = s.integral(r, y)
+    below = phi - s.phi[r, i] - (i / n) * (y - left)
+    above = ((i + 1) / n) * (right - y) - s.phi[r, i + 1] + phi
+    out += np.bincount(r, 2.0 * np.minimum(below, above), minlength=k)
     return out
 
 

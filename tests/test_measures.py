@@ -36,6 +36,11 @@ def test_atomic_length_mismatch_rejected():
         atoms([0.0, 1.0, 2.0], [0.5, 0.5])
 
 
+def test_empirical_of_no_samples_is_an_empty_measure():
+    with pytest.raises(MeasureError, match="empty measure"):
+        AtomicMeasure.empirical([])
+
+
 def test_grid_requires_hi_gt_lo_and_two_cells():
     with pytest.raises(MeasureError):
         GridMeasure1D(1.0, 1.0, np.array([0.5, 0.5]))
@@ -381,6 +386,64 @@ def test_w1_rows_rejects_atom_references():
             wasserstein1_rows(rows, [g, atoms_, g])
     with pytest.raises(MeasureError, match="cut for n = 40"):
         wasserstein1_rows(rows, [g, g, quantile_slices(g, 40)])
+
+
+# how a row of the property test below places its n opinions, given its
+# reference cut for n: s.q[0] holds the n + 1 quantiles, s.centroid[0] the
+# n slice centroids
+ROW_PLACEMENTS = {
+    # each opinion on a bound of its own slice, q[i] or q[i + 1], where the
+    # candidate test d < width and the clip to the slice meet
+    "slice bounds": lambda rng, g, s, n: s.q[0][
+        np.arange(n) + rng.integers(0, 2, n)],
+    "centroids": lambda rng, g, s, n: s.centroid[0],
+    "grid edges": lambda rng, g, s, n: rng.choice(g.edges, n),
+    "ties": lambda rng, g, s, n: rng.choice(
+        rng.uniform(g.lo, g.hi, 3), n),
+    "left of the hull": lambda rng, g, s, n: rng.uniform(
+        g.lo - 20.0, g.lo - 10.0, n),
+    "right of the hull": lambda rng, g, s, n: rng.uniform(
+        g.hi + 10.0, g.hi + 20.0, n),
+    "anywhere": lambda rng, g, s, n: rng.uniform(g.lo - 1.0, g.hi + 1.0, n),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300),
+       st.lists(st.tuples(st.integers(2, 200), st.floats(-50.0, 50.0),
+                          st.floats(0.5, 10.0),
+                          st.sampled_from(sorted(ROW_PLACEMENTS))),
+                min_size=1, max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_w1_rows_match_w1_row_by_row_on_any_block(n, specs, seed):
+    # one call over references on different windows and grids, which have
+    # empty cells, against the merge row by row
+    rng = np.random.default_rng(seed)
+    grids = [random_grid(rng, lo, lo + width, m)
+             for m, lo, width, _ in specs]
+    rows = np.array([ROW_PLACEMENTS[place](rng, g, quantile_slices(g, n), n)
+                     for g, (*_, place) in zip(grids, specs)])
+    want = [wasserstein1_1d(AtomicMeasure.empirical(x), g)
+            for x, g in zip(rows, grids)]
+    np.testing.assert_allclose(wasserstein1_rows(rows, grids), want,
+                               rtol=1e-10, atol=0.0)
+
+
+def test_w1_rows_rejects_rows_without_opinions():
+    g = GridMeasure1D.uniform(0.0, 10.0, 30)
+    with pytest.raises(MeasureError, match="at least one opinion"):
+        wasserstein1_rows(np.empty((2, 0)), [g, g])
+
+
+def test_w1_rows_rejects_a_1d_row():
+    g = GridMeasure1D.uniform(0.0, 10.0, 30)
+    with pytest.raises(MeasureError, match=r"2-D block of shape \(k, n\)"):
+        wasserstein1_rows(np.linspace(0.0, 10.0, 50), [g])
+
+
+def test_w1_rows_of_an_empty_block_is_empty():
+    got = wasserstein1_rows(np.empty((0, 50)), [])
+    assert got.shape == (0,)
 
 
 def test_w1_with_ties_matches_transport_lp():
