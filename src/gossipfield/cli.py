@@ -438,22 +438,36 @@ def _moment_params(cfg: RunConfig, K: int) -> moments.MomentParams:
     parts = ("internal", "external") if kernel.alpha < 1.0 else ("internal",)
     bad = [f"kernel.{part}: moments needs a constant-weight law"
            for part in parts if not isinstance(getattr(kernel, part), Constant)]
-    # gamma_1 = (1 - alpha) * upsilon, and the stationary recursion divides
-    # by every gamma_k; all are positive exactly when upsilon is
-    if not bad and kernel.alpha < 1.0 and not kernel.external.omega > 0:
-        bad.append("kernel.external: moments needs a positive external "
-                   "weight when alpha < 1, for the stationary moments")
     if bad:
         raise ConfigError(bad)
-    init = [agent_sim.initial_moment(cfg.initial, k) for k in range(1, K + 1)]
-    env = [env_moment(kernel.environment, k) for k in range(1, K + 1)] \
-        if kernel.alpha < 1.0 else [0.0] * K
-    return moments.MomentParams(alpha=kernel.alpha,
-                                omega=kernel.internal.omega,
-                                upsilon=kernel.external.omega
-                                if kernel.alpha < 1.0 else 0.0,
-                                env_moments=tuple(env),
-                                initial_moments=tuple(init))
+    orders = range(1, K + 1)
+    try:  # a float power past the largest float raises, numpy's gives inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            init = [agent_sim.initial_moment(cfg.initial, k) for k in orders]
+            env = [env_moment(kernel.environment, k) for k in orders] \
+                if kernel.alpha < 1.0 else [0.0] * K
+    except OverflowError:
+        init = env = [math.inf]
+    if not all(map(math.isfinite, init + env)):
+        raise ConfigError([f"moments.K: a moment of order at most {K} of the "
+                           "initial law or the environment is not a finite "
+                           "float"])
+    params = moments.MomentParams(alpha=kernel.alpha,
+                                  omega=kernel.internal.omega,
+                                  upsilon=kernel.external.omega
+                                  if kernel.alpha < 1.0 else 0.0,
+                                  env_moments=tuple(env),
+                                  initial_moments=tuple(init))
+    # gamma_1 = (1 - alpha) * upsilon, and the stationary recursion divides
+    # by every gamma_k; all are positive exactly when upsilon is, but as
+    # floats an upsilon below about 1e-16 rounds gamma_1 to 0
+    if params.alpha < 1.0 and not all(moments.gamma_k(params, k) > 0
+                                      for k in orders):
+        raise ConfigError(["kernel.external: moments needs a positive "
+                           "external weight when alpha < 1, for the "
+                           "stationary moments: every gamma_k must be "
+                           "positive as a float"])
+    return params
 
 
 def cmd_moments(cfg: RunConfig, out_dir: Path, threads: int) -> list[Path]:

@@ -20,9 +20,9 @@ import numpy as np
 from .agent_sim import (InitAtoms, InitGrid, InitialLaw, InitUniform,
                         SimConfig, initial_support, run)
 from .kernels import KernelSpec, env_support
-from .meanfield import SolverConfig, integrate, split_onto_centres
+from .meanfield import MAX_STEPS, SolverConfig, integrate, split_onto_centres
 from .measures import (GridMeasure1D, checked_times, quantile_slices,
-                       sorted_cdf, wasserstein1_1d, wasserstein1_rows)
+                       wasserstein1_1d, wasserstein1_rows)
 
 
 class ExperimentError(ValueError):
@@ -52,6 +52,12 @@ class ConcentrationConfig:
             raise ExperimentError("every eps in eps_list must be positive")
         if self.replicas < 20:
             raise ExperimentError("need >= 20 replicas for tail estimation")
+        # the refinement's step, _REF_DT / 2, is the finest a run takes
+        if self.tau / (_REF_DT / 2) > MAX_STEPS:
+            raise ExperimentError(
+                f"tau must be at most {MAX_STEPS * _REF_DT / 2:g}, "
+                f"{MAX_STEPS:g} steps of the reference's finest step "
+                f"{_REF_DT / 2:g}")
         object.__setattr__(self, "sample_times", times)
         object.__setattr__(self, "n_list",
                            tuple(sorted(int(n) for n in self.n_list)))
@@ -136,11 +142,10 @@ def _replica_seed(base_seed: int, n: int, replica: int) -> int:
 
 
 # what every replica job of the current run shares: the config, the
-# reference snapshots read as densities in their sorted_cdf form, the
-# snapshot block and the reference snapshots cut, as one block, into the
-# quantile slices of the current n. Set once per process by
-# _init_replicas, so each job carries only (n, replica) and allocates no
-# array per snapshot.
+# reference snapshots (the solver's grids, on one window), the snapshot
+# block and the reference snapshots cut, as one block, into the quantile
+# slices of the current n. Set once per process by _init_replicas, so
+# each job carries only (n, replica) and allocates no array per snapshot.
 _shared = {}
 
 
@@ -172,10 +177,10 @@ def _discretization_errors(cfg: ConcentrationConfig, fine: tuple,
                            m: int) -> tuple[float, float]:
     """The error estimates of the reference at m cells, as W1 between
     densities, the reading D takes of the reference too: `fine` holds its
-    snapshots in their sorted_cdf form. Space: halve m at the same step;
-    time: step doubling at m/2."""
-    coarse, fine_step = ([sorted_cdf(g) for _, g in _reference(
-        cfg, m // 2, dt)] for dt in (_REF_DT, _REF_DT / 2))
+    snapshots. Space: halve m at the same step; time: step doubling at
+    m/2."""
+    coarse, fine_step = ([g for _, g in _reference(cfg, m // 2, dt)]
+                         for dt in (_REF_DT, _REF_DT / 2))
     return (max(map(wasserstein1_1d, fine, coarse)),
             max(map(wasserstein1_1d, coarse, fine_step)))
 
@@ -199,7 +204,7 @@ def run_concentration(cfg: ConcentrationConfig,
     jobs = [(n, r) for n in reversed(cfg.n_list) for r in range(cfg.replicas)]
     threads = min(threads, os.cpu_count() or 1)
     for m in _REF_GRIDS:
-        reference = tuple(sorted_cdf(g) for _, g in _reference(cfg, m))
+        reference = tuple(g for _, g in _reference(cfg, m))
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=threads, initializer=_init_replicas,
                 initargs=(cfg, reference)) as ex:

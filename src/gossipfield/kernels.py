@@ -66,6 +66,12 @@ class Gaussian:
             raise KernelError("gaussian weight must lie in [0,1]")
         if self.sigma <= 0:
             raise KernelError("sigma must be positive")
+        # the weight divides by sigma ** 2, which must be a positive float:
+        # a square that underflows to 0 makes the weight at distance 0 nan,
+        # and the float power raises where the square overflows
+        if not 0 < self.sigma * self.sigma < np.inf:
+            raise KernelError(f"sigma = {self.sigma:g} has a square that "
+                              "underflows or overflows a float")
 
 
 @dataclass(frozen=True)

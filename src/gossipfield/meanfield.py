@@ -52,6 +52,10 @@ class SolverError(ValueError):
 
 # the environment law is read as this many atoms by the environment branch
 _ENV_CELLS = 256
+# the most steps one step grid may hold (80 MB of step ends): a config
+# asking for more is rejected before anything is allocated
+MAX_STEPS = 10 ** 7
+
 # rows per block of the environment map: a block's columns span the band
 # of its rows, so short blocks keep little of the map's zero part
 _ENV_BLOCK_ROWS = 64
@@ -78,6 +82,9 @@ class SolverConfig:
             raise SolverError("scheme must be 'euler' or 'rk4'")
         object.__setattr__(self, "snapshot_times", checked_times(
             self.snapshot_times, self.horizon, SolverError))
+        if self.horizon / self.dt > MAX_STEPS:
+            raise SolverError(f"horizon / dt must be at most {MAX_STEPS:g} "
+                              "steps")
 
 
 def _fft_size(m: int) -> tuple[int, int]:
@@ -267,7 +274,9 @@ class _FieldEvaluator:
             pos, mass = env_atoms(kernel.environment, _ENV_CELLS)
             c0 = self.centers[0]
             cm = self.centers[-1]
-            if pos.min() < c0 - 1e-12 or pos.max() > cm + 1e-12:
+            # the centres carry the rounding of the window's magnitude
+            tol = 1e-12 * max(abs(self.lo), abs(self.hi))
+            if pos.min() < c0 - tol or pos.max() > cm + tol:
                 raise SolverError("grid does not cover hull")
             branches = _branches(kernel.external, 1.0 - kernel.alpha)
             env_half = sum(c for law, c in branches if law == half)

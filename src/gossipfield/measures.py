@@ -259,16 +259,14 @@ def wasserstein1_1d(mu, nu) -> float:
 
 @dataclass(frozen=True)
 class QuantileSlices:
-    """k densities G_r, each a grid's piecewise-uniform density, cut for
-    W1 against empirical measures of n atoms into n slices of mass 1/n:
-    slice i of row r runs from q[r, i] to q[r, i + 1], where
-    q[r, j] = G_r^-1(j/n). Built by `quantile_slices`.
+    """k densities G_r on one window and cell count, each a grid's
+    piecewise-uniform density, cut for W1 against empirical measures of n
+    atoms into n slices of mass 1/n: slice i of row r runs from q[r, i] to
+    q[r, i + 1], where q[r, j] = G_r^-1(j/n). Built by `quantile_slices`.
 
-    The k grids' cells are concatenated, row r's from index first[r] to
-    last[r]: each cell's left edge, Phi_r and the CDF at that edge, and
-    its slope, where Phi_r(x) is the integral of G_r from its first edge
-    to x. x0[r] and scale[r], the first edge and the cells per unit
-    length, find a point's cell.
+    The grids share their m + 1 edges `edge`. The (k, m) arrays hold, per
+    row and cell, the CDF and Phi_r at the cell's left edge and its slope,
+    where Phi_r(x) is the integral of G_r from the first edge to x.
 
     Derived: phi[r, j] = Phi_r(q[r, j]); width[r, i], slice i's width;
     and centroid[r, i], the mean of its mass, n times the integral of
@@ -283,10 +281,6 @@ class QuantileSlices:
     edge_phi: np.ndarray
     cdf: np.ndarray
     slope: np.ndarray
-    x0: np.ndarray
-    scale: np.ndarray
-    first: np.ndarray
-    last: np.ndarray
     phi: np.ndarray = field(init=False)
     width: np.ndarray = field(init=False)
     centroid: np.ndarray = field(init=False)
@@ -305,74 +299,58 @@ class QuantileSlices:
         return self.q.shape[0]
 
     def integral(self, row, y: np.ndarray) -> np.ndarray:
-        """Phi_row at points y within the edges of row's grid; row is an
-        index, or an index array that broadcasts against y. A point's cell
-        comes from arithmetic on the uniform edges rather than a search."""
-        k = self.first[row] + ((y - self.x0[row])
-                               * self.scale[row]).astype(np.intp)
-        np.clip(k, self.first[row], self.last[row], out=k)
+        """Phi_row at points y within the edges; row is an index, or an
+        index array that broadcasts against y. A point's cell comes from
+        arithmetic on the uniform edges rather than a search."""
+        scale = (self.edge.size - 1) / (self.edge[-1] - self.edge[0])
+        k = ((y - self.edge[0]) * scale).astype(np.intp)
+        np.clip(k, 0, self.edge.size - 2, out=k)
         t = y - self.edge[k]
-        return self.edge_phi[k] + t * (self.cdf[k] + 0.5 * t * self.slope[k])
+        k = np.ravel_multi_index((row, k), self.slope.shape)
+        return self.edge_phi.take(k) + t * (self.cdf.take(k)
+                                            + 0.5 * t * self.slope.take(k))
 
 
-def _cut(ref, n: int) -> dict:
-    """One density, a grid or its prepared form, cut for n: the arguments
-    of its one-row `QuantileSlices`."""
-    f = sorted_cdf(ref)
-    if f.slope is None:
-        raise MeasureError("wasserstein1_rows compares rows with densities, "
-                           "not atoms")
-    x, cdf, slope = f.x, f.cdf[1:], f.slope[1:-1]
+def quantile_slices(grids, n: int) -> QuantileSlices:
+    """The densities of `grids`, a grid or a sequence of grids on one
+    window and cell count, cut for n in one pass."""
+    if isinstance(grids, GridMeasure1D):
+        grids = [grids]
+    if not all(isinstance(g, GridMeasure1D) for g in grids):
+        raise MeasureError("wasserstein1_rows compares rows with grid "
+                           "densities, not atoms or prepared forms")
+    if len({(g.lo, g.hi, g.m) for g in grids}) != 1:
+        raise MeasureError("quantile_slices needs grids on one window and "
+                           "cell count")
+    if not all(g.normalized for g in grids):
+        raise MeasureError("W1 requires normalized measures")
+    x, h, m = grids[0].edges, grids[0].h, grids[0].m
+    cells = np.array([g.cells for g in grids])
+    r = np.arange(len(grids))[:, None]
+    # each row's CDF and Phi at the edges, from 0 at the first
+    cdf = np.cumsum(np.pad(cells, ((0, 0), (1, 0))), axis=1)
+    slope = cells / h
     gaps = np.diff(x)
-    edge_phi = np.concatenate(
-        ([0.0], np.cumsum(gaps * (cdf[:-1] + 0.5 * slope * gaps))))
-    # cdf[k] <= u < cdf[k + 1], so cell k holds mass and slope[k] > 0
+    area = gaps * (cdf[:, :-1] + 0.5 * slope * gaps)
+    edge_phi = np.cumsum(np.pad(area, ((0, 0), (1, 0))), axis=1)
+    # u[i] lies in row r's cell k from the first u at or above cdf[r, k]
+    # on, below cdf[r, k + 1]: so cell k holds mass, slope[r, k] > 0
     u = np.arange(1, n) / n
-    k = np.minimum(np.searchsorted(cdf, u, side="right") - 1, x.size - 2)
-    q = np.concatenate(
-        ([x[0]], np.minimum(x[k] + (u - cdf[k]) / slope[k], x[k + 1]),
-         [x[-1]]))
-    m = x.size - 1
-    return dict(q=q[None, :], edge=x[:-1], edge_phi=edge_phi[:-1],
-                cdf=cdf[:-1], slope=slope, x0=x[:1],
-                scale=np.array([m / (x[-1] - x[0])]), first=np.array([0]),
-                last=np.array([m - 1]))
-
-
-def quantile_slices(refs, n: int) -> QuantileSlices:
-    """The densities `refs`, in one `QuantileSlices` cut for n. `refs` is
-    a grid or its prepared form, or a sequence of them and of
-    `QuantileSlices` already cut for n; one `QuantileSlices` is returned
-    as is. The grids may differ in window and in cell count."""
-    if isinstance(refs, (GridMeasure1D, SortedCDF, QuantileSlices)):
-        refs = [refs]
-    parts = []
-    for ref in refs:
-        if not isinstance(ref, QuantileSlices):
-            parts.append(_cut(ref, n))
-        elif ref.n != n:
-            raise MeasureError(f"reference cut for n = {ref.n}, not {n}")
-        else:
-            parts.append(vars(ref))
-    if len(refs) == 1 and isinstance(refs[0], QuantileSlices):
-        return refs[0]
-    joined = {name: np.concatenate([p[name] for p in parts])
-              for name in ("q", "edge", "edge_phi", "cdf", "slope", "x0",
-                           "scale")}
-    # each part's cell indices move past the cells of the parts before it
-    shift = np.cumsum([0] + [p["edge"].size for p in parts[:-1]])
-    for name in ("first", "last"):
-        joined[name] = np.concatenate(
-            [p[name] + s for p, s in zip(parts, shift)])
-    return QuantileSlices(n, **joined)
+    counts = np.diff([np.searchsorted(u, c) for c in cdf], append=n - 1)
+    k = np.repeat(np.tile(np.arange(m + 1), len(grids)), counts.ravel())
+    k = np.minimum(k.reshape(len(grids), n - 1), m - 1)
+    q = np.empty((len(grids), n + 1))
+    q[:, 0], q[:, -1] = x[0], x[-1]
+    q[:, 1:-1] = np.minimum(x[k] + (u - cdf[r, k]) / slope[r, k], x[k + 1])
+    return QuantileSlices(n, q, x, edge_phi[:, :-1], cdf[:, :-1], slope)
 
 
 def wasserstein1_rows(rows: np.ndarray, refs) -> np.ndarray:
     """W1 between each row of `rows`, a (k, n) block read as k empirical
-    measures of n values, and the matching density of `refs`: k grids or
-    prepared forms, or their `quantile_slices` for n. Entry r equals
-    wasserstein1_1d(AtomicMeasure.empirical(rows[r]), refs[r]) up to
-    rounding. Sorts each row in place, in one call, and takes no merge.
+    measures of n values, and the matching density of `refs`: k grids on
+    one window and cell count, or their `quantile_slices` for n. Entry r
+    equals wasserstein1_1d(AtomicMeasure.empirical(rows[r]), refs[r]) up
+    to rounding. Sorts each row in place, in one call, and takes no merge.
 
     W1 is the integral over u of |x(u) - G^-1(u)|, and on slice i,
     u in [a, b] = [i/n, (i + 1)/n], x(u) is the (i + 1)-th smallest value
@@ -394,7 +372,9 @@ def wasserstein1_rows(rows: np.ndarray, refs) -> np.ndarray:
         raise MeasureError("need one reference per row")
     if k == 0:
         return np.zeros(0)
-    s = quantile_slices(refs, n)
+    s = refs if isinstance(refs, QuantileSlices) else quantile_slices(refs, n)
+    if s.n != n:
+        raise MeasureError(f"reference cut for n = {s.n}, not {n}")
     rows.sort(axis=1)
     d = rows - s.centroid
     np.abs(d, out=d)

@@ -32,7 +32,7 @@ from math import comb
 
 import numpy as np
 
-from .meanfield import step_ends
+from .meanfield import MAX_STEPS, step_ends
 
 
 class MomentError(ValueError):
@@ -57,6 +57,8 @@ class MomentConfig:
         # by 0.01 at every order
         if not 0 < self.dt <= 0.01:
             raise MomentError("dt must lie in (0, 0.01]")
+        if self.T / self.dt > MAX_STEPS:
+            raise MomentError(f"T / dt must be at most {MAX_STEPS:g} steps")
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,7 @@ def integrate_moments(p: MomentParams, T: float,
                              - gam * (2.0 * q1 + 2.0 * q2 + q3))
             row = values[k - 1]
             row[s0 + 1:s1 + 1] = _affine_scan(float(row[s0]), a, b)
-            if np.any(np.abs(row[s0 + 1:s1 + 1]) > guard[k - 1]):
+            if not np.all(np.abs(row[s0 + 1:s1 + 1]) <= guard[k - 1]):
                 raise MomentError("moment blow-up: check params")
             m = row[s0:s1]
             stages[k] = (m, p1 * m + q1, p2 * m + q2, p3 * m + q3)

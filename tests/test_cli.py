@@ -1,14 +1,20 @@
 """Tests for the JSON config front end and its CSV artifacts."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gossipfield
 from gossipfield import cli
@@ -422,12 +428,46 @@ INVALID_CONFIGS = {
     "moments_external_gaussian": (
         "moments", {"kernel": dict(ENV_STYLE["kernel"], external=GAUSSIAN)},
         "kernel.external: moments needs a constant-weight law"),
-    "moments_external_weight_0": (
+    **{f"moments_external_weight_{omega:g}": (
         "moments", {"kernel": dict(ENV_STYLE["kernel"], external={
-            "type": "constant", "omega": 0.0})},
-        "kernel.external: moments needs a positive external weight"),
+            "type": "constant", "omega": omega})},
+        "kernel.external: moments needs a positive external weight")
+       # 1e-300 is positive, but gamma_1 = 1 - alpha - (1 - alpha)(1 - 1e-300)
+       # rounds to 0
+       for omega in (0.0, 1e-300)},
     "compare_symmetric": ("compare", {"simulate.symmetric": True},
                           "simulate.symmetric: compare needs one-sided"),
+    # sigma ** 2 underflows to 0, where the weight at distance 0 is nan, or
+    # overflows, where the float power raises
+    **{f"{command}_gaussian_sigma_{sigma:g}": (
+        command, {"kernel.internal": dict(GAUSSIAN, sigma=sigma),
+                  "initial": {"type": "atoms",
+                              "points": [[0.0, 0.5], [1.0, 0.5]]}},
+        f"kernel.internal: sigma = {sigma:g} has a square that underflows")
+       for command in ("simulate", "compare") for sigma in (1e-200, 1e200)},
+    # moments of order up to K = 170 past the largest float, which a float
+    # power raises on and numpy's power makes inf
+    **{f"moments_K_170_{start['type']}": (
+        "moments", {"moments.K": 170, "initial": start},
+        "moments.K: a moment of order at most 170 of the initial law or the "
+        "environment is not a finite float")
+       for start in ({"type": "uniform", "a": 0.0, "b": 100.0},
+                     {"type": "atoms", "points": [[1000.0, 1.0]]},
+                     {"type": "grid", "lo": 0.0, "hi": 100.0,
+                      "cells": [1.0, 2.0, 3.0, 4.0]})},
+    # step grids past MAX_STEPS, rejected while parsing; `simulate` builds
+    # no step grid, so no run here ever allocates one
+    **{f"steps_{path}_{value:g}": ("simulate", {path: value}, message)
+       for path, value, message in (
+           ("meanfield.dt", 1e-12, "meanfield: horizon / dt must be at most "
+                                   "1e+07 steps"),
+           ("meanfield.horizon", 1e9, "meanfield: horizon / dt must be at "
+                                      "most 1e+07 steps"),
+           ("moments.dt", 1e-12, "moments: T / dt must be at most 1e+07 "
+                                 "steps"),
+           ("moments.T", 1e12, "moments: T / dt must be at most 1e+07 steps"),
+           ("concentrate.tau", 1e12, "concentrate: tau must be at most "
+                                     "250000"))},
     # json.dumps writes NaN, Infinity and -Infinity, and json.loads reads
     # them back
     **{f"{path}_{value}": (command, {path: float(value)},
@@ -557,6 +597,19 @@ def test_environment_at_the_default_window_edge_runs(command, environment, m,
                  str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("command", ["meanfield", "compare"])
+def test_environment_inside_a_vast_default_window_runs(command, tmp_path):
+    # the cell centres of a window 1e300 wide are exact only to about 1e281,
+    # which the solver's check that they reach the environment allows for
+    d = with_changes(quick_sim_cfg(), {
+        "kernel": dict(ENV_STYLE["kernel"],
+                       environment={"type": "uniform", "a": 0.2, "b": 0.8}),
+        "initial.b": 1e300})
+    p = write_cfg(tmp_path, d)
+    assert main([command, "--config", str(p), "--out",
+                 str(tmp_path / "out")]) == 0
+
+
 def test_bench_tracer_wraps_the_cli(tmp_path):
     # bench/tracing.py wraps program functions by name; a rename in the
     # package would break only the traced benchmark run without this test
@@ -626,3 +679,149 @@ def test_main_seed_override_is_checked(tmp_path, capsys):
                  "--seed", "-3"]) == 1
     assert "config error: seed: expected integer >= 0, got -3" \
         in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# invalid configs found by search
+
+# criterion 11's config without its concentrate section, and a variant with
+# an environment
+SEARCH_BASES = (
+    {"kernel": {"alpha": 1.0,
+                "internal": {"type": "constant", "omega": 0.5}},
+     "initial": {"type": "uniform", "a": 0.0, "b": 1.0},
+     "simulate": {"n": 60, "horizon": 1.0, "snapshot_times": [0.5, 1.0]},
+     "meanfield": {"m": 120, "dt": 0.05, "horizon": 1.0,
+                   "snapshot_times": [0.5, 1.0]},
+     "moments": {"K": 4, "T": 1.0, "dt": 0.005}},
+    {"kernel": {"alpha": 0.5,
+                "internal": {"type": "constant", "omega": 0.5},
+                "external": {"type": "constant", "omega": 0.5},
+                "environment": {"type": "uniform", "a": 0.2, "b": 0.8}},
+     "initial": {"type": "uniform", "a": 0.0, "b": 1.0},
+     "simulate": {"n": 60, "horizon": 1.0, "snapshot_times": [0.5, 1.0]},
+     "meanfield": {"m": 120, "dt": 0.05, "horizon": 1.0,
+                   "snapshot_times": [0.5, 1.0]},
+     "moments": {"K": 4, "T": 1.0, "dt": 0.005}},
+)
+
+# odd JSON values for any leaf: wrong types, the ends of the float range
+# and the non-finite numbers that json.loads reads
+_ODD = st.sampled_from([None, True, "x", [], {}, -1, 0, 1, 2, 0.0, 0.3, 0.5,
+                        7.5, -2.5, 1e-300, 1e12, 1e300, -1e300,
+                        float("nan"), float("inf"), float("-inf")])
+_ODD_NUMBER = st.sampled_from([-1.0, 0.0, 1e-300, 0.25, 0.5, 1.0, 3.0,
+                               1e300, float("nan"), float("inf")])
+_TIMES = st.one_of(st.none(), st.lists(st.sampled_from(
+    [-1.0, 0.0, 0.25, 0.5, 1.0, 2.0, float("nan"), float("inf")]),
+    max_size=4))
+
+
+def _typed(kind, **fields):
+    return st.fixed_dictionaries({"type": st.just(kind), **fields})
+
+
+_LAW = st.one_of(
+    _typed("constant", omega=_ODD),
+    _typed("bounded_confidence", omega0=_ODD, radius=_ODD),
+    _typed("gaussian", omega0=_ODD, sigma=_ODD),
+    _typed("mixture", omegas=st.lists(_ODD_NUMBER, max_size=3),
+           probs=st.lists(_ODD_NUMBER, max_size=3)))
+_GRID = {"lo": _ODD, "hi": _ODD,
+         "cells": st.lists(_ODD_NUMBER, min_size=1, max_size=4)}
+_ENVIRONMENT = st.one_of(
+    _typed("atom", z=_ODD), _typed("uniform", a=_ODD, b=_ODD),
+    _typed("bump"), _typed("grid", **_GRID))
+_INITIAL = st.one_of(
+    _typed("uniform", a=_ODD, b=_ODD), _typed("grid", **_GRID),
+    _typed("atoms", points=st.lists(st.lists(_ODD_NUMBER, min_size=2,
+                                             max_size=2), max_size=3)))
+
+# the leaves the search sets, each with its values. Sizes and horizons take
+# small values or ones far past a bound, so that every example runs in
+# milliseconds: the simulator's work n * horizon is not bounded, and a step
+# grid may hold up to meanfield.MAX_STEPS steps
+SEARCH_LEAVES = {
+    "seed": _ODD,
+    "kernel.alpha": _ODD,
+    "kernel.internal": _LAW,
+    "kernel.internal.omega": _ODD,
+    "kernel.external": _LAW,
+    "kernel.environment": _ENVIRONMENT,
+    "initial": _INITIAL,
+    "initial.a": _ODD,
+    "initial.b": _ODD,
+    "simulate.n": st.sampled_from([None, True, "x", -1, 0, 1, 2, 2.5, 200,
+                                   1e300, float("nan")]),
+    "simulate.horizon": st.sampled_from([None, "x", -1.0, 0, 0.5, 2.0,
+                                         float("nan"), float("inf")]),
+    "simulate.snapshot_times": _TIMES,
+    "simulate.symmetric": _ODD,
+    "simulate.allow_self": _ODD,
+    "meanfield.m": st.sampled_from([None, True, "x", -1, 0, 1, 2, 3, 2.5,
+                                    400, 1e300]),
+    "meanfield.dt": st.sampled_from([None, "x", -0.05, 0, 1e-300, 1e-12,
+                                     0.05, 0.1, 0.2, float("nan")]),
+    "meanfield.horizon": st.sampled_from([None, -1.0, 0, 0.5, 2.0, 1e12,
+                                          float("nan"), float("inf")]),
+    "meanfield.snapshot_times": _TIMES,
+    "meanfield.scheme": st.sampled_from(["euler", "rk4", "rk5", 1, None]),
+    "meanfield.lo": _ODD,
+    "meanfield.hi": _ODD,
+    "moments.K": st.sampled_from([None, True, -1, 0, 1, 4, 2.5, 170, 171]),
+    "moments.T": st.sampled_from([None, -1.0, 0, 0.5, 1.0, 1e12,
+                                  float("nan"), float("inf")]),
+    "moments.dt": st.sampled_from([None, -0.005, 0, 1e-300, 1e-12, 0.005,
+                                   0.01, 0.02, float("nan")]),
+}
+
+
+def _set_leaf(d, path, value):
+    """d with the dotted path set to value, where each parent on the path
+    is an object; otherwise d unchanged."""
+    *parents, key = path.split(".")
+    node = d
+    for p in parents:
+        node = node.get(p) if isinstance(node, dict) else None
+    if isinstance(node, dict):
+        node[key] = value
+
+
+def _artifact_numbers(out_dir):
+    """Every number in the CSV rows of the artifacts under out_dir."""
+    for path in sorted(Path(out_dir).glob("*.csv")):
+        lines = path.read_text().splitlines()
+        for line in lines[2:]:
+            if not line.startswith("#"):
+                yield from map(float, line.split(","))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SEARCH_BASES),
+       st.lists(st.sampled_from(sorted(SEARCH_LEAVES)), min_size=1,
+                max_size=2, unique=True).flatmap(
+           lambda paths: st.tuples(*(st.tuples(st.just(p), SEARCH_LEAVES[p])
+                                     for p in paths))),
+       st.sampled_from(["simulate", "meanfield", "moments", "compare"]))
+def test_mutated_configs_exit_0_or_1(base, changes, command):
+    # every mutation of one or two leaves of a small valid config is run, or
+    # is a config error: never a stack trace, and never a number that is
+    # not finite in an artifact
+    d = json.loads(json.dumps(base))
+    for path, value in changes:
+        _set_leaf(d, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "run.json"
+        p.write_text(json.dumps(d))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                np.errstate(all="ignore"):
+            code = main([command, "--config", str(p), "--out",
+                         str(Path(tmp) / "out")])
+        assert code in (0, 1), err.getvalue()
+        if code == 1:
+            assert "config error: " in err.getvalue()
+        else:
+            assert all(map(math.isfinite, _artifact_numbers(
+                Path(tmp) / "out"))), (command, changes)

@@ -342,28 +342,29 @@ def test_empirical_against_density_matches_sub_atoms(K):
 
 
 def test_w1_rows_match_w1_row_by_row():
-    # the closed form against the merge, for the reference given as a
-    # grid, as its prepared form and as its slices for n; the reference
+    # the closed form against the merge, one call per window, for the
+    # references given as grids and as their slices for n; the reference
     # grids have empty cells, and sizes put n below and above m
     rng = np.random.default_rng(29)
     for n, m in ((3000, 400), (40, 400), (400, 400), (2, 2000), (900, 60)):
-        grids = [random_grid(rng, 0.0, 10.0, m),
-                 random_grid(rng, 2.0, 8.0, m)] * 4
-        rows = rng.uniform(-1.0, 11.0, (len(grids), n))
-        rows[0, :n // 2] = rows[0, 0]  # duplicate opinions
-        rows[1] = rng.choice(grids[1].edges, n)  # on the reference knots
-        rows[2, ::2] = rng.choice(grids[2].edges, (n + 1) // 2)
-        rows[3] = rng.uniform(20.0, 30.0, n)  # right of the hull
-        rows[4] = rng.uniform(-30.0, -20.0, n)  # left of the hull
-        rows[5] = rng.choice(rng.uniform(2.0, 8.0, 3), n)  # three values
-        want = [wasserstein1_1d(AtomicMeasure.empirical(x), g)
-                for x, g in zip(rows, grids)]
-        for refs in (grids, [sorted_cdf(g) for g in grids],
-                     [quantile_slices(g, n) for g in grids]):
-            block = rows.copy()
-            got = wasserstein1_rows(block, refs)
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
-            assert np.array_equal(block, np.sort(rows, axis=1))  # in place
+        for lo, hi in ((0.0, 10.0), (2.0, 8.0)):
+            grids = [random_grid(rng, lo, hi, m) for _ in range(4)]
+            rows = rng.uniform(-1.0, 11.0, (len(grids), n))
+            rows[0, :n // 2] = rows[0, 0]  # duplicate opinions
+            rows[1] = rng.choice(grids[1].edges, n)  # on the reference knots
+            rows[2, ::2] = rng.choice(grids[2].edges, (n + 1) // 2)
+            rows[3] = rng.choice(rng.uniform(2.0, 8.0, 3), n)  # three values
+            for outside in (rng.uniform(20.0, 30.0, n),  # right of the hull
+                            rng.uniform(-30.0, -20.0, n)):  # left of it
+                grids.append(random_grid(rng, lo, hi, m))
+                rows = np.vstack((rows, outside))
+            want = [wasserstein1_1d(AtomicMeasure.empirical(x), g)
+                    for x, g in zip(rows, grids)]
+            for refs in (grids, quantile_slices(grids, n)):
+                block = rows.copy()
+                got = wasserstein1_rows(block, refs)
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+                assert np.array_equal(block, np.sort(rows, axis=1))
 
 
 def test_w1_rows_exact_values():
@@ -381,11 +382,28 @@ def test_w1_rows_rejects_atom_references():
     rows = np.random.default_rng(31).uniform(0.0, 10.0, (3, 50))
     with pytest.raises(MeasureError, match="one reference per row"):
         wasserstein1_rows(rows, [g, g])
-    for atoms_ in (g.as_atoms(), sorted_cdf(g.as_atoms())):
+    # atoms, and any prepared form, are not grids
+    for other in (g.as_atoms(), sorted_cdf(g.as_atoms()), sorted_cdf(g)):
         with pytest.raises(MeasureError, match="not atoms"):
-            wasserstein1_rows(rows, [g, atoms_, g])
+            wasserstein1_rows(rows, [g, other, g])
     with pytest.raises(MeasureError, match="cut for n = 40"):
-        wasserstein1_rows(rows, [g, g, quantile_slices(g, 40)])
+        wasserstein1_rows(rows, quantile_slices([g, g, g], 40))
+    with pytest.raises(MeasureError, match="not atoms"):
+        wasserstein1_rows(rows, [g, g, quantile_slices(g, 50)])
+
+
+@pytest.mark.parametrize("other", [
+    GridMeasure1D.uniform(0.0, 9.0, 30),  # another window
+    GridMeasure1D.uniform(-1.0, 10.0, 30),
+    GridMeasure1D.uniform(0.0, 10.0, 31),  # another cell count
+])
+def test_w1_rows_rejects_grids_on_two_windows(other):
+    g = GridMeasure1D.uniform(0.0, 10.0, 30)
+    rows = np.random.default_rng(37).uniform(0.0, 10.0, (3, 50))
+    with pytest.raises(MeasureError, match="one window and cell count"):
+        wasserstein1_rows(rows, [g, other, g])
+    with pytest.raises(MeasureError, match="one window and cell count"):
+        quantile_slices([other, g], 50)
 
 
 # how a row of the property test below places its n opinions, given its
@@ -412,21 +430,23 @@ ROW_PLACEMENTS = {
 @given(st.integers(1, 300),
        st.lists(st.tuples(st.integers(2, 200), st.floats(-50.0, 50.0),
                           st.floats(0.5, 10.0),
-                          st.sampled_from(sorted(ROW_PLACEMENTS))),
-                min_size=1, max_size=6),
+                          st.lists(st.sampled_from(sorted(ROW_PLACEMENTS)),
+                                   min_size=1, max_size=6)),
+                min_size=1, max_size=3),
        st.integers(0, 2 ** 32 - 1))
-def test_w1_rows_match_w1_row_by_row_on_any_block(n, specs, seed):
-    # one call over references on different windows and grids, which have
-    # empty cells, against the merge row by row
+def test_w1_rows_match_w1_row_by_row_on_any_block(n, windows, seed):
+    # one call per window over its references, grids which have empty
+    # cells, against the merge row by row
     rng = np.random.default_rng(seed)
-    grids = [random_grid(rng, lo, lo + width, m)
-             for m, lo, width, _ in specs]
-    rows = np.array([ROW_PLACEMENTS[place](rng, g, quantile_slices(g, n), n)
-                     for g, (*_, place) in zip(grids, specs)])
-    want = [wasserstein1_1d(AtomicMeasure.empirical(x), g)
-            for x, g in zip(rows, grids)]
-    np.testing.assert_allclose(wasserstein1_rows(rows, grids), want,
-                               rtol=1e-10, atol=0.0)
+    for m, lo, width, places in windows:
+        grids = [random_grid(rng, lo, lo + width, m) for _ in places]
+        rows = np.array([ROW_PLACEMENTS[place](rng, g, quantile_slices(g, n),
+                                               n)
+                         for g, place in zip(grids, places)])
+        want = [wasserstein1_1d(AtomicMeasure.empirical(x), g)
+                for x, g in zip(rows, grids)]
+        np.testing.assert_allclose(wasserstein1_rows(rows, grids), want,
+                                   rtol=1e-10, atol=0.0)
 
 
 def test_w1_rows_rejects_rows_without_opinions():

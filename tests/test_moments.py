@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gossipfield.kernels import EnvBump, env_moment
-from gossipfield.meanfield import rk4_step, step_ends
+from gossipfield.meanfield import MAX_STEPS, rk4_step, step_ends
 from gossipfield.moments import (MomentConfig, MomentError, MomentParams,
                                  forcing, gamma_k, integrate_moments,
                                  limit_moments)
@@ -36,8 +36,11 @@ def test_params_validation():
 
 def test_moment_config_validation():
     MomentConfig(8, 0.0, 0.01)  # dt = 0.01 is allowed
+    MomentConfig(8, MAX_STEPS * 2.0 ** -7, 2.0 ** -7)  # and MAX_STEPS steps
     for K, T, dt in ((0, 1.0, 0.005), (171, 1.0, 0.005), (8, -1.0, 0.005),
-                     (8, 1.0, 0.0), (8, 1.0, -0.01), (8, 1.0, 0.02)):
+                     (8, 1.0, 0.0), (8, 1.0, -0.01), (8, 1.0, 0.02),
+                     (8, (MAX_STEPS + 1) * 2.0 ** -7, 2.0 ** -7),
+                     (8, 1e12, 0.005), (8, 1.0, 1e-12)):
         with pytest.raises(MomentError):
             MomentConfig(K, T, dt)
 
@@ -219,6 +222,17 @@ def test_dt_guard():
     assert integrate_moments(params(), 1.0, dt=0.01).times[-1] == 1.0
     # dt = 0.003 does not divide 1: the last step is shortened to land on T
     assert integrate_moments(params(), 1.0, dt=0.003).times[-1] == 1.0
+
+
+@pytest.mark.parametrize("initial", [(np.nan, 1.0), (np.inf, 1.0),
+                                     (1.0, np.inf, 1.0)])
+def test_blow_up_guard_catches_nan(initial):
+    # a moment that is not finite leaves nan in the orders above it, which
+    # no bound |m| > guard catches
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(MomentError, match="blow-up"):
+            integrate_moments(MomentParams(1.0, 0.5, 0.0, (), initial), 1.0,
+                              0.01)
 
 
 def test_moment_scale_bound():
