@@ -145,7 +145,7 @@ def _replica_seed(base_seed: int, n: int, replica: int) -> int:
 # reference snapshots (the solver's grids, on one window), the snapshot
 # block and the reference snapshots cut, as one block, into the quantile
 # slices of the current n. Set once per process by _init_replicas, so
-# each job carries only (n, replica) and allocates no array per snapshot.
+# each job carries only (n, replicas) and allocates no array per snapshot.
 _shared = {}
 
 
@@ -154,23 +154,27 @@ def _init_replicas(cfg: ConcentrationConfig, reference: tuple) -> None:
                    slices=None)
 
 
-def _one_replica(args) -> tuple[int, int, float]:
-    n, replica = args
+def _one_replica(args) -> list[tuple[int, int, float]]:
+    """The rows (n, replica, D) of a batch of replicas of one n, run in
+    lockstep. (The name is from when a job ran one replica; the bench
+    tracer wraps the function by it.)"""
+    n, replicas = args
     cfg, reference = _shared["cfg"], _shared["reference"]
+    seeds = [_replica_seed(cfg.base_seed, n, r) for r in replicas]
     sim = SimConfig(n=n, kernel=cfg.kernel, initial=cfg.initial,
                     horizon=cfg.tau, snapshot_times=cfg.sample_times,
-                    seed=_replica_seed(cfg.base_seed, n, replica),
                     allow_self=True)
     # the jobs come largest n first, so the first one sizes the block,
     # and the first one of each n cuts the reference for it
-    k = len(cfg.sample_times)
-    if _shared["block"].size < k * n:
-        _shared["block"] = np.empty(k * n)
+    size = len(replicas) * len(cfg.sample_times) * n
+    if _shared["block"].size < size:
+        _shared["block"] = np.empty(size)
     if _shared["slices"] is None or _shared["slices"].n != n:
         _shared["slices"] = quantile_slices(reference, n)
-    block = run(sim, _shared["block"][:k * n].reshape(k, n))
-    d = wasserstein1_rows(block, _shared["slices"]).max()
-    return (n, replica, float(d))
+    block = run(sim, _shared["block"][:size].reshape(
+        len(replicas), len(cfg.sample_times), n), seeds=seeds)
+    return [(n, r, float(wasserstein1_rows(rows, _shared["slices"]).max()))
+            for r, rows in zip(replicas, block)]
 
 
 def _discretization_errors(cfg: ConcentrationConfig, fine: tuple,
@@ -185,9 +189,22 @@ def _discretization_errors(cfg: ConcentrationConfig, fine: tuple,
             max(map(wasserstein1_1d, coarse, fine_step)))
 
 
-# replica jobs per pool task: small, so that no worker idles while another
-# runs a long last chunk
-_POOL_CHUNK = 4
+# replicas per pool task, run in lockstep; fewer where their snapshot
+# block would pass _BATCH_BYTES
+_BATCH = 10
+_BATCH_BYTES = 16 << 20
+
+
+def _batches(cfg: ConcentrationConfig) -> list[tuple[int, range]]:
+    """The pool's jobs: batches of replicas of one n, the largest n first,
+    so that a pool ends on its shortest jobs."""
+    jobs = []
+    for n in reversed(cfg.n_list):
+        per = _BATCH_BYTES // (8 * len(cfg.sample_times) * n)
+        size = max(1, min(_BATCH, per))
+        jobs += [(n, range(r, min(r + size, cfg.replicas)))
+                 for r in range(0, cfg.replicas, size)]
+    return jobs
 
 
 def run_concentration(cfg: ConcentrationConfig,
@@ -200,18 +217,17 @@ def run_concentration(cfg: ConcentrationConfig,
     smallest D: the table is that of the grid that passed."""
     if threads < 1:
         raise ExperimentError(f"threads must be at least 1, got {threads}")
-    # the largest n first, so that a pool ends on its shortest jobs
-    jobs = [(n, r) for n in reversed(cfg.n_list) for r in range(cfg.replicas)]
+    jobs = _batches(cfg)
     threads = min(threads, os.cpu_count() or 1)
     for m in _REF_GRIDS:
         reference = tuple(g for _, g in _reference(cfg, m))
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=threads, initializer=_init_replicas,
                 initargs=(cfg, reference)) as ex:
-            results = ex.map(_one_replica, jobs, chunksize=_POOL_CHUNK)
+            batches = ex.map(_one_replica, jobs)
             # meanwhile this process, which would only wait, refines
             space_err, time_err = _discretization_errors(cfg, reference, m)
-            results = sorted(results)
+            results = sorted(row for rows in batches for row in rows)
         disc_err = space_err + time_err
         d_min = min(d for (_, _, d) in results)
         if disc_err < 0.1 * d_min:

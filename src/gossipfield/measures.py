@@ -187,10 +187,10 @@ def moment(m, k: int) -> float:
 
 @dataclass(frozen=True)
 class SortedCDF:
-    """A normalized 1-D measure prepared for W1: its knots x ascending, and
+    """A normalized 1-D measure as W1 reads it: its knots x ascending, and
     cdf[j] and slope[j], the CDF and its slope after the first j knots
-    (cdf[0] = 0). slope is None for atoms, whose CDF is flat between jumps.
-    Preparing once saves the sort and cumsum for many W1 calls."""
+    (cdf[0] = 0). slope is None for atoms, whose CDF is flat between
+    jumps."""
 
     x: np.ndarray
     cdf: np.ndarray
@@ -198,13 +198,10 @@ class SortedCDF:
 
 
 def sorted_cdf(m) -> SortedCDF:
-    """The prepared form of a measure (returned as is when already
-    prepared). An atomic measure is prepared as its atoms. A grid is
-    prepared as its piecewise-uniform density, the law the solver's cells
-    stand for: its m + 1 edges are the knots, and its CDF rises by
+    """A measure as W1 reads it. An atomic measure is read as its atoms. A
+    grid is read as its piecewise-uniform density, the law the solver's
+    cells stand for: its m + 1 edges are the knots, and its CDF rises by
     cells[k] across cell k."""
-    if isinstance(m, SortedCDF):
-        return m
     if not m.normalized:
         raise MeasureError("W1 requires normalized measures")
     if isinstance(m, GridMeasure1D):
@@ -223,8 +220,8 @@ def sorted_cdf(m) -> SortedCDF:
 
 
 def wasserstein1_1d(mu, nu) -> float:
-    """Exact 1-D order-1 Wasserstein distance: the integral of |F_mu - F_nu|.
-    Either argument may be a measure, read by `sorted_cdf`, or prepared."""
+    """Exact 1-D order-1 Wasserstein distance: the integral of |F_mu - F_nu|,
+    each measure read by `sorted_cdf`."""
     a, b = sorted_cdf(mu), sorted_cdf(nu)
     # merge the knots by one stable sort, linear on two sorted runs;
     # count[k], the number of a's knots among the first k + 1 merged ones,
@@ -318,7 +315,7 @@ def quantile_slices(grids, n: int) -> QuantileSlices:
         grids = [grids]
     if not all(isinstance(g, GridMeasure1D) for g in grids):
         raise MeasureError("wasserstein1_rows compares rows with grid "
-                           "densities, not atoms or prepared forms")
+                           "densities, not atoms or sorted CDFs")
     if len({(g.lo, g.hi, g.m) for g in grids}) != 1:
         raise MeasureError("quantile_slices needs grids on one window and "
                            "cell count")

@@ -3,13 +3,14 @@
 import hashlib
 import itertools
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gossipfield.agent_sim import (_BLOCK, _CHUNK, InitAtoms, InitGrid,
                                    InitUniform, SimConfig, SimError, SimState,
-                                   init_state, initial_moment,
+                                   _run_batch, init_state, initial_moment,
                                    initial_support, run, run_ends,
                                    run_with_state, sample_initial)
 from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
@@ -422,6 +423,42 @@ def test_runs_match_the_sequential_loop_at_chunk_boundaries(kernel):
     # tau = 0: no jump is applied, and the clock is the first jump's
     assert_matches_sequential(make_cfg(
         n=n, kernel=kernel, horizon=0.0, snapshot_times=(0.0,), seed=7))
+
+
+def test_lockstep_batches_match_their_replicas_run_alone():
+    # at n = 1000 and horizon 16.4 the _CHUNK-th jump of seeds 0 and 1
+    # comes before the horizon and that of seed 7 after it, so the batches
+    # of two and three hold replicas that run for two chunks and one that
+    # ends in its first; the snapshot at 16.3 falls in the second chunk of
+    # seeds 0 and 1
+    seeds = (0, 7, 1)
+    for kernel, allow_self, symmetric in itertools.product(
+            ORACLE_KERNELS, (False, True), (False, True)):
+        cfg = make_cfg(n=1000, kernel=kernel, horizon=16.4,
+                       snapshot_times=(0.0, 8.0, 8.0, 16.3, 16.4),
+                       allow_self=allow_self, symmetric=symmetric)
+        alone = [run_with_state(replace(cfg, seed=seed)) for seed in seeds]
+        assert [s.update_count > _CHUNK for _, s in alone] == [True, False,
+                                                               True]
+        for size in (1, 2, 3):
+            block = np.empty((size, 5, cfg.n))
+            states = _run_batch(cfg, seeds[:size], block)
+            for got, state, (snaps, want) in zip(block, states, alone):
+                assert got.tobytes() == snaps.tobytes()
+                assert state.opinions.tobytes() == want.opinions.tobytes()
+                assert (state.t, state.update_count) == (want.t,
+                                                         want.update_count)
+
+
+def test_run_writes_a_batch_into_a_given_block():
+    cfg = make_cfg(snapshot_times=(0.0, 0.5, 1.0))
+    block = np.full((2, 3, cfg.n), np.nan)
+    assert run(cfg, block, seeds=(3, 4)) is block
+    for got, seed in zip(block, (3, 4)):
+        np.testing.assert_array_equal(got, run(replace(cfg, seed=seed)))
+    np.testing.assert_array_equal(run(cfg, seeds=(3, 4)), block)
+    with pytest.raises(SimError, match="snapshot block"):
+        run(cfg, np.empty((3, 3, cfg.n)), seeds=(3, 4))
 
 
 def test_environment_branch_mean_follows_closed_form():

@@ -635,6 +635,32 @@ def test_bench_tracer_wraps_the_cli(tmp_path):
         assert repr(name) in names
 
 
+def test_bench_tracer_wraps_a_concentrate_run(tmp_path):
+    # the traced concentration round: the harness hands its pool batches
+    # of replicas, and the spans of this process must still be recorded
+    root = Path(__file__).resolve().parents[1]
+    p = write_cfg(tmp_path, dict(quick_sim_cfg(), concentrate={
+        "tau": 0.5, "n_list": [20, 40], "replicas": 20}))
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(root / 'bench')!r})\n"
+            "import tracing\n"
+            "from gossipfield import cli\n"
+            "tracer = tracing.Tracer()\n"
+            "tracing.install(tracer)\n"
+            f"code = cli.main(['concentrate', '--config', {str(p)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}, '--threads', '2'])\n"
+            "print(code, sorted({s['name'] for s in tracer.spans\n"
+            "                    if not s.get('worker')}))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    code, names = out.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0"
+    for name in ("run_concentration", "reference", "refinement",
+                 "tail_rates"):
+        assert repr(name) in names
+
+
 def test_parsing_a_bump_environment_leaves_scipy_unimported(tmp_path):
     # with scipy blocked outright, so that importing any of it fails: the
     # package, parsing, and the subcommands that set the bump up (its

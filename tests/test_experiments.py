@@ -116,6 +116,25 @@ def test_threads_do_not_change_results():
     assert a.rows == b.rows
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_batches_do_not_change_results(monkeypatch, threads):
+    # 23 replicas: the default batches leave a short last one; with at
+    # most 6000 bytes of snapshots, 2880 per replica at n = 120 and 1200 at
+    # n = 50, the batches hold 2 and 5 replicas
+    cfg = small_cfg(n_list=(50, 120), replicas=23,
+                    sample_times=(0.0, 0.5, 1.0),
+                    kernel=KernelSpec(alpha=1.0, internal=Constant(0.5)))
+    rows = run_concentration(cfg, threads=threads).rows
+    assert [len(r) for n, r in experiments._batches(cfg)] == [10, 10, 3] * 2
+    monkeypatch.setattr(experiments, "_BATCH", 1)
+    assert run_concentration(cfg, threads=threads).rows == rows
+    monkeypatch.setattr(experiments, "_BATCH", 10)
+    monkeypatch.setattr(experiments, "_BATCH_BYTES", 6000)
+    assert [len(r) for n, r in experiments._batches(cfg)] == \
+        [2] * 11 + [1] + [5] * 4 + [3]
+    assert run_concentration(cfg, threads=threads).rows == rows
+
+
 def _fresh_run(cfg):
     """run_concentration in a new interpreter, free of any state an earlier
     run left in this one."""
