@@ -11,7 +11,6 @@ and, apart, the step, is small against the measured deviations.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from dataclasses import dataclass
 
@@ -215,6 +214,10 @@ def run_concentration(cfg: ConcentrationConfig,
     them against the reference on each grid of _REF_GRIDS in turn, with
     the same seeds, until its discretization error is below 0.1 times the
     smallest D: the table is that of the grid that passed."""
+    # imported here, where the pool starts: with logging it costs every
+    # other subcommand's launch 4-6 ms
+    import concurrent.futures
+
     if threads < 1:
         raise ExperimentError(f"threads must be at least 1, got {threads}")
     jobs = _batches(cfg)

@@ -14,7 +14,8 @@ formed once per lag and serve both orders of the pair, landing at
 i + w(L) L and at i + L - w(L) L. The pairs that do not move (weight 0,
 or beyond the confidence radius) add up to one stay term, a convolution
 of the cells with the moved fractions. Constant weight 1/2 lands on the
-half-step grid and is an exact discrete self-convolution instead, by FFT.
+half-step grid and is an exact discrete self-convolution instead, by FFT,
+folded onto the centres in the spectrum.
 
 The environment branch is linear in the cell masses. For external weight
 1/2 it is the same half-grid convolution: an atom e at cell coordinate
@@ -87,39 +88,48 @@ class SolverConfig:
                               "steps")
 
 
-def _fft_size(m: int) -> tuple[int, int]:
-    """The length 2m - 1 of a half-grid convolution of m cells, and the
-    power of two >= it that it is zero-padded to (no wrap-around)."""
-    n_conv = 2 * m - 1
-    return n_conv, 1 << (n_conv - 1).bit_length()
+def _fft_size(m: int) -> int:
+    """The power of two at or above 2m - 1, the length of a half-grid
+    convolution of m cells, that the convolution is zero-padded to (no
+    wrap-around)."""
+    return 1 << (2 * m - 2).bit_length()
 
 
-def _deposit_conv_half(out: np.ndarray, cells: np.ndarray, coeff: float,
-                       env_hat: np.ndarray | None = None):
-    """The weight-1/2 branches, on the half-step grid. The internal one is
-    the discrete self-convolution coeff * cells * cells: pair (i, j) lands
-    at (i + j)/2. The external one, given as env_hat, the transform of
-    its coefficient times e_split, is cells * e_split: an environment atom
-    at cell coordinate j + f, split (1 - f) onto centre j and f onto
-    j + 1, sends cell i to (i + j)/2 and (i + j + 1)/2, which fold onto
-    the centres with the weights of the deposit (c_i + e)/2 itself,
-    1 - f/2 and f/2 when i + j is even, (1 - f)/2 and (1 + f)/2 when it
-    is odd. One transform pair serves both: the inverse FFT of
-    C (coeff C + env_hat), or of C C scaled by coeff afterwards, zero-
-    padded past 2m - 1. A half-step point between two centres is split
-    equally onto them."""
-    n_conv, n_fft = _fft_size(cells.size)
+def _fold_filter(n_fft: int) -> np.ndarray:
+    """The fold of the half-step grid onto the centres, c[2i] +
+    (c[2i - 1] + c[2i + 1])/2, is the filter 1 + cos(2 pi k / N) followed
+    by decimation by 2, which halves the sum of the spectrum's two
+    aliases. This is the filter with that half, at the rfft frequencies
+    k = 0..N/2 of a length N = n_fft transform."""
+    return 0.5 * (1.0 + np.cos((2.0 * np.pi / n_fft) * np.arange(
+        n_fft // 2 + 1)))
+
+
+def _conv_half(cells: np.ndarray, half: np.ndarray,
+               env_hat: np.ndarray | None = None) -> np.ndarray:
+    """The weight-1/2 branches, on the half-step grid and folded onto the
+    centres. The internal one is the discrete self-convolution
+    coeff * cells * cells: pair (i, j) lands at (i + j)/2. The external
+    one is cells * e_split: an environment atom at cell coordinate j + f,
+    split (1 - f) onto centre j and f onto j + 1, sends cell i to
+    (i + j)/2 and (i + j + 1)/2, which fold onto the centres with the
+    weights of the deposit (c_i + e)/2 itself, 1 - f/2 and f/2 when i + j
+    is even, (1 - f)/2 and (1 + f)/2 when it is odd. A half-step point
+    between two centres is split equally onto them.
+
+    half is coeff times `_fold_filter`, and env_hat the rfft of the
+    external coefficient times e_split, times the filter too. So the
+    product spectrum D = C (half C + env_hat) is already filtered, and the
+    decimation by 2 adds conj(D[N/2 - k]) onto D[k], k <= N/4: one
+    inverse transform of length N/2 >= m gives the centres."""
+    n_fft = _fft_size(cells.size)
+    q = n_fft // 4
     spec = np.fft.rfft(cells, n_fft)
-    if env_hat is None:
-        conv = np.fft.irfft(spec * spec, n_fft)[:n_conv]
-        conv *= coeff
-    else:
-        conv = np.fft.irfft(spec * (coeff * spec + env_hat), n_fft)[:n_conv]
-    out += conv[0::2]
-    odd = conv[1::2]
-    odd *= 0.5
-    out[:-1] += odd
-    out[1:] += odd
+    d = spec * half if env_hat is None else half * spec + env_hat
+    d *= spec
+    fold = d[:q + 1]
+    fold += np.conj(d[q:][::-1])
+    return np.fft.irfft(fold, 2 * q)[:cells.size]
 
 
 def split_onto_centres(lo: float, h: float, m: int, x: np.ndarray,
@@ -268,6 +278,9 @@ class _FieldEvaluator:
         self.plan, self.stay, self.stay_kernel = _lag_plan(
             [(law, c) for law, c in branches if law != half and c > 0],
             self.m, self.h)
+        n_fft = _fft_size(self.m)
+        fold = _fold_filter(n_fft)
+        self.half_hat = self.half * fold
         self.env_hat = None
         self.ext_blocks = []
         if kernel.alpha < 1.0:
@@ -281,8 +294,9 @@ class _FieldEvaluator:
             branches = _branches(kernel.external, 1.0 - kernel.alpha)
             env_half = sum(c for law, c in branches if law == half)
             if env_half:
-                self.env_hat = np.fft.rfft(env_half * split_onto_centres(
-                    self.lo, self.h, self.m, pos, mass), _fft_size(self.m)[1])
+                split = split_onto_centres(self.lo, self.h, self.m, pos,
+                                           mass)
+                self.env_hat = fold * np.fft.rfft(env_half * split, n_fft)
             rest = [(law, c) for law, c in branches if law != half and c > 0]
             if rest:
                 self.ext_blocks = _external_blocks(
@@ -290,9 +304,10 @@ class _FieldEvaluator:
 
     def apply_raw(self, cells: np.ndarray) -> np.ndarray:
         m = self.m
-        out = np.zeros(m)
         if self.half or self.env_hat is not None:
-            _deposit_conv_half(out, cells, self.half, self.env_hat)
+            out = _conv_half(cells, self.half_hat, self.env_hat)
+        else:
+            out = np.zeros(m)
         for lag, deposits in self.plan:
             # c_i * c_{i+lag}: the pair moved from i lands at i + j0 + f,
             # the one moved from i + lag at i + lag - j0 - f
@@ -326,15 +341,6 @@ def apply_F(g: GridMeasure1D, k: KernelSpec) -> GridMeasure1D:
     return GridMeasure1D(g.lo, g.hi, np.maximum(out, 0.0))
 
 
-def rk4_step(f, y, h):
-    """One classical RK4 step of length h for dy/dt = f(y)."""
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def step_ends(horizon: float, dt: float, times=()) -> np.ndarray:
     """Step ends from 0 to the horizon: the dt grid cut 1e-9 short of it,
     every requested time in (0, horizon], and the horizon, where the last
@@ -358,6 +364,7 @@ def integrate(g0: GridMeasure1D, k: KernelSpec,
         raise SolverError("initial measure grid mismatch with solver config")
     ev = _FieldEvaluator(g0, k)
     cells = np.asarray(g0.cells).copy()
+    kept = np.empty_like(cells)
     snaps = cfg.snapshot_times
     out: list[tuple[float, GridMeasure1D]] = []
     ptr = 0
@@ -369,15 +376,37 @@ def integrate(g0: GridMeasure1D, k: KernelSpec,
                                                   cells.copy())))
             ptr += 1
 
+    def slope(y):
+        k = ev.apply_raw(y)
+        k -= y
+        return k
+
+    def stage(k, scale):
+        np.multiply(k, scale, out=kept)
+        return slope(np.add(kept, cells, out=kept))
+
     emit(0.0)
     rk4 = cfg.scheme == "rk4"
     t_prev = 0.0
     for t in step_ends(cfg.horizon, cfg.dt, snaps):
         step = t - t_prev
+        # classical RK4, y + (h/6)(k1 + 2 k2 + 2 k3 + k4) with its stages
+        # at y + (h/2) k1, y + (h/2) k2 and y + h k3, or Euler, y + h k1,
+        # in that arithmetic order, with the stage points in one kept array
+        k1 = slope(cells)
         if rk4:
-            cells = rk4_step(lambda y: ev.apply_raw(y) - y, cells, step)
+            k2 = stage(k1, 0.5 * step)
+            k3 = stage(k2, 0.5 * step)
+            k4 = stage(k3, step)
+            k2 *= 2.0
+            k1 += k2
+            k3 *= 2.0
+            k1 += k3
+            k1 += k4
+            k1 *= step / 6.0
         else:
-            cells = cells + step * (ev.apply_raw(cells) - cells)
+            k1 *= step
+        cells += k1
         if cells.min() < -1e-12:
             raise SolverError("dt too large")
         np.maximum(cells, 0.0, out=cells)

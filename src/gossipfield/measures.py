@@ -125,20 +125,41 @@ class GridMeasure1D:
     def sampler(self):
         """sampler(rng, size) -> `size` independent draws from the cells
         read as a piecewise-uniform density, by inverse CDF: one uniform
-        per draw picks a cell, then one more per draw places the draw
-        uniformly within its cell. The cell uniforms are searched in
-        sorted order, where each search starts from the last one's cell,
-        and the cells scattered back to the draws' order."""
+        u per draw picks a cell, searchsorted(cdf, u, "right") capped at
+        the last, then one more per draw places the draw uniformly within
+        its cell.
+
+        The cells come from a guide table of G buckets, G the power of two
+        at or above 16 m and at most 2^20, so that u G is exact and bucket
+        b holds the u in [b/G, (b + 1)/G). A bucket with no CDF value
+        inside it gives every such u the same cell, the number of CDF
+        values at or below b/G; the few u in the other buckets, at most m
+        of G, are searched. The table is built from the CDF values'
+        buckets alone, in O(m + G)."""
         cdf = np.cumsum(self.cells)
         cdf /= cdf[-1]
         lo, h, last = self.lo, self.h, self.m - 1
+        buckets = 1 << min((16 * self.m - 1).bit_length(), 20)
+        # bucket b counts the CDF values at or below b/G: it takes k for
+        # ceil(cdf[k - 1] G) <= b < ceil(cdf[k] G). Then the buckets that
+        # hold a CDF value inside are marked for a search
+        scaled = cdf * buckets
+        guide = np.repeat(np.arange(self.m + 1, dtype=np.int32), np.diff(
+            np.ceil(scaled).astype(np.intp), prepend=0, append=buckets))
+        guide[scaled[scaled != np.floor(scaled)].astype(np.intp)] = -1
 
         def sample(rng, size):
             u = rng.random(size)
-            order = np.argsort(u)
-            i = np.empty(u.shape, dtype=np.intp)
-            i[order] = np.searchsorted(cdf, u[order], side="right")
-            return lo + (np.minimum(i, last) + rng.random(size)) * h
+            i = guide.take((u * buckets).astype(np.intp))
+            search = np.flatnonzero(i < 0)
+            i[search] = np.searchsorted(cdf, u[search], side="right")
+            np.minimum(i, last, out=i)
+            # lo + (i + offset) h, in the array the cell uniforms held
+            x = rng.random(out=u)
+            x += i
+            x *= h
+            x += lo
+            return x
 
         return sample
 
@@ -198,10 +219,13 @@ class SortedCDF:
 
 
 def sorted_cdf(m) -> SortedCDF:
-    """A measure as W1 reads it. An atomic measure is read as its atoms. A
-    grid is read as its piecewise-uniform density, the law the solver's
-    cells stand for: its m + 1 edges are the knots, and its CDF rises by
-    cells[k] across cell k."""
+    """A measure as W1 reads it. An atomic measure is read as its atoms;
+    when their weights are equal, as in every empirical measure, the CDF
+    after the j-th smallest is its rank j/n, exact to rounding, where a
+    running sum of the weights would drift by O(n eps). A grid is read as
+    its piecewise-uniform density, the law the solver's cells stand for:
+    its m + 1 edges are the knots, and its CDF rises by cells[k] across
+    cell k."""
     if not m.normalized:
         raise MeasureError("W1 requires normalized measures")
     if isinstance(m, GridMeasure1D):
@@ -210,48 +234,67 @@ def sorted_cdf(m) -> SortedCDF:
                          np.concatenate(([0.0], m.cells / m.h, [0.0])))
     x, w = m.positions, m.weights
     if np.all(w == w[:1]):
-        # equal weights (every empirical measure): their order does not
-        # matter, so a plain sort gives the stable sort's arrays
-        x = np.sort(x)
-    else:
-        order = np.argsort(x, kind="stable")
-        x, w = x[order], w[order]
-    return SortedCDF(x, np.concatenate(([0.0], np.cumsum(w))))
+        return SortedCDF(np.sort(x), np.arange(x.size + 1.0) / x.size)
+    order = np.argsort(x, kind="stable")
+    return SortedCDF(x[order], np.concatenate(([0.0], np.cumsum(w[order]))))
+
+
+def _cdf_at(f: SortedCDF, y: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The CDF of f at the points y, given k, the number of f's knots at
+    or below each: read from the last of them, so that at a knot it is
+    the knot's own value, to the bit."""
+    out = f.cdf[k]
+    if f.slope is not None:
+        # the knot before each point; the slope is 0 below the first
+        t = np.concatenate((f.x[:1], f.x))[k]
+        np.subtract(y, t, out=t)
+        t *= f.slope[k]
+        out += t
+    return out
 
 
 def wasserstein1_1d(mu, nu) -> float:
     """Exact 1-D order-1 Wasserstein distance: the integral of |F_mu - F_nu|,
-    each measure read by `sorted_cdf`."""
+    each measure read by `sorted_cdf`.
+
+    nu's knots are placed after mu's equal ones by a search of nu's knots
+    among mu's and one insert, and each CDF is read at every merged knot:
+    at its own knots from its CDF, at the other's by `_cdf_at`. Each CDF is
+    read separately, so equal measures cancel exactly instead of leaving
+    interleaved rounding residue. A density is linear on each gap and an
+    atom form flat, so |F_mu - F_nu| is integrated exactly on each gap
+    from its values at the two ends, split at its zero. The full-length
+    arrays are freed as soon as they are used, or reused in place."""
     a, b = sorted_cdf(mu), sorted_cdf(nu)
-    # merge the knots by one stable sort, linear on two sorted runs;
-    # count[k], the number of a's knots among the first k + 1 merged ones,
-    # indexes a's CDF after the k-th merged knot, and tied knots bound
-    # gaps of length 0
-    z = np.concatenate((a.x, b.x))
-    order = np.argsort(z, kind="stable")
-    z = z[order]
-    gaps = np.diff(z)
-    count = np.cumsum(order[:-1] < a.x.size)
-    # F_a - F_b at both ends of each gap, where a linear CDF is read from
-    # the knot that starts the gap; integrate |.| exactly, split at its
-    # zero. Each CDF is read separately, so equal measures cancel exactly
-    # instead of leaving interleaved-cumsum rounding residue
-    other = np.arange(1, count.size + 1) - count
-    d0 = a.cdf[count] - b.cdf[other]
-    d1 = d0.copy()
-    for f, k, sign in ((a, count, 1.0), (b, other, -1.0)):
-        if f.slope is not None:
-            x, slope = f.x[k - 1], sign * f.slope[k]
-            d0 += (z[:-1] - x) * slope
-            d1 += (z[1:] - x) * slope
+    # pos[j]: a's knots at or below b's j-th; below[j]: those under it,
+    # so b's j-th is at or below a's i-th exactly when below[j] <= i
+    pos = np.searchsorted(a.x, b.x, side="right")
+    below = np.searchsorted(a.x, b.x, side="left")
+    k = np.repeat(np.arange(b.x.size + 1),
+                  np.diff(below, prepend=0, append=a.x.size))
+    fb = np.insert(_cdf_at(b, a.x, k), pos, b.cdf[1:])
+    del k
+    gaps = np.diff(np.insert(a.x, pos, b.x))
+    fa = np.insert(a.cdf[1:], pos, _cdf_at(a, b.x, pos))
+    # F_a - F_b at the end of each gap, where an atom form still has its
+    # value from the gap's start, then at the start, in place
+    ends_a = fa[1:] if a.slope is not None else fa[:-1]
+    ends_b = fb[1:] if b.slope is not None else fb[:-1]
+    del a, b
+    d1 = np.subtract(ends_a, ends_b)
+    d0 = np.subtract(fa[:-1], fb[:-1], out=fa[:-1])
     # the mean of |.| on a gap: of its ends, or where they differ in sign
     # (never on the flat gaps of two atom forms), by the two triangles
-    total = np.abs(d0) + np.abs(d1)
-    seg = 0.5 * total
-    cross = d0 * d1 < 0
-    d0, d1 = d0[cross], d1[cross]
-    seg[cross] = 0.5 * (d0 * d0 + d1 * d1) / total[cross]
-    return float((gaps * seg).sum())
+    cross = np.flatnonzero(np.multiply(d0, d1, out=fb[1:]) < 0)
+    del fb, ends_b
+    e0, e1 = d0[cross], d1[cross]
+    total = np.abs(d0, out=d0)
+    total += np.abs(d1, out=d1)
+    seg = 0.5 * (e0 * e0 + e1 * e1) / total[cross]
+    total *= 0.5
+    total[cross] = seg
+    gaps *= total
+    return float(gaps.sum())
 
 
 @dataclass(frozen=True)

@@ -685,6 +685,30 @@ def test_parsing_a_bump_environment_leaves_scipy_unimported(tmp_path):
     assert (tmp_path / "out" / "compare.csv").exists()
 
 
+def test_cli_import_leaves_the_process_pool_unimported(tmp_path):
+    # only `concentrate` starts a pool: with concurrent.futures blocked
+    # outright, the package imports without it, and `moments` and
+    # `compare` run
+    d = dict(ENV_STYLE, moments={"K": 4, "T": 2.0, "dt": 0.01},
+             simulate={"n": 500},
+             meanfield={"m": 100, "dt": 0.05, "scheme": "rk4",
+                        "horizon": 1.0, "snapshot_times": [0.0, 1.0]})
+    p = write_cfg(tmp_path, d)
+    commands = ("moments", "compare")
+    code = ("import sys\n"
+            "import gossipfield.cli as c\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "sys.modules['concurrent.futures'] = None\n"
+            f"print(*[c.main([cmd, '--config', {str(p)!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}]) for cmd in {commands!r}])")
+    src = str(Path(gossipfield.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    words = out.stdout.split()
+    assert [words[0], *words[-2:]] == ["False", "0", "0"], out.stderr
+
+
 def test_main_missing_file_exit_code(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 1
 

@@ -157,22 +157,24 @@ def test_serial_runs_share_no_state():
 # float.hex of every D of a small run, (n, replica) ordered, against the
 # reference snapshots read as densities, through the closed form of
 # wasserstein1_rows; recorded with the reference on the ladder's first
-# grid, where the run passes its gate
+# grid, where the run passes its gate; re-recorded when the weight-1/2
+# fold moved into the spectrum, which moved 23 of the 40 by at most 9.7e-15
+# relative
 PINNED_D = """
-    0x1.b9348687c530fp-1 0x1.b97c6d098753cp-1 0x1.86033888db1aep-2
-    0x1.1a9c5fe8833b0p-2 0x1.c7e49e84b4a8cp-2 0x1.4d930cf924f1ap-2
-    0x1.8db7974eb292cp-2 0x1.1db6859143337p-1 0x1.3c90e4ec44c1ep-1
-    0x1.4797255867678p-1 0x1.4dc6da78b0266p-2 0x1.c632a7e93358fp-1
-    0x1.10e15a84fcfa0p-1 0x1.6411a7ddf1954p-2 0x1.0390e9c9e13b8p-1
-    0x1.1995e1879eca2p-2 0x1.2b4f7274c5d07p-1 0x1.14ca029b82e04p+0
-    0x1.7b3573e63056ep-1 0x1.3683c49b0a51dp-1 0x1.90f899144ee70p-3
-    0x1.792821e9db089p-2 0x1.58cfbb8090538p-3 0x1.2ea9cdac7314dp-3
-    0x1.8fa0083dca08dp-3 0x1.4dcde1e8424f5p-3 0x1.aac436d3c4905p-3
-    0x1.4693e11bf780ap-3 0x1.0538701099c91p-2 0x1.07b7b09db3015p-2
+    0x1.b9348687c530fp-1 0x1.b97c6d0987544p-1 0x1.86033888db1dap-2
+    0x1.1a9c5fe8833b0p-2 0x1.c7e49e84b4aa2p-2 0x1.4d930cf924f2dp-2
+    0x1.8db7974eb292cp-2 0x1.1db6859143339p-1 0x1.3c90e4ec44c1cp-1
+    0x1.4797255867688p-1 0x1.4dc6da78b026fp-2 0x1.c632a7e93358ep-1
+    0x1.10e15a84fcfa0p-1 0x1.6411a7ddf195ep-2 0x1.0390e9c9e13b8p-1
+    0x1.1995e1879eca2p-2 0x1.2b4f7274c5d0dp-1 0x1.14ca029b82e04p+0
+    0x1.7b3573e63056ep-1 0x1.3683c49b0a51dp-1 0x1.90f899144ee60p-3
+    0x1.792821e9db089p-2 0x1.58cfbb8090573p-3 0x1.2ea9cdac7314dp-3
+    0x1.8fa0083dca0a5p-3 0x1.4dcde1e8424fcp-3 0x1.aac436d3c4905p-3
+    0x1.4693e11bf7829p-3 0x1.0538701099c97p-2 0x1.07b7b09db303dp-2
     0x1.17cde051c81dcp-3 0x1.d2f6e8006daa2p-2 0x1.2d347acd0a818p-3
-    0x1.0da6d07b42cdcp-2 0x1.5a8a5b7f66dc4p-3 0x1.718aa2fd2afd2p-2
-    0x1.d9caf6aff7180p-3 0x1.a49eb269db96dp-3 0x1.42aa55f1b0bf0p-2
-    0x1.9e98b48ae6312p-3
+    0x1.0da6d07b42cc3p-2 0x1.5a8a5b7f66df1p-3 0x1.718aa2fd2afd2p-2
+    0x1.d9caf6aff7180p-3 0x1.a49eb269db972p-3 0x1.42aa55f1b0bf4p-2
+    0x1.9e98b48ae6330p-3
 """.split()
 
 

@@ -345,6 +345,35 @@ def test_half_environment_convolution_matches_its_map(lo, hi, m):
                                    atol=1e-15, err_msg=repr(env))
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 500, 513, 1000, 1024, 2000])
+@pytest.mark.parametrize("coeff, env_coeff", [(0.7, 0.0), (0.0, 0.3),
+                                              (0.4, 0.6)])
+def test_spectral_fold_matches_direct_convolution(m, coeff, env_coeff):
+    """The weight-1/2 branches, folded in the spectrum, against
+    np.convolve onto the half-step grid and the fold c[2i] + (c[2i - 1]
+    + c[2i + 1])/2 onto the centres: the internal branch alone, the
+    environment's alone, and both, to a few roundings of the largest
+    entry."""
+    rng = np.random.default_rng(m)
+    cells = rng.random(m)
+    cells /= cells.sum()
+    env = rng.random(m)
+    env /= env.sum()
+    conv = (coeff * np.convolve(cells, cells)
+            + env_coeff * np.convolve(cells, env))
+    odd = np.concatenate(([0.0], conv[1::2], [0.0]))
+    want = conv[0::2] + 0.5 * (odd[:-1] + odd[1:])
+    n_fft = meanfield._fft_size(m)
+    assert n_fft >= 2 * m and n_fft & (n_fft - 1) == 0
+    fold = meanfield._fold_filter(n_fft)
+    env_hat = (fold * np.fft.rfft(env_coeff * env, n_fft) if env_coeff
+               else None)
+    got = meanfield._conv_half(cells, coeff * fold, env_hat)
+    assert got.shape == (m,)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=4 * np.finfo(float).eps * want.max())
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 40),
        st.lists(st.tuples(st.floats(0, 1), st.floats(0.01, 1)),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossipfield.kernels import env_bump_grid
 from gossipfield.measures import (AtomicMeasure, Cluster, GridMeasure1D,
                                   MeasureError, detect_clusters, moment,
                                   quantile_slices, sorted_cdf,
@@ -80,7 +81,7 @@ def test_normalize_empty_measure_errors():
     (np.array([0.5, 0.5]), 0),
 ])
 def test_grid_sampler_matches_a_plain_inverse_cdf(cells, size):
-    """The sorted search draws the cells, and leaves the generator in the
+    """The guide table draws the cells, and leaves the generator in the
     state, of one searchsorted on the uniforms as drawn."""
     g = GridMeasure1D(-1.0, 3.0, cells / cells.sum())
     rng = np.random.default_rng(11)
@@ -94,6 +95,48 @@ def test_grid_sampler_matches_a_plain_inverse_cdf(cells, size):
     assert rng.random() == plain.random()
     cell = np.floor((draws - g.lo) / g.h).astype(int)
     assert np.all(g.cells[cell] > 0.0)
+
+
+class _GivenUniforms:
+    """A generator stand-in: its first random call hands out the given
+    uniforms, and every later one zeros, which put each draw on its cell's
+    left edge."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None, out=None):
+        if out is None:
+            u, self.u = self.u.copy(), None
+            assert u.size == size
+            return u
+        out[:] = 0.0
+        return out
+
+
+@pytest.mark.parametrize("cells", [
+    np.array([0.0, 0.3, 0.0, 0.0, 0.5, 0.2, 0.0]),
+    np.array([0.0, 0.0, 1.0, 0.0, 0.0]),  # all mass in one cell
+    np.where(np.arange(300) % 7 < 3, 0.0, np.linspace(1.0, 2.0, 300)),
+    env_bump_grid(1024).cells,
+    # 2^20 buckets, fewer than 16 m: most draws are searched
+    np.random.default_rng(3).random(100_000) ** 4,
+], ids=["empty-cells", "one-cell", "striped", "bump", "capped"])
+def test_grid_sampler_guide_table_is_a_search_to_the_bit(cells):
+    """The guide table picks the cell searchsorted(cdf, u, "right") picks,
+    at every CDF value, at both its float neighbours, at every bucket edge
+    b/G, and at random uniforms."""
+    g = GridMeasure1D(-1.0, 3.0, cells / cells.sum())
+    cdf = np.cumsum(g.cells)
+    cdf /= cdf[-1]
+    buckets = 1 << min((16 * g.m - 1).bit_length(), 20)
+    u = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                        np.arange(buckets) / buckets,
+                        np.random.default_rng(5).random(20000)))
+    u = u[(u >= 0.0) & (u < 1.0)]
+    draws = g.sampler()(_GivenUniforms(u), u.size)
+    i = np.minimum(np.searchsorted(cdf, u, side="right"), g.m - 1)
+    np.testing.assert_array_equal(draws, g.lo + i * g.h, strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -227,26 +270,89 @@ def test_w1_grid_vs_its_own_atoms():
 
 
 def test_sorted_cdf_equal_weights_match_stable_sort():
-    # a plain sort of equal-weight atoms gives the stable argsort's arrays
+    # a plain sort of equal-weight atoms gives the stable argsort's
+    # positions, and their CDF is read from the ranks, j/n after the j-th
     x = np.array([2.0, -1.0, 2.0, 0.5, -1.0, 2.0])
     prepared = sorted_cdf(AtomicMeasure.empirical(x))
     order = np.argsort(x, kind="stable")
-    w = np.full(x.size, 1.0 / x.size)[order]
     assert np.array_equal(prepared.x, x[order])
-    assert np.array_equal(prepared.cdf, np.concatenate(([0.0], np.cumsum(w))))
+    assert np.array_equal(prepared.cdf, np.arange(7) / 6)
 
 
 def test_atom_w1_values_are_pinned():
-    # W1 between two atom forms, recorded when it had an integrand of its
-    # own (a step sum): the one integrand, split at the zeros of F - G,
-    # must give the same bits on the flat segments of two atom CDFs
+    # W1 between two atom forms, the empirical one's CDF read from its
+    # ranks: the one integrand, split at the zeros of F - G, on the flat
+    # segments of two atom CDFs; both values lie within 2e-14 relative of
+    # w1_long_double
     rng = np.random.default_rng(2024)
     ref = GridMeasure1D(0.0, 10.0, rng.uniform(0.1, 1.0, 2000)) \
         .normalize().as_atoms()
-    for n, pinned in ((1000, "0x1.45a208b116820p-4"),
-                      (10000, "0x1.d1e5add2cd718p-5")):
+    for n, pinned in ((1000, "0x1.45a208b1167d6p-4"),
+                      (10000, "0x1.d1e5add2d2a83p-5")):
         emp = AtomicMeasure.empirical(rng.uniform(0.0, 10.0, n))
         assert wasserstein1_1d(emp, ref).hex() == pinned
+
+
+LONG_DOUBLE = np.finfo(np.longdouble).eps < 1e-18
+
+
+def _long_double_cdf(m):
+    """A measure's knots and its CDF after each, in long double, with a
+    flag for a density; the CDF is scaled to end at 1."""
+    ld = np.longdouble
+    if isinstance(m, GridMeasure1D):
+        cdf = np.concatenate(([ld(0)], np.cumsum(m.cells.astype(ld))))
+        return m.edges.astype(ld), cdf / cdf[-1], True
+    order = np.argsort(m.positions, kind="stable")
+    cdf = np.concatenate(([ld(0)], np.cumsum(m.weights[order].astype(ld))))
+    return m.positions[order].astype(ld), cdf / cdf[-1], False
+
+
+def _long_double_at(form, z):
+    """The CDF just after the points z: flat between an atom form's knots,
+    linear between a density's, 0 below and 1 above either."""
+    x, cdf, density = form
+    k = np.searchsorted(x, z, side="right")
+    if not density:
+        return cdf[k]
+    j = np.clip(k, 1, x.size - 1)
+    lin = cdf[j - 1] + (z - x[j - 1]) * ((cdf[j] - cdf[j - 1])
+                                         / (x[j] - x[j - 1]))
+    return np.where(k == 0, 0, np.where(k == x.size, 1, lin))
+
+
+def w1_long_double(mu, nu):
+    """W1 in long double: both CDFs at the sorted union of the knots,
+    |F - G| integrated exactly on each gap, split at its zero. The weights
+    are summed in long double, and the knots merged by a plain sort."""
+    a, b = _long_double_cdf(mu), _long_double_cdf(nu)
+    z = np.sort(np.concatenate((a[0], b[0])))
+    d0 = _long_double_at(a, z[:-1]) - _long_double_at(b, z[:-1])
+    d1 = (_long_double_at(a, z[1:] if a[2] else z[:-1])
+          - _long_double_at(b, z[1:] if b[2] else z[:-1]))
+    total = np.abs(d0) + np.abs(d1)
+    seg = total / 2
+    cross = d0 * d1 < 0
+    seg[cross] = (d0[cross] ** 2 + d1[cross] ** 2) / (2 * total[cross])
+    return float((np.diff(z) * seg).sum())
+
+
+@pytest.mark.skipif(not LONG_DOUBLE, reason="long double is not extended "
+                    "precision here")
+def test_empirical_w1_at_compare_scale_matches_long_double():
+    # compare's W1 of n = 5e4 opinions against an m = 1000 density: a
+    # running sum of 1/n puts the CDF O(n eps) off, and W1 1e-10 to 5e-10
+    # relative off; the ranks keep it within 1e-11
+    centers = np.arange(1000) + 0.5
+    g = GridMeasure1D(0.0, 10.0, np.exp(-((centers - 350.0) / 120.0) ** 2)
+                      + 0.3 * np.exp(-((centers - 700.0) / 60.0) ** 2)
+                      ).normalize()
+    for seed in range(3):
+        emp = AtomicMeasure.empirical(
+            g.sampler()(np.random.default_rng(seed), 50_000))
+        want = pytest.approx(w1_long_double(emp, g), rel=1e-11, abs=0)
+        assert wasserstein1_1d(emp, g) == want
+        assert wasserstein1_1d(g, emp) == want
 
 
 def density_w1_by_interp(a, b):

@@ -6,10 +6,20 @@ import numpy as np
 import pytest
 
 from gossipfield.kernels import EnvBump, env_moment
-from gossipfield.meanfield import MAX_STEPS, rk4_step, step_ends
+from gossipfield.meanfield import MAX_STEPS, step_ends
 from gossipfield.moments import (MomentConfig, MomentError, MomentParams,
                                  forcing, gamma_k, integrate_moments,
                                  limit_moments)
+
+
+def rk4_step(f, y, h):
+    """One classical RK4 step of length h for dy/dt = f(y): the oracle of
+    the order-by-order moment integrator."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def params(alpha=0.5, omega=0.5, upsilon=0.5, K=4, env=None, init=None):
@@ -191,7 +201,7 @@ def binomial_rhs(p):
     (0.3, 0.2, 1, 10.0, 0.01),    # a single order
 ])
 def test_integrate_matches_rk4_of_the_coupled_system(alpha, omega, K, T, dt):
-    # oracle: meanfield.rk4_step over the whole vector, one step at a time
+    # oracle: rk4_step over the whole vector, one step at a time
     p = params(alpha=alpha, omega=omega, K=K,
                init=tuple(5.0 ** k / (k + 1) for k in range(1, K + 1)))
     traj = integrate_moments(p, T, dt)
