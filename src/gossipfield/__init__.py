@@ -4,11 +4,10 @@ concentration experiments."""
 
 from .measures import (AtomicMeasure, Cluster, GridMeasure1D, detect_clusters,
                        moment, wasserstein1_1d)
-from .kernels import (BoundedConfidence, Constant, EnvAtom, EnvBump, EnvGrid,
-                      EnvUniform, FiniteMixture, Gaussian, KernelSpec,
+from .kernels import (Atom, Atoms, BoundedConfidence, Bump, Constant,
+                      FiniteMixture, Gaussian, Grid, KernelSpec, Law, Uniform,
                       env_moment)
-from .agent_sim import (InitAtoms, InitGrid, InitUniform, SimConfig, SimState,
-                        run)
+from .agent_sim import SimConfig, SimState, run
 from .meanfield import SolverConfig, apply_F, integrate
 from .moments import (MomentConfig, MomentParams, MomentTrajectory,
                       gamma_k, integrate_moments, limit_moments)

@@ -8,7 +8,9 @@ uniformly chosen agent (or, in the symmetric variant, both update with the
 same sampled weight).
 
 Opinions are scalar (d = 1); the analysis pipeline (exact W1, grid solver)
-is one-dimensional throughout.
+is one-dimensional throughout. The n opinions at t = 0 are independent
+draws from the initial law, a law on the line of the same family as the
+environment (kernels.Law), by its one sampler (kernels.make_env_sampler).
 
 The jumps are applied in conflict-free runs: maximal stretches of
 consecutive jumps in which no jump touches an agent that an earlier jump of
@@ -27,83 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (BoundedConfidence, Constant, FiniteMixture, Gaussian,
-                      KernelSpec, density_moment, draw_mixture, grid_moment,
-                      make_env_sampler, weight_value)
-from .measures import AtomicMeasure, GridMeasure1D, checked_times, moment
+                      KernelSpec, Law, draw_mixture, make_env_sampler,
+                      weight_value)
+from .measures import checked_times
 
 
 class SimError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# initial laws
-
-
-@dataclass(frozen=True)
-class InitUniform:
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not self.b > self.a:
-            raise SimError("uniform initial law needs b > a")
-
-
-@dataclass(frozen=True)
-class InitAtoms:
-    measure: AtomicMeasure
-
-    def __post_init__(self):
-        if not self.measure.normalized:
-            raise SimError("atomic initial law must be normalized")
-
-
-@dataclass(frozen=True)
-class InitGrid:
-    grid: GridMeasure1D
-
-    def __post_init__(self):
-        if not self.grid.normalized:
-            raise SimError("grid initial law must be normalized")
-
-
-InitialLaw = InitUniform | InitAtoms | InitGrid
-
-
-def sample_initial(law: InitialLaw, n: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(law, InitUniform):
-        return rng.uniform(law.a, law.b, n)
-    if isinstance(law, InitAtoms):
-        idx = rng.choice(law.measure.weights.size, size=n,
-                         p=law.measure.weights)
-        return law.measure.positions[idx]
-    if isinstance(law, InitGrid):
-        return law.grid.sampler()(rng, n)
-    raise SimError(f"unknown initial law {law!r}")
-
-
-def initial_support(law: InitialLaw) -> tuple[float, float]:
-    if isinstance(law, InitUniform):
-        return (law.a, law.b)
-    if isinstance(law, InitAtoms):
-        x = law.measure.positions
-        return (float(x.min()), float(x.max()))
-    if isinstance(law, InitGrid):
-        return (law.grid.lo, law.grid.hi)
-    raise SimError(f"unknown initial law {law!r}")
-
-
-def initial_moment(law: InitialLaw, k: int) -> float:
-    """k-th moment of the initial law, exact: a grid law is read as a
-    piecewise-uniform density, as it is sampled."""
-    if isinstance(law, InitUniform):
-        return density_moment(law.a, law.b, law.b - law.a, k)
-    if isinstance(law, InitAtoms):
-        return moment(law.measure, k)
-    if isinstance(law, InitGrid):
-        return grid_moment(law.grid, k)
-    raise SimError(f"unknown initial law {law!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +67,7 @@ class SimState:
 class SimConfig:
     n: int = 1000
     kernel: KernelSpec
-    initial: InitialLaw
+    initial: Law
     horizon: float = 10.0
     snapshot_times: tuple[float, ...] = None  # None: 11 in [0, horizon]
     seed: int = 0
@@ -153,7 +85,7 @@ def init_state(cfg: SimConfig, seed: int | None = None) -> SimState:
     """The state at t = 0 of the replica of cfg with `seed` (cfg.seed when
     None)."""
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    return SimState(sample_initial(cfg.initial, cfg.n, rng), 0.0, rng)
+    return SimState(make_env_sampler(cfg.initial)(rng, cfg.n), 0.0, rng)
 
 
 # ---------------------------------------------------------------------------

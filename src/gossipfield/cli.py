@@ -19,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import agent_sim, experiments, meanfield, moments
-from .agent_sim import InitAtoms, InitGrid, InitialLaw, InitUniform
-from .kernels import (BoundedConfidence, Constant, EnvAtom, EnvBump, EnvGrid,
-                      EnvUniform, FiniteMixture, Gaussian, KernelError,
-                      KernelSpec, env_moment, env_support)
+from .kernels import (Atom, Atoms, BoundedConfidence, Bump, Constant,
+                      FiniteMixture, Gaussian, Grid, KernelError, KernelSpec,
+                      Law, Uniform, env_moment, env_support)
 from .measures import (AtomicMeasure, GridMeasure1D, MeasureError,
                        wasserstein1_1d)
 
@@ -78,12 +77,14 @@ _SECTIONS = {"simulate": agent_sim.SimConfig,
              "concentrate": experiments.ConcentrationConfig}
 _CONTEXT = {"kernel", "initial", "seed", "base_seed"}
 
-# {"type": ...} objects: type -> class; every field is required
+# {"type": ...} objects: type -> class; every field is required. The
+# environment and the initial law are laws of one family (kernels.Law);
+# these tables alone keep each type in its role.
 _LAWS = {"constant": Constant, "bounded_confidence": BoundedConfidence,
          "gaussian": Gaussian, "mixture": FiniteMixture}
-_ENVIRONMENTS = {"atom": EnvAtom, "uniform": EnvUniform, "bump": EnvBump,
-                 "grid": EnvGrid}
-_INITIALS = {"uniform": InitUniform, "atoms": InitAtoms, "grid": InitGrid}
+_ENVIRONMENTS = {"atom": Atom, "uniform": Uniform, "bump": Bump,
+                 "grid": Grid}
+_INITIALS = {"uniform": Uniform, "atoms": Atoms, "grid": Grid}
 # kernel part -> (its types, what they name); a null part (no external law,
 # no environment) takes KernelSpec's default
 _KERNEL_PARTS = {"internal": (_LAWS, "weight law"),
@@ -101,9 +102,8 @@ def _grid(spec: dict) -> GridMeasure1D:
 # class -> (key -> JSON type, builder)
 _GRID = {"lo": "number", "hi": "number", "cells": "number list"}
 _FORMS = {
-    EnvGrid: (_GRID, lambda spec: EnvGrid(_grid(spec))),
-    InitGrid: (_GRID, lambda spec: InitGrid(_grid(spec))),
-    InitAtoms: ({"points": "[x, w] list"}, lambda spec: InitAtoms(
+    Grid: (_GRID, lambda spec: Grid(_grid(spec))),
+    Atoms: ({"points": "[x, w] list"}, lambda spec: Atoms(
         AtomicMeasure.from_points(spec["points"]))),
 }
 
@@ -124,7 +124,7 @@ class RunConfig:
 
     data: dict
     kernel: KernelSpec
-    initial: InitialLaw
+    initial: Law
     simulate: agent_sim.SimConfig
     meanfield: meanfield.SolverConfig | None
     moments: moments.MomentConfig
@@ -358,9 +358,8 @@ def _build_objects(data: dict, shape_ok: dict, errs: list) -> dict:
             hulls = {}
             if kernel.alpha < 1.0:
                 hulls["the environment's"] = env_support(kernel.environment)
-            if isinstance(initial, InitAtoms):
-                hulls["the initial atoms'"] = agent_sim.initial_support(
-                    initial)
+            if isinstance(initial, Atoms):
+                hulls["the initial atoms'"] = env_support(initial)
             half = (hi - lo) / (2 * solver.m)
             c0, c1 = lo + half, hi - half
             for what, (ea, eb) in hulls.items():
@@ -443,7 +442,7 @@ def _moment_params(cfg: RunConfig, K: int) -> moments.MomentParams:
     orders = range(1, K + 1)
     try:  # a float power past the largest float raises, numpy's gives inf
         with np.errstate(over="ignore", invalid="ignore"):
-            init = [agent_sim.initial_moment(cfg.initial, k) for k in orders]
+            init = [env_moment(cfg.initial, k) for k in orders]
             env = [env_moment(kernel.environment, k) for k in orders] \
                 if kernel.alpha < 1.0 else [0.0] * K
     except OverflowError:

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent_sim import (InitAtoms, InitGrid, InitialLaw, InitUniform,
-                        SimConfig, initial_support, run)
-from .kernels import KernelSpec, env_support
+from .agent_sim import SimConfig, run
+from .kernels import Atoms, Grid, KernelSpec, Law, Uniform, env_support
 from .meanfield import MAX_STEPS, SolverConfig, integrate, split_onto_centres
 from .measures import (GridMeasure1D, checked_times, quantile_slices,
                        wasserstein1_1d, wasserstein1_rows)
@@ -31,7 +30,7 @@ class ExperimentError(ValueError):
 @dataclass(frozen=True)
 class ConcentrationConfig:
     kernel: KernelSpec
-    initial: InitialLaw
+    initial: Law
     tau: float = 5.0
     sample_times: tuple[float, ...] = ()
     n_list: tuple[int, ...] = (100, 300, 1000, 3000)
@@ -73,17 +72,17 @@ class DeviationTable:
 
 
 def opinion_hull(kernel: KernelSpec,
-                 initial: InitialLaw) -> tuple[float, float]:
+                 initial: Law) -> tuple[float, float]:
     """The hull of the initial law's support and, when alpha < 1, the
     environment's."""
-    lo, hi = initial_support(initial)
+    lo, hi = env_support(initial)
     if kernel.alpha < 1.0 and kernel.environment is not None:
         elo, ehi = env_support(kernel.environment)
         lo, hi = min(lo, elo), max(hi, ehi)
     return lo, hi
 
 
-def solver_domain(kernel: KernelSpec, initial: InitialLaw,
+def solver_domain(kernel: KernelSpec, initial: Law,
                   m: int) -> tuple[float, float]:
     """The grid solver's default window for m cells: the opinion hull.
     When alpha < 1, or the start is atoms, it is widened by half a cell
@@ -91,7 +90,7 @@ def solver_domain(kernel: KernelSpec, initial: InitialLaw,
     ends: the solver splits the environment and the start's atoms between
     cell centres, and every such point mass must lie within them."""
     lo, hi = opinion_hull(kernel, initial)
-    if kernel.alpha < 1.0 or isinstance(initial, InitAtoms):
+    if kernel.alpha < 1.0 or isinstance(initial, Atoms):
         pad = (hi - lo) / (2 * (m - 1))
         lo, hi = lo - pad, hi + pad
     return lo, hi
@@ -111,7 +110,7 @@ def _reference(cfg: ConcentrationConfig, m: int, dt: float = _REF_DT):
     return integrate(g0, cfg.kernel, solver)
 
 
-def initial_grid(initial: InitialLaw, lo: float, hi: float,
+def initial_grid(initial: Law, lo: float, hi: float,
                  m: int) -> GridMeasure1D:
     """The initial law on the solver's m cells over [lo, hi]. A uniform or
     grid law is read as the density the simulator samples: each cell takes
@@ -119,18 +118,18 @@ def initial_grid(initial: InitialLaw, lo: float, hi: float,
     cell centres around it, as the solver splits every point mass, which
     keeps its mean; solver_domain's window pads for the atoms, so that
     they lie within the centres."""
-    if isinstance(initial, InitUniform):
+    if isinstance(initial, Uniform):
         return GridMeasure1D.uniform(lo, hi, m, support=(initial.a, initial.b))
     h = (hi - lo) / m
-    if isinstance(initial, InitGrid):
+    if isinstance(initial, Grid):
         g = initial.grid
         cdf = np.concatenate(([0.0], np.cumsum(g.cells)))
         cells = np.diff(np.interp(lo + np.arange(m + 1) * h, g.edges, cdf))
-    elif isinstance(initial, InitAtoms):
+    elif isinstance(initial, Atoms):
         cells = split_onto_centres(lo, h, m, initial.measure.positions,
                                    initial.measure.weights)
     else:
-        raise ExperimentError(f"unknown initial law {initial!r}")
+        raise ExperimentError(f"no solver start for initial law {initial!r}")
     return GridMeasure1D(lo, hi, cells / cells.sum())
 
 

@@ -11,16 +11,21 @@ Weight laws are either deterministic functions of the distance |x - y|
 (constant, bounded confidence, Gaussian decay) or state-independent finite
 mixtures; both admit exact branch enumeration, which the deterministic
 solver relies on.
+
+The environment and the initial law are laws on the line of one family:
+Atom, Atoms, Uniform, Grid and Bump, each with one support (env_support),
+moment (env_moment) and sampler (make_env_sampler). Only the grid solver
+reads the two roles apart: the environment as atoms (env_atoms), the start
+on its cells (experiments.initial_grid).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .measures import GridMeasure1D
+from .measures import AtomicMeasure, GridMeasure1D, moment
 
 
 class KernelError(ValueError):
@@ -118,39 +123,54 @@ def draw_mixture(law: FiniteMixture, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# environments
+# laws on the line: the initial law and the environment
 
 
 @dataclass(frozen=True)
-class EnvAtom:
+class Atom:
+    """A point mass at z."""
+
     z: float
 
 
 @dataclass(frozen=True)
-class EnvUniform:
+class Atoms:
+    """A normalized finite weighted point set."""
+
+    measure: AtomicMeasure
+
+    def __post_init__(self):
+        if not self.measure.normalized:
+            raise KernelError("atomic initial law must be normalized")
+
+
+@dataclass(frozen=True)
+class Uniform:
     a: float
     b: float
 
     def __post_init__(self):
         if not self.b > self.a:
-            raise KernelError("environment interval needs b > a")
+            raise KernelError("uniform law needs b > a")
 
 
 @dataclass(frozen=True)
-class EnvGrid:
+class Grid:
+    """The piecewise-uniform density of a normalized grid's cells."""
+
     grid: GridMeasure1D
 
     def __post_init__(self):
         if not self.grid.normalized:
-            raise KernelError("environment grid must be normalized")
+            raise KernelError("grid law must be normalized")
 
 
 @dataclass(frozen=True)
-class EnvBump:
+class Bump:
     """Smooth bump density proportional to exp(-(1-(x-3)^2)^-1) on (2,4)."""
 
 
-EnvironmentSpec = EnvAtom | EnvUniform | EnvGrid | EnvBump | None
+Law = Atom | Atoms | Uniform | Grid | Bump
 
 _BUMP_NODES = 1 << 13  # Simpson intervals; the bump is C-infinity
 
@@ -171,26 +191,22 @@ def _bump_unnormalized(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bump_nodes() -> np.ndarray:
-    return np.linspace(2.0, 4.0, _BUMP_NODES + 1)
-
-
-@lru_cache(maxsize=1)
-def _bump_norm() -> float:
-    return float(_simpson(_bump_unnormalized(_bump_nodes()),
-                          2.0 / _BUMP_NODES))
-
-
-def env_support(e: EnvironmentSpec) -> tuple[float, float]:
-    if isinstance(e, EnvAtom):
-        return (e.z, e.z)
-    if isinstance(e, EnvUniform):
-        return (e.a, e.b)
-    if isinstance(e, EnvGrid):
-        return (e.grid.lo, e.grid.hi)
-    if isinstance(e, EnvBump):
+def env_support(law: Law) -> tuple[float, float]:
+    """The hull of the support of any law, the initial law's too. (The
+    name is from when only the environment was a law; the bench tracer
+    wraps the function by it.)"""
+    if isinstance(law, Atom):
+        return (law.z, law.z)
+    if isinstance(law, Atoms):
+        x = law.measure.positions
+        return (float(x.min()), float(x.max()))
+    if isinstance(law, Uniform):
+        return (law.a, law.b)
+    if isinstance(law, Grid):
+        return (law.grid.lo, law.grid.hi)
+    if isinstance(law, Bump):
         return (2.0, 4.0)
-    raise KernelError("no environment configured")
+    raise KernelError(f"not a law on the line: {law!r}")
 
 
 def density_moment(lo, hi, h, k: int):
@@ -199,48 +215,47 @@ def density_moment(lo, hi, h, k: int):
     return (hi ** (k + 1) - lo ** (k + 1)) / ((k + 1) * h)
 
 
-def grid_moment(g: GridMeasure1D, k: int) -> float:
-    """k-th moment of a grid read as a piecewise-uniform density."""
-    edges = g.edges
-    return float(np.dot(g.cells,
-                        density_moment(edges[:-1], edges[1:], g.h, k)))
-
-
-def env_moment(e: EnvironmentSpec, k: int) -> float:
-    """k-th moment of the environment distribution; exact for atoms,
-    intervals and grids, composite Simpson on 2^13 intervals for the bump."""
+def env_moment(law: Law, k: int) -> float:
+    """k-th moment of any law, the initial law's too: exact for atoms,
+    intervals and grids (a grid read as the piecewise-uniform density it
+    is sampled from), composite Simpson on 2^13 intervals for the bump."""
     if k < 1:
         raise KernelError("moment order must be >= 1")
-    if isinstance(e, EnvAtom):
-        return e.z ** k
-    if isinstance(e, EnvUniform):
-        return density_moment(e.a, e.b, e.b - e.a, k)
-    if isinstance(e, EnvGrid):
-        return grid_moment(e.grid, k)
-    if isinstance(e, EnvBump):
-        x = _bump_nodes()
-        return float(_simpson(_bump_unnormalized(x) * x ** k,
-                              2.0 / _BUMP_NODES)) / _bump_norm()
-    raise KernelError("no environment configured")
+    if isinstance(law, Atom):
+        return law.z ** k
+    if isinstance(law, Atoms):
+        return moment(law.measure, k)
+    if isinstance(law, Uniform):
+        return density_moment(law.a, law.b, law.b - law.a, k)
+    if isinstance(law, Grid):
+        g, edges = law.grid, law.grid.edges
+        return float(np.dot(g.cells,
+                            density_moment(edges[:-1], edges[1:], g.h, k)))
+    if isinstance(law, Bump):
+        x = np.linspace(2.0, 4.0, _BUMP_NODES + 1)
+        f = _bump_unnormalized(x)
+        return float(_simpson(f * x ** k, 2.0 / _BUMP_NODES)
+                     / _simpson(f, 2.0 / _BUMP_NODES))
+    raise KernelError(f"not a law on the line: {law!r}")
 
 
-def env_atoms(e: EnvironmentSpec, m: int = 256) -> tuple[np.ndarray, np.ndarray]:
+def env_atoms(law: Law, m: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """Realize the environment as grid atoms (positions, masses) for the
     deterministic solver. Atoms are exact; densities use the centres of m
     cells. A grid law is the piecewise-uniform density it is sampled from:
     each of its cells splits into ceil(m / g.m) equal ones."""
-    if isinstance(e, EnvAtom):
-        return np.array([e.z]), np.array([1.0])
-    if isinstance(e, EnvUniform):
-        g = GridMeasure1D.uniform(e.a, e.b, m)
-    elif isinstance(e, EnvGrid):
-        split = -(-m // e.grid.m)
-        g = GridMeasure1D(e.grid.lo, e.grid.hi,
-                          np.repeat(e.grid.cells / split, split))
-    elif isinstance(e, EnvBump):
+    if isinstance(law, Atom):
+        return np.array([law.z]), np.array([1.0])
+    if isinstance(law, Uniform):
+        g = GridMeasure1D.uniform(law.a, law.b, m)
+    elif isinstance(law, Grid):
+        split = -(-m // law.grid.m)
+        g = GridMeasure1D(law.grid.lo, law.grid.hi,
+                          np.repeat(law.grid.cells / split, split))
+    elif isinstance(law, Bump):
         g = env_bump_grid(m)
     else:
-        raise KernelError("no environment configured")
+        raise KernelError(f"no solver atoms for environment {law!r}")
     return g.centers, np.asarray(g.cells)
 
 
@@ -255,20 +270,25 @@ def env_bump_grid(m: int = 256) -> GridMeasure1D:
     return GridMeasure1D(2.0, 4.0, cells)
 
 
-def make_env_sampler(e: EnvironmentSpec, m: int = 1024):
-    """Return sampler(rng, size) -> ndarray of `size` independent signals.
-    Densities use the inverse-CDF sampler of a grid (the bump on m
-    cells)."""
-    if isinstance(e, EnvAtom):
-        z = e.z
+def make_env_sampler(law: Law, m: int = 1024):
+    """Return sampler(rng, size) -> ndarray of `size` independent draws
+    from any law, the initial law's too. An atom draws nothing, atoms make
+    one rng.choice, an interval one rng.uniform; densities use the
+    inverse-CDF sampler of a grid (the bump on m cells)."""
+    if isinstance(law, Atom):
+        z = law.z
         return lambda rng, size: np.full(size, z)
-    if isinstance(e, EnvUniform):
-        a, b = e.a, e.b
+    if isinstance(law, Atoms):
+        x, p = law.measure.positions, law.measure.weights
+        return lambda rng, size: x[rng.choice(p.size, size=size, p=p)]
+    if isinstance(law, Uniform):
+        a, b = law.a, law.b
         return lambda rng, size: rng.uniform(a, b, size)
-    if isinstance(e, (EnvGrid, EnvBump)):
-        grid = e.grid if isinstance(e, EnvGrid) else env_bump_grid(m)
-        return grid.sampler()
-    raise KernelError("no environment configured")
+    if isinstance(law, Grid):
+        return law.grid.sampler()
+    if isinstance(law, Bump):
+        return env_bump_grid(m).sampler()
+    raise KernelError(f"not a law on the line: {law!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +303,7 @@ class KernelSpec:
     alpha: float
     internal: WeightLaw
     external: WeightLaw = Constant(0.0)
-    environment: EnvironmentSpec = None
+    environment: Law | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:

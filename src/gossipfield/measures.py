@@ -65,11 +65,13 @@ class AtomicMeasure:
 
     @staticmethod
     def empirical(samples: np.ndarray) -> "AtomicMeasure":
+        """The n samples, each of mass 1/n. The weights are one float
+        broadcast to n, read-only, not an array of n."""
         samples = np.asarray(samples, dtype=float)
         n = samples.shape[0]
         if n == 0:
             raise MeasureError("empty measure")
-        return AtomicMeasure(samples, np.full(n, 1.0 / n))
+        return AtomicMeasure(samples, np.broadcast_to(1.0 / n, n))
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from gossipfield.agent_sim import InitUniform, SimConfig, run_with_state
+from gossipfield.agent_sim import SimConfig, run_with_state
 from gossipfield.cli import dispatch, parse_config
 from gossipfield.experiments import ConcentrationConfig, run_concentration, \
     tail_rates
-from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
-                                 EnvBump, Gaussian, KernelSpec, env_moment)
+from gossipfield.kernels import (Atom, BoundedConfidence, Bump, Constant,
+                                 Gaussian, KernelSpec, Uniform, env_moment)
 from gossipfield.meanfield import SolverConfig, apply_F, integrate
 from gossipfield.measures import (AtomicMeasure, GridMeasure1D,
                                   detect_clusters, moment, wasserstein1_1d)
@@ -26,7 +26,7 @@ from lp_oracle import wasserstein1_oracle
 CONST_HALF = KernelSpec(alpha=1.0, internal=Constant(0.5))
 DEFFUANT = KernelSpec(alpha=1.0, internal=BoundedConfidence(0.5, 1.0))
 ENV_KERNEL = KernelSpec(alpha=0.5, internal=Constant(0.5),
-                        external=Constant(0.5), environment=EnvBump())
+                        external=Constant(0.5), environment=Bump())
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +54,7 @@ def test_criterion_01_averaging_consensus_monte_carlo():
     finals = []
     for replica in range(200):
         cfg = SimConfig(n=1000, kernel=CONST_HALF,
-                        initial=InitUniform(0.0, 1.0), horizon=20.0,
+                        initial=Uniform(0.0, 1.0), horizon=20.0,
                         snapshot_times=(), seed=replica)
         _, state = run_with_state(cfg)
         assert np.var(state.opinions) < 1e-4
@@ -92,7 +92,7 @@ def test_criterion_04_moment_system_matches_grid_solver(env_benchmark):
     g0 = env_benchmark[0][1]
     params = MomentParams(
         alpha=0.5, omega=0.5, upsilon=0.5,
-        env_moments=tuple(env_moment(EnvBump(), k) for k in range(1, K + 1)),
+        env_moments=tuple(env_moment(Bump(), k) for k in range(1, K + 1)),
         initial_moments=tuple(moment(g0, k) for k in range(1, K + 1)))
     traj = integrate_moments(params, 10.0)
     for t, g in env_benchmark:
@@ -105,7 +105,7 @@ def test_criterion_04_moment_system_matches_grid_solver(env_benchmark):
 
 def test_criterion_05_stationary_moment_recursion():
     K = 8
-    env = tuple(env_moment(EnvBump(), k) for k in range(1, K + 1))
+    env = tuple(env_moment(Bump(), k) for k in range(1, K + 1))
     p = MomentParams(alpha=0.5, omega=0.5, upsilon=0.5, env_moments=env,
                      initial_moments=tuple(5.0 ** k for k in range(1, K + 1)))
     lim = limit_moments(p)
@@ -193,7 +193,7 @@ def test_criterion_10_concentration_trend():
     start = time.perf_counter()
     cfg = ConcentrationConfig(
         kernel=KernelSpec(alpha=1.0, internal=Gaussian(0.5, 20.0)),
-        initial=InitUniform(0.0, 10.0), tau=5.0, replicas=100, base_seed=1)
+        initial=Uniform(0.0, 10.0), tau=5.0, replicas=100, base_seed=1)
     table = run_concentration(cfg, threads=8)
     medians = [float(np.median(table.for_n(n))) for n in cfg.n_list]
     inversions = sum(b >= a for a, b in zip(medians, medians[1:]))

@@ -8,15 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gossipfield.agent_sim import (_BLOCK, _CHUNK, InitAtoms, InitGrid,
-                                   InitUniform, SimConfig, SimError, SimState,
-                                   _run_batch, init_state, initial_moment,
-                                   initial_support, run, run_ends,
-                                   run_with_state, sample_initial)
-from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
-                                 EnvBump, EnvGrid, EnvUniform, FiniteMixture,
-                                 Gaussian, KernelSpec, draw_mixture,
-                                 env_moment, make_env_sampler)
+from gossipfield.agent_sim import (_BLOCK, _CHUNK, SimConfig, SimError,
+                                   SimState, _run_batch, init_state, run,
+                                   run_ends, run_with_state)
+from gossipfield.kernels import (Atom, Atoms, BoundedConfidence, Bump,
+                                 Constant, FiniteMixture, Gaussian, Grid,
+                                 KernelError, KernelSpec, Uniform,
+                                 draw_mixture, env_moment, make_env_sampler)
 from gossipfield.measures import AtomicMeasure, GridMeasure1D
 
 
@@ -24,7 +22,7 @@ CONST_HALF = KernelSpec(alpha=1.0, internal=Constant(0.5))
 
 
 def make_cfg(**kw):
-    base = dict(n=100, kernel=CONST_HALF, initial=InitUniform(0.0, 1.0),
+    base = dict(n=100, kernel=CONST_HALF, initial=Uniform(0.0, 1.0),
                 horizon=1.0, snapshot_times=(0.5, 1.0), seed=42)
     base.update(kw)
     return SimConfig(**base)
@@ -46,48 +44,30 @@ def test_config_validation():
 
 
 def test_initial_law_validation():
-    with pytest.raises(SimError):
-        InitUniform(1.0, 1.0)
-    with pytest.raises(SimError):
-        InitAtoms(AtomicMeasure([0.0], [0.5]))
-    with pytest.raises(SimError):
-        InitGrid(GridMeasure1D(0, 1, np.array([0.2, 0.2])))
-
-
-def test_sample_initial_supports():
-    rng = np.random.default_rng(0)
-    for law in (InitUniform(2.0, 5.0),
-                InitAtoms(AtomicMeasure.from_points([(2.0, 0.5), (5.0, 0.5)])),
-                InitGrid(GridMeasure1D.uniform(2.0, 5.0, 16))):
-        x = sample_initial(law, 300, rng)
-        lo, hi = initial_support(law)
-        assert x.min() >= lo and x.max() <= hi
-        assert x.shape == (300,)
+    with pytest.raises(KernelError):
+        Uniform(1.0, 1.0)
+    with pytest.raises(KernelError):
+        Atoms(AtomicMeasure([0.0], [0.5]))
+    with pytest.raises(KernelError):
+        Grid(GridMeasure1D(0, 1, np.array([0.2, 0.2])))
 
 
 def test_initial_moments_are_exact():
     # a grid law is the piecewise-uniform density it is sampled from: on
     # (0, 2) with masses 1/4 and 3/4, m1 = 1/8 + 9/8 and m2 = 1/12 + 7/4
     grid = GridMeasure1D(0.0, 2.0, np.array([0.25, 0.75]))
-    assert initial_moment(InitGrid(grid), 1) == 1.25
-    assert initial_moment(InitGrid(grid), 2) == pytest.approx(11 / 6,
-                                                              rel=1e-15)
+    assert env_moment(Grid(grid), 1) == 1.25
+    assert env_moment(Grid(grid), 2) == pytest.approx(11 / 6, rel=1e-15)
     atoms = AtomicMeasure.from_points([(-1.0, 0.5), (3.0, 0.5)])
     for k in range(1, 9):
-        assert initial_moment(InitUniform(0.0, 10.0), k) == pytest.approx(
+        assert env_moment(Uniform(0.0, 10.0), k) == pytest.approx(
             10.0 ** k / (k + 1), rel=1e-15)
-        assert initial_moment(InitAtoms(atoms), k) == 0.5 * ((-1) ** k
-                                                              + 3 ** k)
-        # the same formula as the environment of the same law
-        assert initial_moment(InitUniform(0.1, 3.7), k) \
-            == env_moment(EnvUniform(0.1, 3.7), k)
-        assert initial_moment(InitGrid(grid), k) \
-            == env_moment(EnvGrid(grid), k)
+        assert env_moment(Atoms(atoms), k) == 0.5 * ((-1) ** k + 3 ** k)
 
 
 def test_sample_initial_atom_frequencies():
-    law = InitAtoms(AtomicMeasure.from_points([(0.0, 0.25), (1.0, 0.75)]))
-    x = sample_initial(law, 8000, np.random.default_rng(1))
+    law = Atoms(AtomicMeasure.from_points([(0.0, 0.25), (1.0, 0.75)]))
+    x = make_env_sampler(law)(np.random.default_rng(1), 8000)
     assert x.mean() == pytest.approx(0.75, abs=0.02)
 
 
@@ -168,7 +148,7 @@ def test_run_snapshot_count_and_normalization():
 
 def test_run_hull_invariance():
     k = KernelSpec(alpha=0.5, internal=Gaussian(0.8, 2.0),
-                   external=Constant(0.5), environment=EnvAtom(12.0))
+                   external=Constant(0.5), environment=Atom(12.0))
     cfg = make_cfg(kernel=k, horizon=5.0, snapshot_times=(1.0, 3.0, 5.0))
     for x in run(cfg):
         assert x.min() >= 0.0 - 1e-12
@@ -193,7 +173,7 @@ def test_run_kernel_fast_paths_stay_in_hull():
                               internal=FiniteMixture((0.2, 0.8), (0.5, 0.5))),
                    KernelSpec(alpha=0.5, internal=Constant(0.5),
                               external=Constant(0.5),
-                              environment=EnvAtom(0.5))):
+                              environment=Atom(0.5))):
         cfg = make_cfg(n=20, kernel=kernel, horizon=0.8,
                        snapshot_times=(0.8,), seed=123)
         got = run(cfg)[0]
@@ -252,11 +232,11 @@ def test_alpha_one_streams_are_pinned(law, symmetric, expected):
 # Each crosses one chunk boundary.
 MIXED_PINS = [
     (KernelSpec(alpha=0.5, internal=Constant(0.5), external=Constant(0.5),
-                environment=EnvBump()), 17960,
+                environment=Bump()), 17960,
      "3f3fa7163b55b2871904dbfd983b632c1a5cece4facb4949c361788aea3ae61b"),
     (KernelSpec(alpha=0.3, internal=BoundedConfidence(0.5, 0.3),
                 external=FiniteMixture((0.2, 0.7), (0.4, 0.6)),
-                environment=EnvUniform(0.2, 0.9)), 17960,
+                environment=Uniform(0.2, 0.9)), 17960,
      "18bcfbce5a0dc18833caa3a4c3252df717d2d052a48c2ead593788053b10d3cd"),
     (KernelSpec(alpha=1.0,
                 internal=FiniteMixture((0.1, 0.5, 0.9), (0.3, 0.3, 0.4))),
@@ -371,14 +351,14 @@ ORACLE_KERNELS = [
     KernelSpec(alpha=1.0, internal=Gaussian(0.6, 0.4)),
     KernelSpec(alpha=1.0, internal=FiniteMixture((0.1, 0.9), (0.5, 0.5))),
     KernelSpec(alpha=0.5, internal=Constant(0.5), external=Constant(0.5),
-               environment=EnvBump()),
+               environment=Bump()),
     KernelSpec(alpha=0.5, internal=Constant(0.3), external=Constant(0.8),
-               environment=EnvAtom(0.25)),
+               environment=Atom(0.25)),
     KernelSpec(alpha=0.4, internal=BoundedConfidence(0.5, 0.3),
                external=FiniteMixture((0.2, 0.7), (0.4, 0.6)),
-               environment=EnvUniform(0.2, 0.9)),
+               environment=Uniform(0.2, 0.9)),
     KernelSpec(alpha=0.6, internal=FiniteMixture((0.2, 0.7), (0.5, 0.5)),
-               external=Gaussian(0.5, 0.2), environment=EnvUniform(-1, 2)),
+               external=Gaussian(0.5, 0.2), environment=Uniform(-1, 2)),
 ]
 
 
@@ -412,7 +392,7 @@ def test_runs_match_the_sequential_loop_at_chunk_boundaries(kernel):
     # before it, so one cut falls at the chunk's end and one just before
     n = 5
     rng = np.random.default_rng(7)
-    sample_initial(InitUniform(0.0, 1.0), n, rng)
+    make_env_sampler(Uniform(0.0, 1.0))(rng, n)
     clock = np.cumsum(np.concatenate(([0.0], rng.exponential(1.0 / n,
                                                              _CHUNK))))[1:]
     times = (float(clock[-2]), float(clock[-1]))
@@ -468,11 +448,11 @@ def test_environment_branch_mean_follows_closed_form():
     # is taken across independent replicas, because the agents of one run
     # are not independent.
     kernel = KernelSpec(alpha=0.5, internal=Constant(0.5),
-                        external=Constant(0.5), environment=EnvBump())
+                        external=Constant(0.5), environment=Bump())
     times = tuple(float(t) for t in range(9))
     means = np.array([
         [x.mean() for x in run(make_cfg(
-            n=20_000, kernel=kernel, initial=InitUniform(0.0, 10.0),
+            n=20_000, kernel=kernel, initial=Uniform(0.0, 10.0),
             horizon=8.0, snapshot_times=times, seed=seed))]
         for seed in range(20)])
     expect = 3.0 + 2.0 * np.exp(-np.array(times) / 4.0)
@@ -487,7 +467,7 @@ def test_mixture_dispersion_decays_at_moment_system_rate():
     law = FiniteMixture((0.1, 0.5), (0.25, 0.75))
     snaps, state = run_with_state(make_cfg(
         n=20_000, kernel=KernelSpec(alpha=1.0, internal=law),
-        initial=InitUniform(0.0, 10.0), horizon=5.0, snapshot_times=(0.0,),
+        initial=Uniform(0.0, 10.0), horizon=5.0, snapshot_times=(0.0,),
         seed=4))
     v0 = np.var(snaps[0])
     rate = -np.log(np.var(state.opinions) / v0) / 5.0
@@ -499,7 +479,7 @@ def test_dispersion_decays_for_averaging_kernel():
     for seed in range(20):
         cfg = make_cfg(n=200, horizon=5.0, snapshot_times=(5.0,), seed=seed)
         _, state = run_with_state(cfg)
-        x0 = sample_initial(cfg.initial, cfg.n, np.random.default_rng(seed))
+        x0 = make_env_sampler(cfg.initial)(np.random.default_rng(seed), cfg.n)
         d0 = float(np.var(x0))
         wins += np.var(state.opinions) < d0
     assert wins >= 18  # exponential decay; allow rare noise

@@ -20,7 +20,7 @@ import gossipfield
 from gossipfield import cli
 from gossipfield.cli import (ConfigError, RunConfig, dispatch, main,
                              parse_config, serialize)
-from gossipfield.kernels import BoundedConfidence, Constant, EnvBump
+from gossipfield.kernels import BoundedConfidence, Bump, Constant
 from gossipfield.measures import AtomicMeasure
 
 MINIMAL = {
@@ -151,7 +151,7 @@ def test_build_kernel_and_initial():
     k = cfg_of(ENV_STYLE).kernel
     assert k.alpha == 0.5
     assert isinstance(k.internal, Constant)
-    assert isinstance(k.environment, EnvBump)
+    assert isinstance(k.environment, Bump)
     init = cfg_of(ENV_STYLE).initial
     assert (init.a, init.b) == (0.0, 10.0)
 
@@ -340,6 +340,15 @@ INVALID_CONFIGS = {
                        {"initial": {"type": "atoms",
                                     "points": [[0.0, 0.3], [1.0, 0.4]]}},
                        "initial: atomic initial law must be normalized"),
+    # the initial law and the environment share their classes, not their
+    # JSON types
+    "initial_bump": ("simulate", {"initial": {"type": "bump"}},
+                     "initial.type: unknown initial law 'bump'"),
+    "environment_atoms": ("simulate",
+                          {"kernel": dict(ENV_STYLE["kernel"],
+                                          environment=ONE_ATOM)},
+                          "kernel.environment.type: unknown environment "
+                          "'atoms'"),
     "environment_zero_cells": ("simulate",
                                {"kernel": dict(ENV_STYLE["kernel"],
                                                environment=ZERO_GRID)},

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from gossipfield import experiments
-from gossipfield.agent_sim import (InitAtoms, InitGrid, InitUniform,
-                                   SimConfig, initial_moment, run)
+from gossipfield.agent_sim import SimConfig, run
 from gossipfield.experiments import (_REF_GRIDS, ConcentrationConfig,
                                      DeviationTable, ExperimentError,
                                      _reference, _replica_seed, initial_grid,
                                      run_concentration, tail_rates)
-from gossipfield.kernels import Constant, Gaussian, KernelSpec
+from gossipfield.kernels import (Atoms, Constant, Gaussian, Grid,
+                                 KernelSpec, Uniform, env_moment)
 from gossipfield.measures import (AtomicMeasure, GridMeasure1D, moment,
                                   wasserstein1_1d)
 
@@ -21,7 +21,7 @@ GAUSS = KernelSpec(alpha=1.0, internal=Gaussian(0.5, 20.0))
 
 
 def small_cfg(**kw):
-    base = dict(kernel=GAUSS, initial=InitUniform(0.0, 10.0), tau=1.0,
+    base = dict(kernel=GAUSS, initial=Uniform(0.0, 10.0), tau=1.0,
                 sample_times=(0.5, 1.0), n_list=(50, 200), replicas=20,
                 base_seed=7)
     base.update(kw)
@@ -44,7 +44,7 @@ def test_config_validation():
 
 
 def test_default_sample_times():
-    cfg = ConcentrationConfig(kernel=GAUSS, initial=InitUniform(0, 1),
+    cfg = ConcentrationConfig(kernel=GAUSS, initial=Uniform(0, 1),
                               tau=5.0, replicas=20)
     assert len(cfg.sample_times) == 20
     assert cfg.sample_times[0] == 0.0
@@ -56,11 +56,11 @@ def test_initial_grid_law_keeps_its_density(m):
     # a coarse grid law on a solver grid whose edges miss its own: each
     # solver cell takes its overlap of the density the simulator samples,
     # so the moments agree to O(h^2), not only to the coarse cell width
-    law = InitGrid(GridMeasure1D(0.0, 10.0,
+    law = Grid(GridMeasure1D(0.0, 10.0,
                                  np.array([1.0, 2.0, 3.0, 4.0])).normalize())
     g = initial_grid(law, -0.3, 10.7, m)
     for k in (1, 2):
-        assert moment(g, k) == pytest.approx(initial_moment(law, k),
+        assert moment(g, k) == pytest.approx(env_moment(law, k),
                                              abs=g.h ** 2), k
 
 
@@ -69,11 +69,11 @@ def test_initial_grid_atoms_keep_their_mean(m):
     # each atom is split between the two centres around it, on the default
     # window, which pads for the atoms so that the end ones sit on the end
     # centres
-    law = InitAtoms(AtomicMeasure.from_points([(1.0, 0.3), (2.5, 0.3),
+    law = Atoms(AtomicMeasure.from_points([(1.0, 0.3), (2.5, 0.3),
                                                (4.0, 0.4)]))
     kernel = KernelSpec(alpha=1.0, internal=Constant(0.5))
     g = initial_grid(law, *experiments.solver_domain(kernel, law, m), m)
-    assert moment(g, 1) == pytest.approx(initial_moment(law, 1), abs=1e-12)
+    assert moment(g, 1) == pytest.approx(env_moment(law, 1), abs=1e-12)
 
 
 def test_deterministic_given_base_seed():

@@ -1,15 +1,14 @@
-"""Tests for weight laws, environments, and the interaction kernel."""
+"""Tests for weight laws, laws on the line, and the interaction kernel."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipfield.agent_sim import (InitAtoms, InitUniform, SimConfig,
-                                   run_with_state)
-from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
-                                 EnvBump, EnvGrid, EnvUniform, FiniteMixture,
-                                 Gaussian, KernelError, KernelSpec,
+from gossipfield.agent_sim import SimConfig, run_with_state
+from gossipfield.kernels import (Atom, Atoms, BoundedConfidence, Bump,
+                                 Constant, FiniteMixture, Gaussian, Grid,
+                                 KernelError, KernelSpec, Uniform,
                                  draw_mixture, env_atoms, env_bump_grid,
                                  env_moment, env_support, make_env_sampler,
                                  weight_value)
@@ -88,15 +87,15 @@ def test_deterministic_laws_symmetric_and_repeatable(x, y):
 
 
 def test_env_atom_moment():
-    assert env_moment(EnvAtom(4.0), 3) == pytest.approx(64.0)
+    assert env_moment(Atom(4.0), 3) == pytest.approx(64.0)
 
 
 def test_env_uniform_moment():
-    assert env_moment(EnvUniform(0.0, 1.0), 2) == pytest.approx(1.0 / 3.0)
+    assert env_moment(Uniform(0.0, 1.0), 2) == pytest.approx(1.0 / 3.0)
 
 
 def test_env_bump_first_moment_symmetric():
-    assert env_moment(EnvBump(), 1) == pytest.approx(3.0, abs=1e-8)
+    assert env_moment(Bump(), 1) == pytest.approx(3.0, abs=1e-8)
 
 
 def test_env_bump_moments_match_adaptive_quadrature():
@@ -110,7 +109,7 @@ def test_env_bump_moments_match_adaptive_quadrature():
     for k in range(1, 13):
         oracle, _ = quad(lambda x: density(x) * x ** k, 2.0, 4.0,
                          epsabs=1e-14)
-        assert env_moment(EnvBump(), k) == pytest.approx(
+        assert env_moment(Bump(), k) == pytest.approx(
             oracle / norm, abs=1e-8 * max(1.0, oracle / norm))
 
 
@@ -127,7 +126,7 @@ def test_bump_quadrature_matches_scipy_simpson():
     f = density(x)
     norm = simpson(f, x=x)
     for k in range(1, 9):
-        assert env_moment(EnvBump(), k) == pytest.approx(
+        assert env_moment(Bump(), k) == pytest.approx(
             simpson(f * x ** k, x=x) / norm, rel=1e-14)
     for m in (256, 1024):
         h = 2.0 / m
@@ -141,42 +140,59 @@ def test_bump_quadrature_matches_scipy_simpson():
 
 def test_env_grid_moment_exact_for_uniform_cells():
     g = GridMeasure1D.uniform(0.0, 1.0, 64)
-    assert env_moment(EnvGrid(g), 2) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert env_moment(Grid(g), 2) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_env_moment_requires_environment():
     with pytest.raises(KernelError):
         env_moment(None, 1)
     with pytest.raises(KernelError):
-        env_moment(EnvAtom(1.0), 0)
+        env_moment(Atom(1.0), 0)
 
 
 def test_env_support():
-    assert env_support(EnvAtom(2.0)) == (2.0, 2.0)
-    assert env_support(EnvUniform(1.0, 4.0)) == (1.0, 4.0)
-    assert env_support(EnvBump()) == (2.0, 4.0)
+    assert env_support(Atom(2.0)) == (2.0, 2.0)
+    assert env_support(Uniform(1.0, 4.0)) == (1.0, 4.0)
+    assert env_support(Bump()) == (2.0, 4.0)
 
 
 def test_env_atoms_total_mass():
-    for env in (EnvAtom(3.0), EnvUniform(0, 1), EnvBump()):
+    for env in (Atom(3.0), Uniform(0, 1), Bump()):
         pos, mass = env_atoms(env, 128)
         assert mass.sum() == pytest.approx(1.0, abs=1e-10)
         lo, hi = env_support(env)
         assert pos.min() >= lo and pos.max() <= hi
 
 
-def test_env_sampler_within_support():
+# one law of each kind; every one may be the initial law or the environment
+LAWS = {"atom": Atom(1.5),
+        "atoms": Atoms(AtomicMeasure.from_points([(2.0, 0.25), (5.0, 0.75)])),
+        "uniform": Uniform(2.0, 5.0),
+        "grid": Grid(GridMeasure1D(-1.0, 1.0, np.arange(1.0, 9.0) / 36.0)),
+        "bump": Bump()}
+
+
+@pytest.mark.parametrize("law", LAWS.values(), ids=list(LAWS))
+def test_law_sampler_draws_within_support_at_the_mean(law):
     rng = np.random.default_rng(3)
-    for env in (EnvAtom(1.5), EnvUniform(2.0, 5.0),
-                EnvGrid(GridMeasure1D.uniform(-1.0, 1.0, 8)), EnvBump()):
-        xs = make_env_sampler(env)(rng, 500)
-        lo, hi = env_support(env)
-        assert xs.shape == (500,)
-        assert xs.min() >= lo and xs.max() <= hi
+    state = rng.bit_generator.state
+    n = 4000
+    xs = make_env_sampler(law)(rng, n)
+    lo, hi = env_support(law)
+    assert xs.shape == (n,)
+    assert xs.min() >= lo and xs.max() <= hi
+    mean = env_moment(law, 1)
+    if isinstance(law, Atom):
+        # every draw is z, and the generator is left as it was
+        assert xs.mean() == mean == law.z
+        assert rng.bit_generator.state == state
+    else:
+        stderr = np.sqrt((env_moment(law, 2) - mean ** 2) / n)
+        assert abs(xs.mean() - mean) <= 5 * stderr
 
 
 def test_env_sampler_bump_mean():
-    xs = make_env_sampler(EnvBump())(np.random.default_rng(11), 20000)
+    xs = make_env_sampler(Bump())(np.random.default_rng(11), 20000)
     assert xs.mean() == pytest.approx(3.0, abs=0.01)
 
 
@@ -188,10 +204,10 @@ def test_kernel_requires_environment_when_alpha_below_one():
     with pytest.raises(KernelError, match="environment required"):
         KernelSpec(alpha=0.5, internal=Constant(0.5))
     KernelSpec(alpha=0.5, internal=Constant(0.5), external=Constant(0.5),
-               environment=EnvAtom(0.0))  # valid
+               environment=Atom(0.0))  # valid
 
 
-def run_from_start(kernel, n, initial=InitUniform(0.0, 1.0), seed=0,
+def run_from_start(kernel, n, initial=Uniform(0.0, 1.0), seed=0,
                    **kw):
     """Simulate the kernel to t = 1; return the opinions at t = 0 and the
     final state."""
@@ -204,12 +220,12 @@ def run_from_start(kernel, n, initial=InitUniform(0.0, 1.0), seed=0,
 def test_internal_weight_evaluates_deterministic_laws():
     k = KernelSpec(alpha=1.0, internal=BoundedConfidence(0.5, 1.0))
     # within the radius the weight is omega0: each update halves the gap
-    x0, s = run_from_start(k, 2, InitUniform(0.0, 0.9))
+    x0, s = run_from_start(k, 2, Uniform(0.0, 0.9))
     assert s.update_count > 0
     assert abs(s.opinions[0] - s.opinions[1]) == pytest.approx(
         abs(x0[0] - x0[1]) * 0.5 ** s.update_count)
     # agents 0 or 2 apart: beyond the radius, or already equal
-    apart = InitAtoms(AtomicMeasure.from_points([(0.0, 0.5), (2.0, 0.5)]))
+    apart = Atoms(AtomicMeasure.from_points([(0.0, 0.5), (2.0, 0.5)]))
     x0, s = run_from_start(k, 10, apart)
     assert s.update_count > 0
     np.testing.assert_array_equal(s.opinions, x0)
@@ -225,7 +241,7 @@ def test_apply_update_midpoint():
 
 def test_apply_update_zero_weight_is_identity():
     k = KernelSpec(alpha=0.5, internal=Constant(0.0),
-                   external=Constant(0.0), environment=EnvAtom(5.0))
+                   external=Constant(0.0), environment=Atom(5.0))
     x0, s = run_from_start(k, 10)
     assert s.update_count > 0
     np.testing.assert_array_equal(s.opinions, x0)
@@ -234,7 +250,7 @@ def test_apply_update_zero_weight_is_identity():
 def test_apply_update_environment_midpoint():
     # each environment update halves an agent's distance to the atom
     k = KernelSpec(alpha=0.0, internal=Constant(0.5),
-                   external=Constant(0.5), environment=EnvAtom(4.0))
+                   external=Constant(0.5), environment=Atom(4.0))
     x0, s = run_from_start(k, 5)
     halvings = np.log2((4.0 - x0) / (4.0 - s.opinions))
     np.testing.assert_allclose(halvings, np.round(halvings), atol=1e-9)
@@ -245,8 +261,8 @@ def test_apply_update_environment_midpoint():
 @given(st.floats(-5, 5), st.floats(0.01, 5), st.integers(0, 2 ** 31))
 def test_apply_update_stays_in_hull(a, width, seed):
     k = KernelSpec(alpha=0.5, internal=Gaussian(0.8, 2.0),
-                   external=Constant(0.5), environment=EnvUniform(2.0, 4.0))
-    _, s = run_from_start(k, 10, InitUniform(a, a + width), seed)
+                   external=Constant(0.5), environment=Uniform(2.0, 4.0))
+    _, s = run_from_start(k, 10, Uniform(a, a + width), seed)
     lo = min(a, 2.0)
     hi = max(a + width, 4.0)
     assert s.opinions.min() >= lo - 1e-12

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gossipfield.kernels import (BoundedConfidence, Constant, EnvAtom,
-                                 EnvBump, EnvGrid, EnvUniform, FiniteMixture,
-                                 Gaussian, KernelSpec, env_atoms, env_moment)
+from gossipfield.kernels import (Atom, BoundedConfidence, Bump, Constant,
+                                 FiniteMixture, Gaussian, Grid, KernelSpec,
+                                 Uniform, env_atoms, env_moment)
 from gossipfield import meanfield
 from gossipfield.meanfield import (SolverConfig, SolverError, apply_F,
                                    integrate, step_ends)
@@ -20,7 +20,7 @@ CONST_HALF = KernelSpec(alpha=1.0, internal=Constant(0.5))
 # heterogeneous-environment benchmark: half internal averaging, half
 # attraction toward a smooth bump environment on (2,4)
 ENV_KERNEL = KernelSpec(alpha=0.5, internal=Constant(0.5),
-                         external=Constant(0.5), environment=EnvBump())
+                         external=Constant(0.5), environment=Bump())
 
 
 def spike(m, idx, lo=0.0, hi=10.0):
@@ -233,27 +233,27 @@ def _oracle_cases():
         (g40, KernelSpec(alpha=1.0, internal=BoundedConfidence(0.3, 4.5))),
         (g150, CONST_HALF),
         (g150, KernelSpec(alpha=0.4, internal=Constant(0.5),
-                          external=Constant(0.3), environment=EnvAtom(1.7))),
+                          external=Constant(0.3), environment=Atom(1.7))),
         (g150, KernelSpec(alpha=0.5, internal=Constant(0.5),
                           external=BoundedConfidence(0.6, 1.5),
-                          environment=EnvBump())),
+                          environment=Bump())),
         (g150, KernelSpec(alpha=0.0, internal=Constant(0.5),
                           external=Gaussian(0.8, 2.0),
-                          environment=EnvUniform(c0, cm))),
+                          environment=Uniform(c0, cm))),
         (g150, KernelSpec(alpha=0.3, internal=Constant(0.5),
                           external=FiniteMixture((0.2, 1.0), (0.4, 0.6)),
-                          environment=EnvUniform(c0, cm))),
+                          environment=Uniform(c0, cm))),
         (g150, ENV_KERNEL),
         (g150, KernelSpec(alpha=0.6, internal=Gaussian(0.6, 1.3),
-                          external=Constant(0.5), environment=EnvAtom(2.3))),
+                          external=Constant(0.5), environment=Atom(2.3))),
         (g150, KernelSpec(alpha=0.3, internal=Constant(0.5),
                           external=FiniteMixture((0.5, 0.2, 1.0),
                                                  (0.5, 0.3, 0.2)),
-                          environment=EnvUniform(c0, cm))),
+                          environment=Uniform(c0, cm))),
         (g150, KernelSpec(alpha=0.4, internal=Constant(0.3),
-                          external=Constant(0.5), environment=EnvAtom(c0))),
+                          external=Constant(0.5), environment=Atom(c0))),
         (g150, KernelSpec(alpha=0.0, internal=Constant(0.5),
-                          external=Constant(0.5), environment=EnvAtom(cm))),
+                          external=Constant(0.5), environment=Atom(cm))),
     ]
 
 
@@ -314,7 +314,7 @@ def test_environment_blocks_match_dense_map():
     cases += [(g1000, ENV_KERNEL),
               (g1000, KernelSpec(alpha=0.5, internal=Constant(0.5),
                                  external=Constant(0.3),
-                                 environment=EnvBump()))]
+                                 environment=Bump()))]
     for g, k in cases:
         got = meanfield._FieldEvaluator(g, k).ext_blocks
         want = _dense_blocks(g, k)
@@ -331,7 +331,7 @@ def test_half_environment_convolution_matches_its_map(lo, hi, m):
     g = _random_grid(4, lo, hi, m)
     cells = np.asarray(g.cells)
     c0, cm = g.centers[0], g.centers[-1]
-    for env in (EnvAtom(c0), EnvAtom(cm), EnvBump(), EnvUniform(c0, cm)):
+    for env in (Atom(c0), Atom(cm), Bump(), Uniform(c0, cm)):
         k = KernelSpec(alpha=0.0, internal=Constant(0.5),
                        external=Constant(0.5), environment=env)
         ev = meanfield._FieldEvaluator(g, k)
@@ -407,7 +407,7 @@ def test_apply_F_requires_normalized():
 
 def test_environment_outside_grid_rejected():
     k = KernelSpec(alpha=0.5, internal=Constant(0.5), external=Constant(0.5),
-                   environment=EnvBump())  # support (2,4)
+                   environment=Bump())  # support (2,4)
     g = GridMeasure1D.uniform(0.0, 1.0, 32)
     with pytest.raises(SolverError, match="cover"):
         apply_F(g, k)
@@ -416,7 +416,7 @@ def test_environment_outside_grid_rejected():
 def test_external_branch_pulls_toward_environment():
     g0 = GridMeasure1D.uniform(0.0, 10.0, 500)
     k = KernelSpec(alpha=0.0, internal=Constant(0.5), external=Constant(1.0),
-                   environment=EnvBump())
+                   environment=Bump())
     out = apply_F(g0, k)
     # full-weight environment jumps reproduce the environment law
     assert moment(out, 1) == pytest.approx(3.0, abs=1e-3)
@@ -539,7 +539,7 @@ def test_heterogeneous_environment_mean_relaxes():
 def test_grid_environment_limit_matches_the_moment_recursion():
     # a 2-cell environment is the uniform density on [2, 8], as sampled;
     # read as its 2 cell centres it would lose its in-cell variance
-    env = EnvGrid(GridMeasure1D(2.0, 8.0, np.array([0.5, 0.5])))
+    env = Grid(GridMeasure1D(2.0, 8.0, np.array([0.5, 0.5])))
     k = KernelSpec(alpha=0.5, internal=Constant(0.5),
                    external=Constant(0.5), environment=env)
     g0 = GridMeasure1D.uniform(0.0, 10.0, 200)
@@ -627,6 +627,6 @@ def test_environment_flow_contracts_in_w1(omega, upsilon):
     alpha = 0.5
     w1 = _flow_w1(KernelSpec(alpha=alpha, internal=Constant(omega),
                              external=Constant(upsilon),
-                             environment=EnvBump()))
+                             environment=Bump()))
     bound = np.exp(-(1.0 - alpha) * upsilon * np.array(STABILITY_TIMES))
     assert np.all(w1 <= bound * w1[0] + 1e-12)

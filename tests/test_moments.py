@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from gossipfield.kernels import EnvBump, env_moment
+from gossipfield.kernels import Bump, env_moment
 from gossipfield.meanfield import MAX_STEPS, step_ends
 from gossipfield.moments import (MomentConfig, MomentError, MomentParams,
                                  forcing, gamma_k, integrate_moments,
@@ -24,7 +24,7 @@ def rk4_step(f, y, h):
 
 def params(alpha=0.5, omega=0.5, upsilon=0.5, K=4, env=None, init=None):
     if env is None:
-        env = tuple(env_moment(EnvBump(), k) for k in range(1, K + 1))
+        env = tuple(env_moment(Bump(), k) for k in range(1, K + 1))
     if init is None:
         init = tuple(5.0 ** k for k in range(1, K + 1))  # delta at 5
     return MomentParams(alpha=alpha, omega=omega, upsilon=upsilon,
@@ -279,7 +279,7 @@ def test_limit_point_mass_environment_recovers_powers():
 
 def test_limit_independent_of_initial_moments():
     K = 5
-    env = tuple(env_moment(EnvBump(), k) for k in range(1, K + 1))
+    env = tuple(env_moment(Bump(), k) for k in range(1, K + 1))
     a = limit_moments(params(env=env, init=tuple([1.0] * K), K=K))
     b = limit_moments(params(env=env, init=tuple(9.0 ** k
                                                  for k in range(1, K + 1)),
