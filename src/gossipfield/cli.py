@@ -78,18 +78,17 @@ _SECTIONS = {"simulate": agent_sim.SimConfig,
 _CONTEXT = {"kernel", "initial", "seed", "base_seed"}
 
 # {"type": ...} objects: type -> class; every field is required. The
-# environment and the initial law are laws of one family (kernels.Law);
-# these tables alone keep each type in its role.
+# environment and the initial law are laws of one family (kernels.Law), and
+# either takes every type of it.
 _LAWS = {"constant": Constant, "bounded_confidence": BoundedConfidence,
          "gaussian": Gaussian, "mixture": FiniteMixture}
-_ENVIRONMENTS = {"atom": Atom, "uniform": Uniform, "bump": Bump,
-                 "grid": Grid}
-_INITIALS = {"uniform": Uniform, "atoms": Atoms, "grid": Grid}
+_LINE_LAWS = {"atom": Atom, "atoms": Atoms, "uniform": Uniform,
+              "grid": Grid, "bump": Bump}
 # kernel part -> (its types, what they name); a null part (no external law,
 # no environment) takes KernelSpec's default
 _KERNEL_PARTS = {"internal": (_LAWS, "weight law"),
                  "external": (_LAWS, "weight law"),
-                 "environment": (_ENVIRONMENTS, "environment")}
+                 "environment": (_LINE_LAWS, "environment")}
 
 
 def _grid(spec: dict) -> GridMeasure1D:
@@ -229,7 +228,7 @@ def parse_config(text) -> RunConfig:
 
     data["initial"] = raw.get("initial")
     shape_ok["initial"] = _check_typed_object(
-        errs, "initial", data["initial"], _INITIALS, "initial law")
+        errs, "initial", data["initial"], _LINE_LAWS, "initial law")
 
     for section, cls in _SECTIONS.items():
         n = len(errs)
@@ -329,7 +328,7 @@ def _build_objects(data: dict, shape_ok: dict, errs: list) -> dict:
              for part, (classes, _) in _KERNEL_PARTS.items()
              if k[part] is not None}
     kernel = build("kernel", lambda: KernelSpec(float(k["alpha"]), **parts))
-    initial = build("initial", _build_object, data["initial"], _INITIALS)
+    initial = build("initial", _build_object, data["initial"], _LINE_LAWS)
     laws = kernel is not None and initial is not None
     objects = {"kernel": kernel, "initial": initial,
                "simulate": section("simulate", kernel=kernel,
@@ -347,26 +346,17 @@ def _build_objects(data: dict, shape_ok: dict, errs: list) -> dict:
     solver = section("meanfield", lo=lo, hi=hi)
     objects["meanfield"] = solver if window else None
     # A configured window must cover the hull, and every point mass, which
-    # is split between cell centres, must lie within the outer two: the
-    # environment when alpha < 1 and the atoms of an atom start.
+    # is split between cell centres, must lie within the outer two.
     if mf["lo"] is not None and solver is not None and laws:
         a, b = experiments.opinion_hull(kernel, initial)
         if lo > a or hi < b:
             errs.append(f"meanfield: lo and hi must cover [{a:g}, {b:g}], "
                         "the hull of the initial law and the environment")
         else:
-            hulls = {}
-            if kernel.alpha < 1.0:
-                hulls["the environment's"] = env_support(kernel.environment)
-            if isinstance(initial, Atoms):
-                hulls["the initial atoms'"] = env_support(initial)
-            half = (hi - lo) / (2 * solver.m)
-            c0, c1 = lo + half, hi - half
-            for what, (ea, eb) in hulls.items():
-                if ea < c0 - 1e-12 or eb > c1 + 1e-12:
-                    errs.append(f"meanfield: {what} hull [{ea:g}, {eb:g}] "
-                                f"must lie within [{c0:g}, {c1:g}], the "
-                                "first and last cell centres")
+            for what, law in experiments.point_masses(kernel,
+                                                      initial).items():
+                build("meanfield", meanfield.check_within_centres, lo, hi,
+                      solver.m, env_support(law), what)
     objects["concentrate"] = section("concentrate", kernel=kernel,
                                      initial=initial, base_seed=data["seed"])
     # The weight laws must be constant when `moments` runs, not here: every

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agent_sim import SimConfig, run
-from .kernels import Atoms, Grid, KernelSpec, Law, Uniform, env_support
-from .meanfield import MAX_STEPS, SolverConfig, integrate, split_onto_centres
+from .kernels import (Atom, Atoms, Bump, Grid, KernelSpec, Law, Uniform,
+                      env_atoms, env_support, sampling_grid)
+from .meanfield import (MAX_STEPS, SolverConfig, check_within_centres,
+                        integrate, split_onto_centres)
 from .measures import (GridMeasure1D, checked_times, quantile_slices,
                        wasserstein1_1d, wasserstein1_rows)
 
@@ -82,15 +84,28 @@ def opinion_hull(kernel: KernelSpec,
     return lo, hi
 
 
+def point_masses(kernel: KernelSpec, initial: Law) -> dict[str, Law]:
+    """The laws that the grid solver splits between cell centres as point
+    masses, each under what it is: the environment when alpha < 1, and the
+    start when it is an atom or atoms. Each must lie within the first and
+    last cell centres."""
+    laws = {}
+    if kernel.alpha < 1.0:
+        laws["the environment's"] = kernel.environment
+    if isinstance(initial, (Atom, Atoms)):
+        laws["the initial atoms'"] = initial
+    return laws
+
+
 def solver_domain(kernel: KernelSpec, initial: Law,
                   m: int) -> tuple[float, float]:
     """The grid solver's default window for m cells: the opinion hull.
-    When alpha < 1, or the start is atoms, it is widened by half a cell
-    at each end, so that its first and last cell centres are the hull's
-    ends: the solver splits the environment and the start's atoms between
-    cell centres, and every such point mass must lie within them."""
+    Where the solver splits any law as point masses (point_masses), it is
+    widened by half a cell at each end, so that its first and last cell
+    centres are the hull's ends, and every such point mass lies within
+    them."""
     lo, hi = opinion_hull(kernel, initial)
-    if kernel.alpha < 1.0 or isinstance(initial, Atoms):
+    if point_masses(kernel, initial):
         pad = (hi - lo) / (2 * (m - 1))
         lo, hi = lo - pad, hi + pad
     return lo, hi
@@ -112,24 +127,24 @@ def _reference(cfg: ConcentrationConfig, m: int, dt: float = _REF_DT):
 
 def initial_grid(initial: Law, lo: float, hi: float,
                  m: int) -> GridMeasure1D:
-    """The initial law on the solver's m cells over [lo, hi]. A uniform or
-    grid law is read as the density the simulator samples: each cell takes
-    the mass of its overlap. An atom is split linearly between the two
-    cell centres around it, as the solver splits every point mass, which
-    keeps its mean; solver_domain's window pads for the atoms, so that
-    they lie within the centres."""
+    """Any law on the solver's m cells over [lo, hi]. A uniform law and a
+    density (a grid law, or the bump) are read as what the simulator
+    samples: each cell takes the mass of its overlap, with the uniform
+    law's interval or the density's sampling_grid. Atoms are split
+    linearly between the two cell centres around each, as the solver splits
+    every point mass, which keeps their mean; they must lie within the
+    first and last centres, as solver_domain's window has them."""
     if isinstance(initial, Uniform):
         return GridMeasure1D.uniform(lo, hi, m, support=(initial.a, initial.b))
     h = (hi - lo) / m
-    if isinstance(initial, Grid):
-        g = initial.grid
+    if isinstance(initial, (Grid, Bump)):
+        g = sampling_grid(initial)
         cdf = np.concatenate(([0.0], np.cumsum(g.cells)))
         cells = np.diff(np.interp(lo + np.arange(m + 1) * h, g.edges, cdf))
-    elif isinstance(initial, Atoms):
-        cells = split_onto_centres(lo, h, m, initial.measure.positions,
-                                   initial.measure.weights)
     else:
-        raise ExperimentError(f"no solver start for initial law {initial!r}")
+        pos, mass = env_atoms(initial, m)
+        check_within_centres(lo, hi, m, pos, "the initial atoms'")
+        cells = split_onto_centres(lo, h, m, pos, mass)
     return GridMeasure1D(lo, hi, cells / cells.sum())
 
 

@@ -14,9 +14,10 @@ solver relies on.
 
 The environment and the initial law are laws on the line of one family:
 Atom, Atoms, Uniform, Grid and Bump, each with one support (env_support),
-moment (env_moment) and sampler (make_env_sampler). Only the grid solver
-reads the two roles apart: the environment as atoms (env_atoms), the start
-on its cells (experiments.initial_grid).
+moment (env_moment) and sampler (make_env_sampler), and any law may play
+either role. The grid solver reads a law as atoms (env_atoms) in the
+environment, and as point masses or a sampled density in the start
+(experiments.initial_grid); both readings take every law.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class Atoms:
 
     def __post_init__(self):
         if not self.measure.normalized:
-            raise KernelError("atomic initial law must be normalized")
+            raise KernelError("atomic law must be normalized")
 
 
 @dataclass(frozen=True)
@@ -239,13 +240,16 @@ def env_moment(law: Law, k: int) -> float:
     raise KernelError(f"not a law on the line: {law!r}")
 
 
-def env_atoms(law: Law, m: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """Realize the environment as grid atoms (positions, masses) for the
-    deterministic solver. Atoms are exact; densities use the centres of m
-    cells. A grid law is the piecewise-uniform density it is sampled from:
-    each of its cells splits into ceil(m / g.m) equal ones."""
+def env_atoms(law: Law, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Realize any law as grid atoms (positions, masses) for the
+    deterministic solver. Atoms are exact, their own positions and
+    weights; densities use the centres of m cells. A grid law is the
+    piecewise-uniform density it is sampled from: each of its cells splits
+    into ceil(m / g.m) equal ones."""
     if isinstance(law, Atom):
         return np.array([law.z]), np.array([1.0])
+    if isinstance(law, Atoms):
+        return law.measure.positions, law.measure.weights
     if isinstance(law, Uniform):
         g = GridMeasure1D.uniform(law.a, law.b, m)
     elif isinstance(law, Grid):
@@ -255,11 +259,11 @@ def env_atoms(law: Law, m: int = 256) -> tuple[np.ndarray, np.ndarray]:
     elif isinstance(law, Bump):
         g = env_bump_grid(m)
     else:
-        raise KernelError(f"no solver atoms for environment {law!r}")
+        raise KernelError(f"not a law on the line: {law!r}")
     return g.centers, np.asarray(g.cells)
 
 
-def env_bump_grid(m: int = 256) -> GridMeasure1D:
+def env_bump_grid(m: int) -> GridMeasure1D:
     """Bump density realized as a normalized histogram on (2,4), each
     cell's mass by Simpson on 9 nodes (smooth integrand)."""
     h = 2.0 / m
@@ -270,11 +274,22 @@ def env_bump_grid(m: int = 256) -> GridMeasure1D:
     return GridMeasure1D(2.0, 4.0, cells)
 
 
-def make_env_sampler(law: Law, m: int = 1024):
+# the bump is sampled from this many cells
+_SAMPLER_CELLS = 1024
+
+
+def sampling_grid(law: Grid | Bump) -> GridMeasure1D:
+    """The grid a density law is sampled from: a grid law's own, the bump
+    on _SAMPLER_CELLS cells."""
+    return law.grid if isinstance(law, Grid) else env_bump_grid(
+        _SAMPLER_CELLS)
+
+
+def make_env_sampler(law: Law):
     """Return sampler(rng, size) -> ndarray of `size` independent draws
     from any law, the initial law's too. An atom draws nothing, atoms make
     one rng.choice, an interval one rng.uniform; densities use the
-    inverse-CDF sampler of a grid (the bump on m cells)."""
+    inverse-CDF sampler of their sampling_grid."""
     if isinstance(law, Atom):
         z = law.z
         return lambda rng, size: np.full(size, z)
@@ -284,10 +299,8 @@ def make_env_sampler(law: Law, m: int = 1024):
     if isinstance(law, Uniform):
         a, b = law.a, law.b
         return lambda rng, size: rng.uniform(a, b, size)
-    if isinstance(law, Grid):
-        return law.grid.sampler()
-    if isinstance(law, Bump):
-        return env_bump_grid(m).sampler()
+    if isinstance(law, (Grid, Bump)):
+        return sampling_grid(law).sampler()
     raise KernelError(f"not a law on the line: {law!r}")
 
 

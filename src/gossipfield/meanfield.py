@@ -147,6 +147,22 @@ def split_onto_centres(lo: float, h: float, m: int, x: np.ndarray,
             + np.bincount(np.minimum(j + 1, m - 1), mass * f, minlength=m))
 
 
+def check_within_centres(lo: float, hi: float, m: int, x,
+                         what: str) -> None:
+    """Raise SolverError, naming the points x by `what`, unless they lie
+    within the first and last of the m cell centres over [lo, hi], where
+    split_onto_centres keeps each point mass's mean rather than clipping
+    it. The centres carry the rounding of the window's magnitude."""
+    h = (hi - lo) / m
+    c0, c1 = lo + 0.5 * h, lo + (m - 0.5) * h
+    tol = 1e-12 * max(abs(lo), abs(hi))
+    a, b = np.min(x), np.max(x)
+    if a < c0 - tol or b > c1 + tol:
+        raise SolverError(f"{what} hull [{a:g}, {b:g}] must lie within "
+                          f"[{c0:g}, {c1:g}], the first and last cell "
+                          "centres, which must cover every point mass")
+
+
 def _within_radius_fraction(r: float, lags: np.ndarray) -> np.ndarray:
     """Fraction of the point pairs of two uniform cells `lags` cells apart
     that lie within r cell widths of each other. The difference of the two
@@ -285,12 +301,8 @@ class _FieldEvaluator:
         self.ext_blocks = []
         if kernel.alpha < 1.0:
             pos, mass = env_atoms(kernel.environment, _ENV_CELLS)
-            c0 = self.centers[0]
-            cm = self.centers[-1]
-            # the centres carry the rounding of the window's magnitude
-            tol = 1e-12 * max(abs(self.lo), abs(self.hi))
-            if pos.min() < c0 - tol or pos.max() > cm + tol:
-                raise SolverError("grid does not cover hull")
+            check_within_centres(self.lo, self.hi, self.m, pos,
+                                 "the environment's")
             branches = _branches(kernel.external, 1.0 - kernel.alpha)
             env_half = sum(c for law, c in branches if law == half)
             if env_half:

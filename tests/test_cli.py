@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ import gossipfield
 from gossipfield import cli
 from gossipfield.cli import (ConfigError, RunConfig, dispatch, main,
                              parse_config, serialize)
-from gossipfield.kernels import BoundedConfidence, Bump, Constant
+from gossipfield.kernels import (BoundedConfidence, Bump, Constant, Law,
+                                 WeightLaw)
 from gossipfield.measures import AtomicMeasure
 
 MINIMAL = {
@@ -339,16 +341,15 @@ INVALID_CONFIGS = {
     "atoms_mass_0.7": ("simulate",
                        {"initial": {"type": "atoms",
                                     "points": [[0.0, 0.3], [1.0, 0.4]]}},
-                       "initial: atomic initial law must be normalized"),
-    # the initial law and the environment share their classes, not their
-    # JSON types
-    "initial_bump": ("simulate", {"initial": {"type": "bump"}},
-                     "initial.type: unknown initial law 'bump'"),
-    "environment_atoms": ("simulate",
-                          {"kernel": dict(ENV_STYLE["kernel"],
-                                          environment=ONE_ATOM)},
-                          "kernel.environment.type: unknown environment "
-                          "'atoms'"),
+                       "initial: atomic law must be normalized"),
+    "initial_unknown_type": ("simulate", {"initial": {"type": "normal"}},
+                             "initial.type: unknown initial law 'normal'"),
+    "environment_unknown_type": ("simulate",
+                                 {"kernel": dict(ENV_STYLE["kernel"],
+                                                 environment={
+                                                     "type": "normal"})},
+                                 "kernel.environment.type: unknown "
+                                 "environment 'normal'"),
     "environment_zero_cells": ("simulate",
                                {"kernel": dict(ENV_STYLE["kernel"],
                                                environment=ZERO_GRID)},
@@ -393,6 +394,11 @@ INVALID_CONFIGS = {
                                   "points": [[0.0, 0.5], [1.0, 0.5]]},
                       "meanfield.lo": 0.0, "meanfield.hi": 1.0},
         "meanfield: the initial atoms' hull [0, 1] must lie within [0.005, "
+        "0.995], the first and last cell centres"),
+    "meanfield_window_edge_initial_atom": (
+        "meanfield", {"initial": {"type": "atom", "z": 0.0},
+                      "meanfield.lo": 0.0, "meanfield.hi": 1.0},
+        "meanfield: the initial atoms' hull [0, 0] must lie within [0.005, "
         "0.995], the first and last cell centres"),
     **{f"{command}_single_point_hull": (
         command, {"initial": ONE_ATOM},
@@ -509,6 +515,28 @@ def test_invalid_config_exits_1_naming_field(name, tmp_path, capsys):
     assert main([command, "--config", str(p), "--out",
                  str(tmp_path / "out")]) == 1
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_bump_start_and_atoms_environment_run(command, tmp_path):
+    # the initial law and the environment take every law of one table: the
+    # grid solver starts from the bump as the simulator samples it, and
+    # reads the atoms as its own
+    d = with_changes(quick_sim_cfg(), {
+        "initial": {"type": "bump"},
+        "kernel": dict(ENV_STYLE["kernel"], environment={
+            "type": "atoms", "points": [[1.0, 0.25], [5.0, 0.75]]})})
+    d["concentrate"] = {"tau": 0.5, "n_list": [20, 40], "replicas": 20}
+    p = write_cfg(tmp_path, d)
+    assert main([command, "--config", str(p), "--out",
+                 str(tmp_path / "out")]) == 0
+
+
+def test_law_tables_cover_the_law_unions():
+    # one JSON type per class, for the weight laws and the laws on the line
+    for table, union in ((cli._LINE_LAWS, Law), (cli._LAWS, WeightLaw)):
+        assert len(set(table.values())) == len(table)
+        assert set(table.values()) == set(typing.get_args(union))
 
 
 @pytest.mark.parametrize("command, changes", [
@@ -788,11 +816,10 @@ _LAW = st.one_of(
            probs=st.lists(_ODD_NUMBER, max_size=3)))
 _GRID = {"lo": _ODD, "hi": _ODD,
          "cells": st.lists(_ODD_NUMBER, min_size=1, max_size=4)}
-_ENVIRONMENT = st.one_of(
+# the initial law and the environment take the same types
+_LINE_LAW = st.one_of(
     _typed("atom", z=_ODD), _typed("uniform", a=_ODD, b=_ODD),
-    _typed("bump"), _typed("grid", **_GRID))
-_INITIAL = st.one_of(
-    _typed("uniform", a=_ODD, b=_ODD), _typed("grid", **_GRID),
+    _typed("bump"), _typed("grid", **_GRID),
     _typed("atoms", points=st.lists(st.lists(_ODD_NUMBER, min_size=2,
                                              max_size=2), max_size=3)))
 
@@ -806,8 +833,8 @@ SEARCH_LEAVES = {
     "kernel.internal": _LAW,
     "kernel.internal.omega": _ODD,
     "kernel.external": _LAW,
-    "kernel.environment": _ENVIRONMENT,
-    "initial": _INITIAL,
+    "kernel.environment": _LINE_LAW,
+    "initial": _LINE_LAW,
     "initial.a": _ODD,
     "initial.b": _ODD,
     "simulate.n": st.sampled_from([None, True, "x", -1, 0, 1, 2, 2.5, 200,

@@ -12,8 +12,9 @@ from gossipfield.experiments import (_REF_GRIDS, ConcentrationConfig,
                                      DeviationTable, ExperimentError,
                                      _reference, _replica_seed, initial_grid,
                                      run_concentration, tail_rates)
-from gossipfield.kernels import (Atoms, Constant, Gaussian, Grid,
-                                 KernelSpec, Uniform, env_moment)
+from gossipfield.kernels import (Atom, Atoms, Bump, Constant, Gaussian,
+                                 Grid, KernelSpec, Uniform, env_moment)
+from gossipfield.meanfield import SolverError
 from gossipfield.measures import (AtomicMeasure, GridMeasure1D, moment,
                                   wasserstein1_1d)
 
@@ -53,27 +54,56 @@ def test_default_sample_times():
 
 @pytest.mark.parametrize("m", [101, 437, 1001])
 def test_initial_grid_law_keeps_its_density(m):
-    # a coarse grid law on a solver grid whose edges miss its own: each
-    # solver cell takes its overlap of the density the simulator samples,
-    # so the moments agree to O(h^2), not only to the coarse cell width
-    law = Grid(GridMeasure1D(0.0, 10.0,
-                                 np.array([1.0, 2.0, 3.0, 4.0])).normalize())
-    g = initial_grid(law, -0.3, 10.7, m)
-    for k in (1, 2):
-        assert moment(g, k) == pytest.approx(env_moment(law, k),
-                                             abs=g.h ** 2), k
+    # a coarse grid law on a solver grid whose edges miss its own, and the
+    # bump: each solver cell takes its overlap of the density the simulator
+    # samples, so the moments agree to O(h^2), not only to the coarse cell
+    # width
+    grid = Grid(GridMeasure1D(0.0, 10.0,
+                              np.array([1.0, 2.0, 3.0, 4.0])).normalize())
+    for law in (grid, Bump()):
+        g = initial_grid(law, -0.3, 10.7, m)
+        for k in (1, 2):
+            assert moment(g, k) == pytest.approx(env_moment(law, k),
+                                                 abs=g.h ** 2), (law, k)
 
 
 @pytest.mark.parametrize("m", [100, 400, 1000])
 def test_initial_grid_atoms_keep_their_mean(m):
     # each atom is split between the two centres around it, on the default
     # window, which pads for the atoms so that the end ones sit on the end
-    # centres
-    law = Atoms(AtomicMeasure.from_points([(1.0, 0.3), (2.5, 0.3),
-                                               (4.0, 0.4)]))
+    # centres; a lone atom's window is the environment's hull
+    atoms = Atoms(AtomicMeasure.from_points([(1.0, 0.3), (2.5, 0.3),
+                                             (4.0, 0.4)]))
     kernel = KernelSpec(alpha=1.0, internal=Constant(0.5))
-    g = initial_grid(law, *experiments.solver_domain(kernel, law, m), m)
-    assert moment(g, 1) == pytest.approx(env_moment(law, 1), abs=1e-12)
+    env_kernel = KernelSpec(alpha=0.5, internal=Constant(0.5),
+                            external=Constant(0.5), environment=atoms)
+    for law, k in ((atoms, kernel), (Atom(2.2), env_kernel)):
+        g = initial_grid(law, *experiments.solver_domain(k, law, m), m)
+        assert moment(g, 1) == pytest.approx(env_moment(law, 1),
+                                             abs=1e-12), law
+
+
+def test_initial_grid_rejects_atoms_outside_the_centres():
+    # atoms the window's first and last cell centres do not reach would be
+    # clipped onto them, which moves the start's mean from 2.6 to 3.515
+    law = Atoms(AtomicMeasure.from_points([(-3.0, 0.3), (5.0, 0.7)]))
+    with pytest.raises(SolverError, match=r"hull \[-3, 5\] must lie within "
+                       r"\[0.05, 9.95\]"):
+        initial_grid(law, 0.0, 10.0, 100)
+
+
+@pytest.mark.parametrize("initial, kernel", [
+    (Bump(), KernelSpec(alpha=1.0, internal=Constant(0.5))),
+    (Atom(5.0), KernelSpec(alpha=0.5, internal=Constant(0.5),
+                           external=Constant(0.3),
+                           environment=Uniform(0.0, 10.0))),
+], ids=["bump_start", "atom_start_in_an_environment"])
+def test_every_law_starts_a_concentration_run(initial, kernel):
+    # the reference starts from the law the simulator draws, and passes its
+    # gate on the first grid of the ladder or a finer one
+    tbl = run_concentration(small_cfg(initial=initial, kernel=kernel))
+    assert len(tbl.rows) == 2 * 20
+    assert min(d for _, _, d in tbl.rows) > 0.0
 
 
 def test_deterministic_given_base_seed():

@@ -157,11 +157,17 @@ def test_env_support():
 
 
 def test_env_atoms_total_mass():
-    for env in (Atom(3.0), Uniform(0, 1), Bump()):
+    # every law, in either role, has a solver reading as atoms
+    for env in LAWS.values():
         pos, mass = env_atoms(env, 128)
         assert mass.sum() == pytest.approx(1.0, abs=1e-10)
         lo, hi = env_support(env)
         assert pos.min() >= lo and pos.max() <= hi
+    # atoms are their own positions and weights
+    atoms = LAWS["atoms"].measure
+    pos, mass = env_atoms(LAWS["atoms"], 128)
+    assert np.array_equal(pos, atoms.positions)
+    assert np.array_equal(mass, atoms.weights)
 
 
 # one law of each kind; every one may be the initial law or the environment

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gossipfield.kernels import (Atom, BoundedConfidence, Bump, Constant,
-                                 FiniteMixture, Gaussian, Grid, KernelSpec,
-                                 Uniform, env_atoms, env_moment)
+from gossipfield.kernels import (Atom, Atoms, BoundedConfidence, Bump,
+                                 Constant, FiniteMixture, Gaussian, Grid,
+                                 KernelSpec, Uniform, env_atoms, env_moment)
 from gossipfield import meanfield
 from gossipfield.meanfield import (SolverConfig, SolverError, apply_F,
                                    integrate, step_ends)
-from gossipfield.measures import GridMeasure1D, moment, wasserstein1_1d
+from gossipfield.measures import (AtomicMeasure, GridMeasure1D, moment,
+                                  wasserstein1_1d)
 from gossipfield.moments import MomentParams, limit_moments
 
 CONST_HALF = KernelSpec(alpha=1.0, internal=Constant(0.5))
@@ -411,6 +412,24 @@ def test_environment_outside_grid_rejected():
     g = GridMeasure1D.uniform(0.0, 1.0, 32)
     with pytest.raises(SolverError, match="cover"):
         apply_F(g, k)
+
+
+@pytest.mark.parametrize("upsilon", [0.5, 0.3])
+def test_one_atom_environment_is_the_atom(upsilon):
+    # atoms are read as their own positions and weights, so a one-atom
+    # environment runs the same branch, on the same numbers, as an atom:
+    # the half-grid convolution at weight 1/2, the environment map else
+    solver = SolverConfig(0.0, 10.0, m=200, dt=0.05, horizon=1.0,
+                          snapshot_times=(0.5, 1.0), scheme="rk4")
+    g0 = GridMeasure1D.uniform(0.0, 10.0, 200)
+    runs = [integrate(g0, KernelSpec(alpha=0.6, internal=Constant(0.5),
+                                     external=Constant(upsilon),
+                                     environment=env), solver)
+            for env in (Atom(3.3), Atoms(AtomicMeasure.from_points(
+                [(3.3, 1.0)])))]
+    for (t, a), (s, b) in zip(*runs):
+        assert t == s
+        assert np.array_equal(a.cells, b.cells)
 
 
 def test_external_branch_pulls_toward_environment():
