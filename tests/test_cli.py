@@ -350,6 +350,17 @@ INVALID_CONFIGS = {
                                                      "type": "normal"})},
                                  "kernel.environment.type: unknown "
                                  "environment 'normal'"),
+    # a bump start and an atoms environment are checked as any law in
+    # either role: the window must cover the bump, the atoms must sum to 1
+    "initial_bump": ("meanfield", {"initial": {"type": "bump"},
+                                   "meanfield.lo": 0.0, "meanfield.hi": 3.0},
+                     "meanfield: lo and hi must cover [2, 4]"),
+    "environment_atoms": ("simulate",
+                          {"kernel": dict(ENV_STYLE["kernel"], environment={
+                              "type": "atoms",
+                              "points": [[1.0, 0.3], [5.0, 0.4]]})},
+                          "kernel.environment: atomic law must be "
+                          "normalized"),
     "environment_zero_cells": ("simulate",
                                {"kernel": dict(ENV_STYLE["kernel"],
                                                environment=ZERO_GRID)},
