@@ -155,16 +155,15 @@ def _replica_seed(base_seed: int, n: int, replica: int) -> int:
 
 
 # what every replica job of the current run shares: the config, the
-# reference snapshots (the solver's grids, on one window), the snapshot
-# block and the reference snapshots cut, as one block, into the quantile
-# slices of the current n. Set once per process by _init_replicas, so
-# each job carries only (n, replicas) and allocates no array per snapshot.
+# reference snapshots (the solver's grids, on one window) cut, as one
+# block, into the quantile slices of each n, and the snapshot block. Set
+# once per process by _init_replicas, so each job carries only
+# (n, replicas) and allocates no array per snapshot.
 _shared = {}
 
 
-def _init_replicas(cfg: ConcentrationConfig, reference: tuple) -> None:
-    _shared.update(cfg=cfg, reference=reference, block=np.empty(0),
-                   slices=None)
+def _init_replicas(cfg: ConcentrationConfig, slices: dict) -> None:
+    _shared.update(cfg=cfg, slices=slices, block=np.empty(0))
 
 
 def _one_replica(args) -> list[tuple[int, int, float]]:
@@ -172,21 +171,19 @@ def _one_replica(args) -> list[tuple[int, int, float]]:
     lockstep. (The name is from when a job ran one replica; the bench
     tracer wraps the function by it.)"""
     n, replicas = args
-    cfg, reference = _shared["cfg"], _shared["reference"]
+    cfg = _shared["cfg"]
     seeds = [_replica_seed(cfg.base_seed, n, r) for r in replicas]
     sim = SimConfig(n=n, kernel=cfg.kernel, initial=cfg.initial,
                     horizon=cfg.tau, snapshot_times=cfg.sample_times,
                     allow_self=True)
-    # the jobs come largest n first, so the first one sizes the block,
-    # and the first one of each n cuts the reference for it
+    # the jobs come largest n first, so the first one sizes the block
     size = len(replicas) * len(cfg.sample_times) * n
     if _shared["block"].size < size:
         _shared["block"] = np.empty(size)
-    if _shared["slices"] is None or _shared["slices"].n != n:
-        _shared["slices"] = quantile_slices(reference, n)
     block = run(sim, _shared["block"][:size].reshape(
         len(replicas), len(cfg.sample_times), n), seeds=seeds)
-    return [(n, r, float(wasserstein1_rows(rows, _shared["slices"]).max()))
+    slices = _shared["slices"][n]
+    return [(n, r, float(wasserstein1_rows(rows, slices).max()))
             for r, rows in zip(replicas, block)]
 
 
@@ -231,6 +228,10 @@ def run_concentration(cfg: ConcentrationConfig,
     # imported here, where the pool starts: with logging it costs every
     # other subcommand's launch 4-6 ms
     import concurrent.futures
+    # imported before the pool forks, so that the workers inherit it:
+    # `import numpy` leaves it out, and each worker's first job would
+    # import it again (15-17 ms)
+    import numpy.random  # noqa: F401
 
     if threads < 1:
         raise ExperimentError(f"threads must be at least 1, got {threads}")
@@ -238,9 +239,11 @@ def run_concentration(cfg: ConcentrationConfig,
     threads = min(threads, os.cpu_count() or 1)
     for m in _REF_GRIDS:
         reference = tuple(g for _, g in _reference(cfg, m))
+        # cut once here, each n's slices shared with the forked workers
+        slices = {n: quantile_slices(reference, n) for n in cfg.n_list}
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=threads, initializer=_init_replicas,
-                initargs=(cfg, reference)) as ex:
+                initargs=(cfg, slices)) as ex:
             batches = ex.map(_one_replica, jobs)
             # meanwhile this process, which would only wait, refines
             space_err, time_err = _discretization_errors(cfg, reference, m)
