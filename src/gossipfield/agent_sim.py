@@ -12,6 +12,10 @@ is one-dimensional throughout. The n opinions at t = 0 are independent
 draws from the initial law, a law on the line of the same family as the
 environment (kernels.Law), by its one sampler (kernels.make_env_sampler).
 
+A replica draws its waiting times, agents and weights in chunks, each
+sized to the jumps expected before its horizon (at most 16384), so a short
+run draws little past the horizon.
+
 The jumps are applied in conflict-free runs: maximal stretches of
 consecutive jumps in which no jump touches an agent that an earlier jump of
 the stretch wrote. A run's reads all happen before its writes, as one
@@ -24,6 +28,7 @@ gather, update and scatter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,10 +97,19 @@ def init_state(cfg: SimConfig, seed: int | None = None) -> SimState:
 # dynamics
 
 
-_CHUNK = 1 << 14  # jumps per batch of draws
+_CHUNK = 1 << 14  # the most jumps per batch of draws
 # jumps per conflict analysis: of the block sizes 1024 to 16384, 4096 took
 # the least time per chunk (1.4 ms, against 1.9-2.2 ms for one pass)
 _BLOCK = 1 << 12
+
+
+def _chunk_size(n: int, left: float) -> int:
+    """The jumps a replica of n agents draws for its next chunk, with
+    `left` time to its horizon: the expected count L = n * left, with
+    6 sqrt(L) + 64 to spare, at most _CHUNK. A chunk whose last jump comes
+    before the horizon is followed by one sized to the time then left."""
+    expected = n * left
+    return min(_CHUNK, int(expected + 6.0 * math.sqrt(expected)) + 64)
 
 
 def run_ends(a: np.ndarray, b: np.ndarray, writes_b: bool) -> np.ndarray:
@@ -211,7 +225,8 @@ def _run_batch(cfg: SimConfig, seeds, out: np.ndarray) -> list[SimState]:
     snapshots of replica r into out[r]. Returns the terminal states.
 
     Every random quantity of a replica is drawn from its own generator, per
-    chunk of _CHUNK jumps, in this order: the waiting times, the activated
+    chunk of _chunk_size jumps (at most _CHUNK, sized to the time left to
+    the horizon), in this order: the waiting times, the activated
     agents, the observed agents; then, when alpha < 1, the branch coins and
     the environment signals; then the weights of each finite-mixture law in
     use (internal, then external). A run with alpha = 1 and a distance law
@@ -262,9 +277,10 @@ def _run_batch(cfg: SimConfig, seeds, out: np.ndarray) -> list[SimState]:
     for r, state in enumerate(states):
         x[r * stride:r * stride + n] = state.opinions
     signal_slots = np.arange(n, n + _CHUNK) if mixed else None
-    # kept across chunks and replicas: the clock, the coins' uniforms and
-    # the run ends are read before the next replica draws
-    clock = np.empty(_CHUNK)
+    # kept across chunks and replicas, and cut to each chunk's size: the
+    # clock, the coins' uniforms and the run ends are read before the next
+    # replica draws
+    clocks = np.empty(_CHUNK)
     uniforms = np.empty(_CHUNK) if mixed else None
     ends = np.empty(_CHUNK, dtype=np.intp)
     ptr = [0] * len(seeds)
@@ -280,6 +296,8 @@ def _run_batch(cfg: SimConfig, seeds, out: np.ndarray) -> list[SimState]:
             state = states[r]
             rng = state.rng
             base = r * stride
+            size = _chunk_size(n, tau - state.t)
+            clock = clocks[:size]
             rng.standard_exponential(out=clock)
             clock *= scale
             clock[0] += state.t
@@ -289,31 +307,31 @@ def _run_batch(cfg: SimConfig, seeds, out: np.ndarray) -> list[SimState]:
             # those at or before it (a snapshot holds the state after them)
             end = int(np.searchsorted(clock, tau, side="right"))
             cuts = np.searchsorted(clock, snaps[ptr[r]:], side="right")
-            cuts = cuts[cuts < _CHUNK].tolist()
+            cuts = cuts[cuts < size].tolist()
             # the clock after the chunk: the first jump past the horizon,
             # or the chunk's last jump
-            state.t = float(clock[min(end, _CHUNK - 1)])
+            state.t = float(clock[min(end, size - 1)])
             state.update_count += end
-            if end == _CHUNK:
+            if end == size:
                 pending.append(r)
-            aa = rng.integers(0, n, _CHUNK)
+            aa = rng.integers(0, n, size)
             if allow_self:
-                bb = rng.integers(0, n, _CHUNK)
+                bb = rng.integers(0, n, size)
             else:
-                bb = rng.integers(0, n - 1, _CHUNK)
+                bb = rng.integers(0, n - 1, size)
                 bb += bb >= aa
             a, b = aa[:end], bb[:end]
             coins = int_draws = ext_draws = None
             if mixed:
-                rng.random(out=uniforms)
+                rng.random(out=uniforms[:size])
                 coins = uniforms[:end] < alpha
-                x[base + n:base + stride] = env_sampler(rng, _CHUNK)
+                x[base + n:base + n + size] = env_sampler(rng, size)
                 # an environment jump observes its signal's slot
                 b = np.where(coins, b, signal_slots[:end])
             if int_mix:
-                int_draws = draw_mixture(internal, rng, _CHUNK)[:end]
+                int_draws = draw_mixture(internal, rng, size)[:end]
             if ext_mix:
-                ext_draws = draw_mixture(external, rng, _CHUNK)[:end]
+                ext_draws = draw_mixture(external, rng, size)[:end]
             for i in range(0, end, _BLOCK):
                 j = min(i + _BLOCK, end)
                 ends[i:j] = run_ends(a[i:j], b[i:j], symmetric)

@@ -21,8 +21,8 @@ from .kernels import (Atom, Atoms, Bump, Grid, KernelSpec, Law, Uniform,
                       env_atoms, env_support, sampling_grid)
 from .meanfield import (MAX_STEPS, SolverConfig, check_within_centres,
                         integrate, split_onto_centres)
-from .measures import (GridMeasure1D, checked_times, quantile_slices,
-                       wasserstein1_1d, wasserstein1_rows)
+from .measures import (GridMeasure1D, MeasureError, checked_times,
+                       quantile_slices, wasserstein1_1d, wasserstein1_rows)
 
 
 class ExperimentError(ValueError):
@@ -133,7 +133,12 @@ def initial_grid(initial: Law, lo: float, hi: float,
     law's interval or the density's sampling_grid. Atoms are split
     linearly between the two cell centres around each, as the solver splits
     every point mass, which keeps their mean; they must lie within the
-    first and last centres, as solver_domain's window has them."""
+    first and last centres, as solver_domain's window has them.
+
+    A window that misses a uniform law or a density entirely raises
+    MeasureError. One that covers only part of it is not checked: the
+    cells hold the part inside, renormalised, and the rest is dropped.
+    solver_domain's window, and the CLI's configured one, cover the law."""
     if isinstance(initial, Uniform):
         return GridMeasure1D.uniform(lo, hi, m, support=(initial.a, initial.b))
     h = (hi - lo) / m
@@ -141,6 +146,8 @@ def initial_grid(initial: Law, lo: float, hi: float,
         g = sampling_grid(initial)
         cdf = np.concatenate(([0.0], np.cumsum(g.cells)))
         cells = np.diff(np.interp(lo + np.arange(m + 1) * h, g.edges, cdf))
+        if not cells.sum() > 0:
+            raise MeasureError("support does not intersect grid")
     else:
         pos, mass = env_atoms(initial, m)
         check_within_centres(lo, hi, m, pos, "the initial atoms'")

@@ -8,9 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gossipfield import agent_sim
 from gossipfield.agent_sim import (_BLOCK, _CHUNK, SimConfig, SimError,
-                                   SimState, _run_batch, init_state, run,
-                                   run_ends, run_with_state)
+                                   SimState, _chunk_size, _run_batch,
+                                   init_state, run, run_ends, run_with_state)
 from gossipfield.kernels import (Atom, Atoms, BoundedConfidence, Bump,
                                  Constant, FiniteMixture, Gaussian, Grid,
                                  KernelError, KernelSpec, Uniform,
@@ -184,16 +185,21 @@ def test_run_kernel_fast_paths_stay_in_hull():
 
 # Digests of alpha = 1 runs with distance-only weight laws, recorded before
 # the per-jump draws moved into per-chunk batches. These runs draw only the
-# waiting times and the two agent indices, so their streams must not move;
-# the digests are the bit-identity oracle for any rewrite of the jump loop.
-# Each run crosses one chunk boundary (18009 jumps).
+# waiting times and the two agent indices, so their streams must not move
+# while the draw schedule stands; the digests are the bit-identity oracle
+# for any rewrite of the jump loop. Each run crosses one chunk boundary
+# (18009 jumps): a full first chunk, then one sized to the time left.
+# Sizing the chunks to the horizon moved every draw after the first chunk;
+# bounded confidence was re-recorded then, from the sequential oracle. The
+# other four runs are at consensus, to within one ulp, before the first
+# chunk ends, and no later draw moves them, so their digests held.
 STREAM_PINS = [
     (Constant(0.5), False,
      "59f09ea65d63fdbb9c73acb3876a2301266e1456a09f035e91e66e61b2ef144e"),
     (Constant(0.3), False,
      "cd535a689267222dd3b680e17b9331ba74330e3c037bb8ffb8bf6e7009a7b6ae"),
     (BoundedConfidence(0.5, 0.3), False,
-     "dca97650ad9b35d89640975d6272d78c0b3e0cca586659241ba35fc9bef12530"),
+     "ca3c82fc7aa4607ebc576852a427a199740c792c1ff59f399a040c1b6e3efa7f"),
     (Gaussian(0.6, 0.4), False,
      "c27c5671805be9ce2b4ed4468f69215d80e01beb70b453e06b1116630201ee35"),
     (Constant(0.5), True,
@@ -228,20 +234,21 @@ def test_alpha_one_streams_are_pinned(law, symmetric, expected):
 
 
 # Digests of runs with an environment or a mixture law, recorded from the
-# jump-by-jump loop before the jumps were applied in conflict-free runs.
-# Each crosses one chunk boundary.
+# jump-by-jump loop before the jumps were applied in conflict-free runs,
+# and re-recorded from the sequential oracle when chunks were sized to the
+# horizon. Each crosses one chunk boundary; the jump counts did not move.
 MIXED_PINS = [
     (KernelSpec(alpha=0.5, internal=Constant(0.5), external=Constant(0.5),
                 environment=Bump()), 17960,
-     "3f3fa7163b55b2871904dbfd983b632c1a5cece4facb4949c361788aea3ae61b"),
+     "8d4296370fbb06229c04b575e9ec805a844187b2ed37e08d2a502293df1db5cd"),
     (KernelSpec(alpha=0.3, internal=BoundedConfidence(0.5, 0.3),
                 external=FiniteMixture((0.2, 0.7), (0.4, 0.6)),
                 environment=Uniform(0.2, 0.9)), 17960,
-     "18bcfbce5a0dc18833caa3a4c3252df717d2d052a48c2ead593788053b10d3cd"),
+     "29e992392706a81517395ec0c4ae234c015390ff530b5a28f3accb999339e701"),
     (KernelSpec(alpha=1.0,
                 internal=FiniteMixture((0.1, 0.5, 0.9), (0.3, 0.3, 0.4))),
      17904,
-     "8ca7f7524d7d05f465c087eada2ae1b036a8b457a68da9173cb684970b0f322c"),
+     "3632e0856113183a5213dfa5a86bb841e175f1ed41254c41ea8a3527dad2c48c"),
 ]
 
 
@@ -283,8 +290,8 @@ def test_run_ends_are_conflict_free_and_maximal():
 
 
 def sequential(cfg):
-    """The jump-by-jump oracle: the simulator's draws, applied one jump at
-    a time to a list of floats; a snapshot is taken before the first jump
+    """The jump-by-jump oracle: the simulator's draws, per chunk of
+    _chunk_size jumps, applied one jump at a time to a list of floats; a snapshot is taken before the first jump
     past its time. Returns the snapshots and the final opinions, clock and
     jump count."""
     state = init_state(cfg)
@@ -304,24 +311,25 @@ def sequential(cfg):
     x = state.opinions.tolist()
     snaps, ptr, t, count, done = [], 0, 0.0, 0, False
     while not done:
-        dts = rng.exponential(1.0 / n, _CHUNK)
+        size = agent_sim._chunk_size(n, cfg.horizon - t)
+        dts = rng.exponential(1.0 / n, size)
         clock = np.cumsum(np.concatenate(([t], dts)))[1:]
         end = int(np.searchsorted(clock, cfg.horizon, side="right"))
-        done = end < _CHUNK
-        t = float(clock[min(end, _CHUNK - 1)])
-        aa = rng.integers(0, n, _CHUNK)
+        done = end < size
+        t = float(clock[min(end, size - 1)])
+        aa = rng.integers(0, n, size)
         if cfg.allow_self:
-            bb = rng.integers(0, n, _CHUNK)
+            bb = rng.integers(0, n, size)
         else:
-            bb = rng.integers(0, n - 1, _CHUNK)
+            bb = rng.integers(0, n - 1, size)
             bb += bb >= aa
-        coins = rng.random(_CHUNK) < k.alpha if mixed else None
-        signals = sampler(rng, _CHUNK) if mixed else None
+        coins = rng.random(size) < k.alpha if mixed else None
+        signals = sampler(rng, size) if mixed else None
         iw = ew = None
         if isinstance(k.internal, FiniteMixture):
-            iw = draw_mixture(k.internal, rng, _CHUNK)
+            iw = draw_mixture(k.internal, rng, size)
         if mixed and isinstance(k.external, FiniteMixture):
-            ew = draw_mixture(k.external, rng, _CHUNK)
+            ew = draw_mixture(k.external, rng, size)
         for i in range(end):
             while (ptr < len(cfg.snapshot_times)
                    and cfg.snapshot_times[ptr] < clock[i]):
@@ -400,9 +408,47 @@ def test_runs_match_the_sequential_loop_at_chunk_boundaries(kernel):
         assert_matches_sequential(make_cfg(
             n=n, kernel=kernel, horizon=times[-1] + 1.0, snapshot_times=times,
             seed=7, allow_self=True, symmetric=symmetric))
-    # tau = 0: no jump is applied, and the clock is the first jump's
-    assert_matches_sequential(make_cfg(
-        n=n, kernel=kernel, horizon=0.0, snapshot_times=(0.0,), seed=7))
+    # n * tau just past _CHUNK: the first chunk is full, and the second is
+    # the remainder, sized to the time its last jump leaves
+    n, tau = 1000, (_CHUNK + 400) / 1000
+    rng = np.random.default_rng(3)
+    make_env_sampler(Uniform(0.0, 1.0))(rng, n)
+    first = float(np.cumsum(rng.exponential(1.0 / n, _CHUNK))[-1])
+    assert _chunk_size(n, tau) == _CHUNK
+    assert 64 < _chunk_size(n, tau - first) < _CHUNK // 16
+    for symmetric in (False, True):
+        assert_matches_sequential(make_cfg(
+            n=n, kernel=kernel, horizon=tau,
+            snapshot_times=(0.0, first, tau), seed=3, symmetric=symmetric))
+    # tau = 0: no jump is applied, the clock is the first jump's, and the
+    # chunk holds the 64 spare draws alone
+    assert _chunk_size(5, 0.0) == 64
+    for symmetric in (False, True):
+        assert_matches_sequential(make_cfg(
+            n=5, kernel=kernel, horizon=0.0, snapshot_times=(0.0,), seed=7,
+            symmetric=symmetric))
+
+
+def test_chunks_that_end_before_the_horizon_match_the_sequential_loop(
+        monkeypatch):
+    # chunks of 1 to 97 jumps, far short of the rule's, so that most end
+    # before the horizon and the next is sized to the time then left; alone
+    # and in lockstep, where the replicas' chunks differ in size
+    monkeypatch.setattr(agent_sim, "_chunk_size",
+                        lambda n, left: 1 + int(n * left * 7.3) % 97)
+    seeds = (0, 7, 1)
+    for kernel, symmetric in itertools.product(ORACLE_KERNELS[::4],
+                                               (False, True)):
+        cfg = make_cfg(n=50, kernel=kernel, horizon=4.0,
+                       snapshot_times=(0.0, 1.0, 2.5, 2.5, 4.0),
+                       symmetric=symmetric)
+        block = np.empty((len(seeds), 5, cfg.n))
+        states = _run_batch(cfg, seeds, block)
+        for got, state, seed in zip(block, states, seeds):
+            want, x, t, count = sequential(replace(cfg, seed=seed))
+            assert got.tobytes() == np.array([y for _, y in want]).tobytes()
+            assert state.opinions.tobytes() == x.tobytes()
+            assert (state.t, state.update_count) == (t, count)
 
 
 def test_lockstep_batches_match_their_replicas_run_alone():

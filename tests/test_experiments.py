@@ -15,8 +15,8 @@ from gossipfield.experiments import (_REF_GRIDS, ConcentrationConfig,
 from gossipfield.kernels import (Atom, Atoms, Bump, Constant, Gaussian,
                                  Grid, KernelSpec, Uniform, env_moment)
 from gossipfield.meanfield import SolverError
-from gossipfield.measures import (AtomicMeasure, GridMeasure1D, moment,
-                                  wasserstein1_1d)
+from gossipfield.measures import (AtomicMeasure, GridMeasure1D,
+                                  MeasureError, moment, wasserstein1_1d)
 
 GAUSS = KernelSpec(alpha=1.0, internal=Gaussian(0.5, 20.0))
 
@@ -90,6 +90,20 @@ def test_initial_grid_rejects_atoms_outside_the_centres():
     with pytest.raises(SolverError, match=r"hull \[-3, 5\] must lie within "
                        r"\[0.05, 9.95\]"):
         initial_grid(law, 0.0, 10.0, 100)
+
+
+def test_initial_grid_rejects_a_window_that_misses_the_law():
+    # a density start on a window that misses it would divide 0 by 0 into
+    # nan cells; it fails as a uniform start does
+    grid = Grid(GridMeasure1D(2.0, 4.0, np.array([0.25, 0.75])))
+    for law in (Uniform(2.0, 4.0), grid, Bump()):
+        with pytest.raises(MeasureError, match="does not intersect"):
+            initial_grid(law, 5.0, 6.0, 10)
+    # a window over the upper part of the bump, which lies on (2, 4), keeps
+    # that part alone, renormalised: the truncation is not checked
+    g = initial_grid(Bump(), 3.0, 6.0, 10)
+    assert g.cells.sum() == pytest.approx(1.0)
+    assert g.cells[4:].sum() == 0.0
 
 
 @pytest.mark.parametrize("initial, kernel", [
@@ -189,22 +203,25 @@ def test_serial_runs_share_no_state():
 # wasserstein1_rows; recorded with the reference on the ladder's first
 # grid, where the run passes its gate; re-recorded when the weight-1/2
 # fold moved into the spectrum, which moved 23 of the 40 by at most 9.7e-15
-# relative
+# relative; re-recorded when the simulator's chunks were sized to the
+# horizon, which draws the agents of these one-chunk runs from new places
+# in each stream (38 of the 40 moved; each new D is the W1 of the
+# sequential oracle's snapshots to within 4.2e-14 relative)
 PINNED_D = """
-    0x1.b9348687c530fp-1 0x1.b97c6d0987544p-1 0x1.86033888db1dap-2
-    0x1.1a9c5fe8833b0p-2 0x1.c7e49e84b4aa2p-2 0x1.4d930cf924f2dp-2
-    0x1.8db7974eb292cp-2 0x1.1db6859143339p-1 0x1.3c90e4ec44c1cp-1
-    0x1.4797255867688p-1 0x1.4dc6da78b026fp-2 0x1.c632a7e93358ep-1
-    0x1.10e15a84fcfa0p-1 0x1.6411a7ddf195ep-2 0x1.0390e9c9e13b8p-1
-    0x1.1995e1879eca2p-2 0x1.2b4f7274c5d0dp-1 0x1.14ca029b82e04p+0
-    0x1.7b3573e63056ep-1 0x1.3683c49b0a51dp-1 0x1.90f899144ee60p-3
-    0x1.792821e9db089p-2 0x1.58cfbb8090573p-3 0x1.2ea9cdac7314dp-3
-    0x1.8fa0083dca0a5p-3 0x1.4dcde1e8424fcp-3 0x1.aac436d3c4905p-3
-    0x1.4693e11bf7829p-3 0x1.0538701099c97p-2 0x1.07b7b09db303dp-2
-    0x1.17cde051c81dcp-3 0x1.d2f6e8006daa2p-2 0x1.2d347acd0a818p-3
-    0x1.0da6d07b42cc3p-2 0x1.5a8a5b7f66df1p-3 0x1.718aa2fd2afd2p-2
-    0x1.d9caf6aff7180p-3 0x1.a49eb269db972p-3 0x1.42aa55f1b0bf4p-2
-    0x1.9e98b48ae6330p-3
+    0x1.7452da3213f43p-1 0x1.831582b437703p-1 0x1.cf2dcfe4e5fe8p-2
+    0x1.83273e01f77f9p-2 0x1.5fd6b0bfefc5cp-2 0x1.e646b2cd101cap-3
+    0x1.88938919ba529p-2 0x1.91760010a2d12p-2 0x1.d59df35fd2301p-2
+    0x1.d8ca8bd304bd8p-2 0x1.bd126120b3913p-2 0x1.e395f56747c62p-1
+    0x1.6e68e53013bb9p-2 0x1.5fb9e21ac435fp-2 0x1.8e14f21372f98p-1
+    0x1.b0ed5e8e92080p-2 0x1.0136cce821092p-1 0x1.c40ac457e3f98p-1
+    0x1.a57352c534a0cp-1 0x1.3683c49b0a51dp-1 0x1.8a737f274683ap-3
+    0x1.7c64eb4c860b4p-2 0x1.ef3cb92307bd9p-3 0x1.ef71761a11c2ap-3
+    0x1.284699b72a04ep-3 0x1.684b184372968p-3 0x1.0e8659c072dd7p-2
+    0x1.030297fd2653fp-3 0x1.f8406a531eacap-3 0x1.766dad3c8ef51p-3
+    0x1.4300952e87991p-3 0x1.5eef2bbda7eacp-1 0x1.8f71c717e6b38p-3
+    0x1.0ea8247b997c7p-1 0x1.4e284a2f5a7bbp-2 0x1.2cd7e33b5793dp-2
+    0x1.d9caf6aff7180p-3 0x1.2203120ce64d1p-3 0x1.2229d0bfd903cp-2
+    0x1.b3ac7c9db204bp-3
 """.split()
 
 
