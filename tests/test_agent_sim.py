@@ -291,9 +291,9 @@ def test_run_ends_are_conflict_free_and_maximal():
 
 def sequential(cfg):
     """The jump-by-jump oracle: the simulator's draws, per chunk of
-    _chunk_size jumps, applied one jump at a time to a list of floats; a snapshot is taken before the first jump
-    past its time. Returns the snapshots and the final opinions, clock and
-    jump count."""
+    _chunk_size jumps, applied one jump at a time to a list of floats; a
+    snapshot is taken before the first jump past its time. Returns the
+    snapshots and the final opinions, clock and jump count."""
     state = init_state(cfg)
     k, rng, n = cfg.kernel, state.rng, cfg.n
     mixed = k.alpha < 1.0
